@@ -34,7 +34,7 @@ from .errors import (
     ShockDetected,
     SingularEndpoint,
 )
-from .radial import RunHistory, d1, d2
+from .radial import RunHistory, d1, d2, dt_dtphi
 
 __all__ = [
     "RayBundle",
@@ -147,6 +147,11 @@ def classify_largeness(c, a, sigma=-0.1, delta=0.0):
 # field sampling along rays
 # ---------------------------------------------------------------------------
 
+# rows of a derived-field snapshot, and the cubic stencil's offsets from its cell
+_KEYS = ("eta", "dphi", "rdot", "m_factor", "e")
+_CUBIC_OFFSETS = np.arange(-1, 3)
+
+
 class _FieldSampler:
     """Derived-field samples at arbitrary (t, r) along the ray bundle.
 
@@ -168,37 +173,35 @@ class _FieldSampler:
         self._snap_cache = {}
 
     def _snap_arrays(self, k):
-        """Derived fields on the grid at stored snapshot index k."""
+        """Derived fields on the grid at stored snapshot index k, stacked in _KEYS order."""
         if k in self._snap_cache:
             return self._snap_cache[k]
         r, dr, a = self.r, self.dr, self.a
-        phi, dtphi = self.hist.phi[k], self.hist.dtphi[k]
-        dphi = d1(phi, dr)
+        y = np.stack((self.hist.phi[k], self.hist.dtphi[k]))
+        phi, dtphi = y
+        dphi, ddtphi = d1(y, dr)
         d2phi = d2(phi, dr)
-        ddtphi = d1(dtphi, dr)
         h = dtphi - 0.5 * dphi**2 + a * phi
         st = self.eos.eval(h)
         eta = st.eta
-        # d(dtphi)/dt from the evolution equation
-        dtt = (2.0 * dphi * ddtphi + st.eta_sq * (d2phi + 2.0 * dphi / r)
-               - dphi**2 * d2phi - a * (dtphi - dphi**2))
+        dtt = dt_dtphi(r, phi, dtphi, dphi, d2phi, ddtphi, st.eta_sq, a)
         dh = ddtphi - dphi * d2phi + a * dphi          # dh/dr
         dth = dtt - dphi * ddtphi + a * dtphi          # dh/dt
         rdot = -(eta + dphi)
-        out = {
-            "eta": eta, "dphi": dphi, "rdot": rdot,
+        out = np.stack((
+            eta, dphi, rdot,
             # m = (mu/eta) * m_factor
-            "m_factor": 0.5 * st.dH_dh * dh + a * dphi,
-            "e": (st.deta_sq_dh / (2.0 * st.eta_sq) * (dth + rdot * dh)
-                  + (ddtphi + rdot * d2phi) / eta),
-        }
+            0.5 * st.dH_dh * dh + a * dphi,
+            (st.deta_sq_dh / (2.0 * st.eta_sq) * (dth + rdot * dh)
+             + (ddtphi + rdot * d2phi) / eta),
+        ))
         if len(self._snap_cache) > 8:
             self._snap_cache.pop(next(iter(self._snap_cache)))
         self._snap_cache[k] = out
         return out
 
-    def _cubic(self, arr, r_pos):
-        """4-point cubic interpolation of a grid array at positions r_pos."""
+    def _cubic(self, arr, rows, r_pos):
+        """4-point cubic interpolation of rows of a stacked grid array at positions r_pos."""
         r, dr = self.r, self.dr
         i = np.clip(((r_pos - r[0]) / dr).astype(int), 1, len(r) - 3)
         x = (r_pos - r[i]) / dr                # in [0, 1] inside the cell
@@ -206,7 +209,8 @@ class _FieldSampler:
         w1 = (x + 1.0) * (x - 1.0) * (x - 2.0) / 2.0
         w2 = -(x + 1.0) * x * (x - 2.0) / 2.0
         w3 = (x + 1.0) * x * (x - 1.0) / 6.0
-        return w0 * arr[i - 1] + w1 * arr[i] + w2 * arr[i + 1] + w3 * arr[i + 2]
+        g = arr[rows[:, None, None], i + _CUBIC_OFFSETS[:, None]]   # (key, point, ray)
+        return w0 * g[:, 0] + w1 * g[:, 1] + w2 * g[:, 2] + w3 * g[:, 3]
 
     def at(self, t, r_pos, keys):
         r = self.r
@@ -231,25 +235,13 @@ class _FieldSampler:
             for k in range(4):
                 others = np.delete(ts, k)
                 weights.append(float(np.prod((t - others) / (ts[k] - others))))
-        out = {k: 0.0 for k in keys}
+        rows = np.array([_KEYS.index(k) for k in keys])
+        out = 0.0
         for sk, w in zip(snaps, weights):
-            arr = self._snap_arrays(sk)
             # incoming characteristic shift at unit speed, clamped to grid
             shifted = np.clip(r_pos + (t - times[sk]), r[0], r[-1])
-            for k in keys:
-                out[k] = out[k] + w * self._cubic(arr[k], shifted)
-        return out
-
-    def arrays(self, t):
-        """Grid-resolution derived fields at time t (node times exact)."""
-        times = self.hist.times
-        i = int(np.clip(np.searchsorted(times, t) - 1, 0, len(times) - 2))
-        if abs(t - times[i]) < 1e-13:
-            return self._snap_arrays(i)
-        if abs(t - times[i + 1]) < 1e-13:
-            return self._snap_arrays(i + 1)
-        keys = ("eta", "dphi", "rdot", "m_factor", "e")
-        return {k: v for k, v in self.at(t, self.r, keys).items()}
+            out = out + w * self._cubic(self._snap_arrays(sk), rows, shifted)
+        return dict(zip(keys, out))
 
 
 def transport_coefficients(sampler: _FieldSampler, t, r_pos, mu):

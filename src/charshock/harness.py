@@ -11,6 +11,7 @@ aborts.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -188,7 +189,11 @@ def _run_cell(cell):
 def _worker_count(workers=None):
     env = os.environ.get("CHARSHOCK_WORKERS")
     if env is not None:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigInvalid(
+                f"CHARSHOCK_WORKERS must be an integer, got {env!r}") from None
     if workers is not None:
         return max(1, workers)
     return 1
@@ -234,10 +239,10 @@ def emit_outputs(result: SweepResult, out_dir):
         raise ConfigInvalid("empty sweep result")
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(_CSV_COLUMNS) + "\n")
-        for row in result.rows:
-            fh.write(",".join(_fmt(row[c]) for c in _CSV_COLUMNS) + "\n")
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_CSV_COLUMNS)
+        writer.writerows([_fmt(row[c]) for c in _CSV_COLUMNS] for row in result.rows)
 
     series_path = os.path.join(out_dir, "series.csv")
     with open(series_path, "w") as fh:

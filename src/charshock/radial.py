@@ -13,8 +13,17 @@ source, is
 
 with dphi = d(phi)/dr, enthalpy h = dtphi - dphi^2/2 + a*phi and sound
 speed eta = eta(h) from the equation of state.  Spatial derivatives are
-4th-order central differences; time stepping is classical RK4 under a CFL
-restriction based on the fastest characteristic speed eta + |v_r|.
+4th-order central differences (one-sided at the edges); time stepping is
+classical RK4 under a CFL restriction based on the fastest characteristic
+speed eta + |v_r|.
+
+Each RK4 stage works on the stacked state (phi, dtphi): one d1 call for
+both rows, one d2 call, one EOS evaluation.  The first stage of a step
+also gives the CFL speed.  run_until evolves only an active window behind
+the incoming front: the data vanish ahead of the cone r = r_front - c0 (t + 2)
+through the inner edge of their support, c0 being the rest-state sound
+speed, so the grid points more than _MARGIN points ahead of it are held at
+exactly zero, as a moving continuation of the pinned inner boundary.
 """
 
 from __future__ import annotations
@@ -30,34 +39,67 @@ __all__ = [
     "RadialField",
     "RunHistory",
     "radial_rhs",
+    "dt_dtphi",
     "advance",
     "run_until",
     "energy_functional",
 ]
 
 _N_PIN = 3  # inner grid points held at zero (deep inside the trivial region)
+_MARGIN = 64  # grid points evolved ahead of the incoming front
+
+
+def _edge_rows(edge, width):
+    """One-sided stencil rows for the first two grid points, as a (width, 2) matrix."""
+    rows = np.zeros((2, width))
+    rows[0, :len(edge)] = edge
+    rows[1, 1:1 + len(edge)] = edge
+    return rows.T
+
+
+# 4th-order stencils: 5-point central rows (times 12 dx^k), convolution order
+_D1_CENTRAL = np.array([-1.0, 8.0, 0.0, -8.0, 1.0])
+_D2_CENTRAL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
+# one-sided rows at the lower edge; the upper edge mirrors them, with a sign
+# flip for the odd derivative
+_D1_LO = _edge_rows(np.array([-25.0, 48.0, -36.0, 16.0, -3.0]), 6)
+_D1_HI = -_D1_LO[::-1, ::-1]
+_D2_LO = _edge_rows(np.array([469.0, -3132.0, 5265.0, -5080.0, 2970.0, -972.0,
+                              137.0]) / 180.0, 8)
+_D2_HI = _D2_LO[::-1, ::-1]
+
+
+def _central(f, stencil):
+    """Central 5-point stencil along the last axis, by one convolution.
+
+    The two points at each end of a row mix in the neighbouring row or the
+    zero padding; d1 and d2 overwrite them with the one-sided rows.
+    """
+    return np.convolve(f.ravel(), stencil, "same").reshape(f.shape)
 
 
 def d1(f, dx):
-    """Fourth-order first derivative, one-sided at the edges."""
-    out = np.empty_like(f)
-    out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * dx)
-    out[:2] = (-25 * f[:2] + 48 * f[1:3] - 36 * f[2:4] + 16 * f[3:5] - 3 * f[4:6]) / (12 * dx)
-    out[-2:] = (25 * f[-2:] - 48 * f[-3:-1] + 36 * f[-4:-2] - 16 * f[-5:-3] + 3 * f[-6:-4]) / (12 * dx)
+    """Fourth-order first derivative along the last axis, one-sided at the edges."""
+    out = _central(f, _D1_CENTRAL)
+    out[..., :2] = f[..., :6] @ _D1_LO
+    out[..., -2:] = f[..., -6:] @ _D1_HI
+    out /= 12 * dx
     return out
 
 
 def d2(f, dx):
-    """Fourth-order second derivative, one-sided at the edges."""
-    out = np.empty_like(f)
-    out[2:-2] = (-f[:-4] + 16 * f[1:-3] - 30 * f[2:-2] + 16 * f[3:-1] - f[4:]) / (12 * dx**2)
-    # 4th-order one-sided second derivative (7-point)
-    c = np.array([469.0, -3132.0, 5265.0, -5080.0, 2970.0, -972.0, 137.0]) / 180.0
-    out[0] = c @ f[:7] / dx**2
-    out[1] = c @ f[1:8] / dx**2
-    out[-1] = c[::-1] @ f[-7:] / dx**2
-    out[-2] = c[::-1] @ f[-8:-1] / dx**2
+    """Fourth-order second derivative along the last axis, one-sided at the edges."""
+    out = _central(f, _D2_CENTRAL)
+    out /= 12 * dx**2
+    out[..., :2] = f[..., :8] @ _D2_LO / dx**2
+    out[..., -2:] = f[..., -8:] @ _D2_HI / dx**2
     return out
+
+
+def dt_dtphi(r, phi, dtphi, dphi, d2phi, ddtphi, eta_sq, a):
+    """d(dtphi)/dt from the evolution equation in the module docstring."""
+    return (2.0 * dphi * ddtphi + eta_sq * (d2phi + 2.0 * dphi / r)
+            - dphi**2 * d2phi - a * (dtphi - dphi**2))
 
 
 @dataclass
@@ -66,6 +108,7 @@ class RadialField:
     r_grid: np.ndarray
     phi: np.ndarray
     dtphi: np.ndarray
+    _k1: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def derived(self, eos: EquationOfState, a: float):
         """Pointwise derived quantities: dphi, h, eta_sq, v_r."""
@@ -74,65 +117,74 @@ class RadialField:
         eta_sq = eos.eta_sq(h)
         return {"dphi": dphi, "h": h, "eta_sq": eta_sq, "v_r": -dphi}
 
+    def _first_stage(self, a, eos):
+        """(stacked state, RK4 stage k1, CFL speed max(eta + |v_r|)).
 
-def radial_rhs(fld: RadialField, a: float, eos: EquationOfState):
-    """Time derivatives (d phi/dt, d dtphi/dt) of the radial system."""
-    r = fld.r_grid
+        Evaluated once per field, so the time step run_until picks from the
+        speed and the step advance takes from k1 share one evaluation.
+        """
+        if self._k1 is None or self._k1[0] != a or self._k1[1] is not eos:
+            y = np.stack((self.phi, self.dtphi))
+            k1, eta_sq, dphi = _stage(self.t, self.r_grid, y, a, eos)
+            speed = float(np.max(np.sqrt(eta_sq) + np.abs(dphi)))
+            self._k1 = (a, eos, y, k1, speed)
+        return self._k1[2:]
+
+
+def _stage(t, r, y, a, eos):
+    """d/dt of the stacked state y = (phi, dtphi) on the grid r.
+
+    Returns it with eta^2 and dphi/dr, from which the CFL speed follows.
+    """
     dr = r[1] - r[0]
-    phi, dtphi = fld.phi, fld.dtphi
-    dphi = d1(phi, dr)
+    phi, dtphi = y
+    dphi, ddtphi = d1(y, dr)
     d2phi = d2(phi, dr)
-    ddtphi = d1(dtphi, dr)
-
     h = dtphi - 0.5 * dphi**2 + a * phi
-    lo, hi = eos.h_bounds()
-    if np.min(h) <= lo or np.max(h) >= hi:
-        raise EosDomain(
-            f"enthalpy left admissible interval ({lo}, {hi}) at t={fld.t:.6f}")
-    eta_sq = eos.eta_sq(h)
+    try:
+        eta_sq = eos.eta_sq(h)
+    except OutOfDomain as exc:
+        raise EosDomain(f"{exc} at t={t:.6f}") from None
 
-    rhs_phi = dtphi.copy()
-    rhs_dtphi = (2.0 * dphi * ddtphi
-                 + eta_sq * (d2phi + 2.0 * dphi / r)
-                 - dphi**2 * d2phi
-                 - a * (dtphi - dphi**2))
+    rhs = np.empty_like(y)
+    rhs[0] = dtphi
+    rhs[1] = dt_dtphi(r, phi, dtphi, dphi, d2phi, ddtphi, eta_sq, a)
 
     # inner boundary: pinned to zero, deep inside the trivial region
-    rhs_phi[:_N_PIN] = 0.0
-    rhs_dtphi[:_N_PIN] = 0.0
+    rhs[:, :_N_PIN] = 0.0
 
     # outer boundary: characteristic outflow for the outgoing spherical wave,
     # (dt + lam * (dr + 1/r)) dtphi = 0 with lam = eta + v_r
     lam = np.sqrt(eta_sq[-2:]) - dphi[-2:]
-    rhs_dtphi[-2:] = -lam * (ddtphi[-2:] + dtphi[-2:] / r[-2:])
+    rhs[1, -2:] = -lam * (ddtphi[-2:] + dtphi[-2:] / r[-2:])
 
-    if not (np.all(np.isfinite(rhs_phi)) and np.all(np.isfinite(rhs_dtphi))):
-        raise NonFiniteField(f"non-finite right-hand side at t={fld.t:.6f}")
-    return rhs_phi, rhs_dtphi
+    if not np.isfinite(rhs).all():
+        raise NonFiniteField(f"non-finite right-hand side at t={t:.6f}")
+    return rhs, eta_sq, dphi
+
+
+def radial_rhs(fld: RadialField, a: float, eos: EquationOfState):
+    """Time derivatives (d phi/dt, d dtphi/dt) of the radial system."""
+    rhs = _stage(fld.t, fld.r_grid, np.stack((fld.phi, fld.dtphi)), a, eos)[0]
+    return rhs[0], rhs[1]
 
 
 def advance(fld: RadialField, dt: float, a: float, eos: EquationOfState):
     """One classical RK4 step; enforces the CFL precondition."""
-    der = fld.derived(eos, a)
-    speed = np.max(np.sqrt(der["eta_sq"]) + np.abs(der["v_r"]))
-    dr = fld.r_grid[1] - fld.r_grid[0]
+    y, k1, speed = fld._first_stage(a, eos)
+    r, t = fld.r_grid, fld.t
+    dr = r[1] - r[0]
     if dt > 0.9 * dr / speed + 1e-15:
         raise CflViolation(
             f"dt={dt:.3e} exceeds CFL limit {0.9 * dr / speed:.3e}")
 
-    def f(phi, dtphi, t):
-        return radial_rhs(RadialField(t, fld.r_grid, phi, dtphi), a, eos)
-
-    p, q, t = fld.phi, fld.dtphi, fld.t
-    k1p, k1q = f(p, q, t)
-    k2p, k2q = f(p + 0.5 * dt * k1p, q + 0.5 * dt * k1q, t + 0.5 * dt)
-    k3p, k3q = f(p + 0.5 * dt * k2p, q + 0.5 * dt * k2q, t + 0.5 * dt)
-    k4p, k4q = f(p + dt * k3p, q + dt * k3q, t + dt)
-    phi_new = p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-    dtphi_new = q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
-    if not (np.all(np.isfinite(phi_new)) and np.all(np.isfinite(dtphi_new))):
+    k2 = _stage(t + 0.5 * dt, r, y + 0.5 * dt * k1, a, eos)[0]
+    k3 = _stage(t + 0.5 * dt, r, y + 0.5 * dt * k2, a, eos)[0]
+    k4 = _stage(t + dt, r, y + dt * k3, a, eos)[0]
+    y_new = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    if not np.isfinite(y_new).all():
         raise NonFiniteField(f"non-finite field after step to t={t + dt:.6f}")
-    return RadialField(t + dt, fld.r_grid, phi_new, dtphi_new)
+    return RadialField(t + dt, r, y_new[0], y_new[1])
 
 
 @dataclass
@@ -225,7 +277,9 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     data: ShortPulseData providing phi_at / dtphi_at evaluators and delta.
     Snapshots are stored every sample_dt (default delta/20) plus the first
     and last time reached.  Breakdowns (EOS domain exit, non-finite fields)
-    terminate the run with status and last_good_time recorded.
+    terminate the run with status and last_good_time recorded.  Each step
+    evolves only the active window r >= r_front(t) - _MARGIN * dr (module
+    docstring); the snapshots hold the whole grid.
     """
     delta = data.delta
     if t_end >= 0.0:
@@ -234,8 +288,9 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     r_max = data.r_grid[-1] + pad
     n = int(np.ceil((r_max - r_min) / dr))
     r = r_min + dr * np.arange(n + 1)
-    fld = RadialField(t=-2.0, r_grid=r, phi=data.phi_at(r),
-                      dtphi=data.dtphi_at(r))
+    y = np.stack((data.phi_at(r), data.dtphi_at(r)))
+    live = np.flatnonzero(np.any(y != 0.0, axis=0))
+    front = live[0] if live.size else r.size
 
     if sample_dt is None:
         sample_dt = delta / 20.0
@@ -243,23 +298,26 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     if sample_times[-1] < t_end - 1e-12:
         sample_times = np.append(sample_times, t_end)
 
-    snaps_t, snaps_p, snaps_q = [fld.t], [fld.phi.copy()], [fld.dtphi.copy()]
-    status, next_i = "Completed", 1
+    times = np.empty(len(sample_times))
+    snaps_p = np.empty((len(sample_times), r.size))
+    snaps_q = np.empty_like(snaps_p)
+    t, times[0], snaps_p[0], snaps_q[0] = -2.0, -2.0, y[0], y[1]
+    status, stored = "Completed", 1
     try:
-        while fld.t < t_end - 1e-12:
-            der = fld.derived(eos, a)
-            speed = np.max(np.sqrt(der["eta_sq"]) + np.abs(der["v_r"]))
-            dt = min(cfl * (r[1] - r[0]) / speed,
-                     sample_times[next_i] - fld.t)
+        c0 = float(np.sqrt(eos.eta_sq(0.0)))
+        while t < t_end - 1e-12:
+            j0 = max(0, int(front - c0 * (t + 2.0) / dr) - _MARGIN)
+            fld = RadialField(t, r[j0:], y[0, j0:], y[1, j0:])
+            speed = fld._first_stage(a, eos)[2]
+            dt = min(cfl * (r[1] - r[0]) / speed, sample_times[stored] - t)
             fld = advance(fld, dt, a, eos)
             if filter_strength > 0.0:
                 fld.phi = _filter6(fld.phi, filter_strength)
                 fld.dtphi = _filter6(fld.dtphi, filter_strength)
-            if fld.t >= sample_times[next_i] - 1e-12:
-                snaps_t.append(fld.t)
-                snaps_p.append(fld.phi.copy())
-                snaps_q.append(fld.dtphi.copy())
-                next_i = min(next_i + 1, len(sample_times) - 1)
+            t, y[0, j0:], y[1, j0:] = fld.t, fld.phi, fld.dtphi
+            if t >= sample_times[stored] - 1e-12:
+                times[stored], snaps_p[stored], snaps_q[stored] = t, y[0], y[1]
+                stored += 1
     except OutOfDomain:
         status = "EosDomain"
     except NonFiniteField:
@@ -269,7 +327,7 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     if eos.gamma is not None:
         meta["gamma"] = eos.gamma
     return RunHistory(
-        r_grid=r, times=np.asarray(snaps_t), phi=np.asarray(snaps_p),
-        dtphi=np.asarray(snaps_q), a=a, delta=delta, status=status,
-        last_good_time=snaps_t[-1], eos_meta=meta,
+        r_grid=r, times=times[:stored], phi=snaps_p[:stored],
+        dtphi=snaps_q[:stored], a=a, delta=delta, status=status,
+        last_good_time=float(times[stored - 1]), eos_meta=meta,
         filter_strength=filter_strength)

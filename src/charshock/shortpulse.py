@@ -25,6 +25,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import GridTooCoarse, InvalidWidth
 from .eos import EquationOfState, make_polytropic
+from .radial import d1, dt_dtphi
 
 __all__ = [
     "SeedProfiles",
@@ -149,25 +150,14 @@ def build_annulus_data(seeds: SeedProfiles, r_grid_n=512,
     return data
 
 
-def _d1(f, dx):
-    """Fourth-order first derivative on a uniform grid."""
-    out = np.empty_like(f)
-    out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * dx)
-    out[:2] = (-25 * f[:2] + 48 * f[1:3] - 36 * f[2:4] + 16 * f[3:5] - 3 * f[4:6]) / (12 * dx)
-    out[-2:] = (25 * f[-2:] - 48 * f[-3:-1] + 36 * f[-4:-2] - 16 * f[-5:-3] + 3 * f[-6:-4]) / (12 * dx)
-    return out
-
-
 def _second_null_sup(r, phi, dtphi, eos, a):
     """sup |(dt - dr)^2 phi| with dt^2 phi taken from the wave equation."""
     dr = r[1] - r[0]
-    dphi = _d1(phi, dr)
-    d2phi = _d1(dphi, dr)
-    ddtphi = _d1(dtphi, dr)
+    dphi, ddtphi = d1(np.stack((phi, dtphi)), dr)
+    d2phi = d1(dphi, dr)
     h = dtphi - 0.5 * dphi**2 + a * phi
     eta_sq = eos.eta_sq(h)
-    dtt = (2.0 * dphi * ddtphi + eta_sq * (d2phi + 2.0 * dphi / r)
-           - dphi**2 * d2phi - a * (dtphi - dphi**2))
+    dtt = dt_dtphi(r, phi, dtphi, dphi, d2phi, ddtphi, eta_sq, a)
     return float(np.max(np.abs(dtt - 2.0 * ddtphi + d2phi)))
 
 
@@ -205,7 +195,7 @@ def bump(s, lo=0.1, hi=0.9):
 
 def _bump_slope_norm(lo=0.1, hi=0.9):
     s = np.linspace(lo, hi, 200_001)
-    return float(np.max(_d1(bump(s, lo, hi), s[1] - s[0])))
+    return float(np.max(d1(bump(s, lo, hi), s[1] - s[0])))
 
 
 _BUMP_SLOPE = None

@@ -164,6 +164,17 @@ def test_initial_mu_equals_eta(pulse_bundle):
     assert np.max(np.abs(bundle.mu_spacing[0] - eta)) <= 1e-8
 
 
+def test_sampler_keys_at_once_equal_single_keys(pulse_bundle):
+    hist, bundle = pulse_bundle
+    sampler = _FieldSampler(hist, EOS)
+    keys = ("eta", "dphi", "rdot", "m_factor", "e")
+    r_pos = bundle.r[len(bundle.r) // 2]
+    for t in (float(hist.times[40]), 0.5 * float(hist.times[40] + hist.times[41])):
+        together = sampler.at(t, r_pos, keys)
+        for k in keys:
+            assert np.array_equal(together[k], sampler.at(t, r_pos, (k,))[k])
+
+
 def test_ray_speed_deviation_is_order_delta(pulse_bundle):
     hist, bundle = pulse_bundle
     dt = bundle.times[-1] - bundle.times[0]

@@ -1,5 +1,6 @@
 """Sweep orchestration: config round-trip, crash isolation, determinism."""
 
+import csv
 import json
 import math
 
@@ -114,6 +115,12 @@ def test_workers_env_override(monkeypatch):
     assert [r["status"] for r in rows] == ["ok", "ok"]
 
 
+def test_workers_env_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("CHARSHOCK_WORKERS", "x")
+    with pytest.raises(ConfigInvalid):
+        run_sweep(PREDICT_CFG)
+
+
 def test_euler_mode_cell():
     cfg = SweepConfig(
         a_values=(0.0,), c_values=(1.0,), mode="euler", delta_values=(0.1,),
@@ -153,6 +160,23 @@ def test_emit_outputs_schema_and_determinism(tmp_path):
     assert summary["n_failed"] == 0
     assert summary["config_hash"] == cfg.config_hash()
     assert "runtimes" in summary
+
+
+def test_sweep_csv_parses_for_every_eos(tmp_path):
+    eos_values = ({"family": "chaplygin"},
+                  {"family": "custom", "h_table": [-1.0, 0.0, 0.5, 1.0],
+                   "eta_sq_table": [0.5, 1.0, 1.5, 2.0]},
+                  {"family": "polytropic", "gamma": 2.0})
+    cfg = SweepConfig(a_values=(0.0,), c_values=(1.0,), mode="predict",
+                      eos_values=eos_values)
+    emit_outputs(run_sweep(cfg), tmp_path)
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(rows) == len(eos_values)
+    assert all(len(row) == len(header) for row in rows)
+    eos_column = [dict(zip(header, row))["eos"] for row in rows]
+    assert sorted(eos_column) == sorted(json.dumps(e, sort_keys=True)
+                                        for e in eos_values)
 
 
 def test_emit_outputs_rejects_empty(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from charshock.eos import make_chaplygin, make_polytropic
 from charshock.errors import CflViolation, EosDomain
 from charshock.radial import (
+    _MARGIN,
     RadialField,
     RunHistory,
     advance,
@@ -136,6 +137,16 @@ def test_run_until_records_breakdown():
     assert hist.last_good_time == -2.0
 
 
+def test_run_until_keeps_snapshots_up_to_breakdown():
+    data = build_annulus_data(bump_seeds(c=-20.0, delta=0.2), r_grid_n=256)
+    hist = run_until(data, a=0.0, eos=EOS, t_end=-1.5, points_per_delta=16,
+                     r_min=1.5)
+    assert hist.status == "EosDomain"
+    assert -2.0 < hist.last_good_time == hist.times[-1] < -1.5
+    assert hist.phi.shape == hist.dtphi.shape == (len(hist.times), hist.r_grid.size)
+    assert np.all(np.isfinite(hist.phi)) and np.all(np.isfinite(hist.dtphi))
+
+
 def test_front_speed(pulse_run):
     """The pulse front moves inward at the rest-state sound speed 1."""
     hist = pulse_run
@@ -207,6 +218,58 @@ def test_self_convergence():
         r, phi = sols[ppd]
         errs.append(np.max(np.abs(phi - np.interp(r, r_fine, phi_fine))))
     assert errs[0] / errs[1] >= 8.0
+
+
+def _reference_run(data, a, eos, r, t_end, sample_dt, cfl=0.4):
+    """Full-grid solve through the public advance, dt from derived()."""
+    fld = RadialField(-2.0, r, data.phi_at(r), data.dtphi_at(r))
+    sample_times = np.arange(-2.0, t_end + 1e-12, sample_dt)
+    if sample_times[-1] < t_end - 1e-12:
+        sample_times = np.append(sample_times, t_end)
+    times, phis, dtphis = [fld.t], [fld.phi], [fld.dtphi]
+    while fld.t < t_end - 1e-12:
+        der = fld.derived(eos, a)
+        speed = np.max(np.sqrt(der["eta_sq"]) + np.abs(der["v_r"]))
+        dt = min(cfl * (r[1] - r[0]) / speed, sample_times[len(times)] - fld.t)
+        fld = advance(fld, dt, a, eos)
+        if fld.t >= sample_times[len(times)] - 1e-12:
+            times.append(fld.t)
+            phis.append(fld.phi)
+            dtphis.append(fld.dtphi)
+    return np.array(times), np.array(phis), np.array(dtphis)
+
+
+@pytest.fixture(scope="module")
+def window_data():
+    return build_annulus_data(bump_seeds(c=1.0, delta=0.05), r_grid_n=512)
+
+
+@pytest.mark.parametrize("eos", [EOS, make_chaplygin()], ids=["polytropic", "chaplygin"])
+@pytest.mark.parametrize("a", [0.0, 0.3])
+def test_run_until_matches_full_grid_advance(window_data, eos, a):
+    """The active-window solve agrees with full-grid RK4 steps to round-off."""
+    hist = run_until(window_data, a=a, eos=eos, t_end=-1.7, points_per_delta=16,
+                     r_min=1.2, sample_dt=0.01)
+    times, phi, dtphi = _reference_run(window_data, a, eos, hist.r_grid, -1.7, 0.01)
+    assert hist.status == "Completed"
+    assert hist.times.shape == times.shape
+    assert np.max(np.abs(hist.times - times)) <= 1e-12    # the solver's sample tolerance
+    for got, want in ((hist.phi, phi), (hist.dtphi, dtphi)):
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_points_ahead_of_window_stay_zero(window_data):
+    hist = run_until(window_data, a=0.3, eos=EOS, t_end=-1.7, points_per_delta=16,
+                     r_min=1.2, sample_dt=0.01)
+    r = hist.r_grid
+    dr = r[1] - r[0]
+    live = (window_data.phi_at(r) != 0.0) | (window_data.dtphi_at(r) != 0.0)
+    front = np.flatnonzero(live)[0]
+    for t, phi, dtphi in zip(hist.times, hist.phi, hist.dtphi):
+        # the front moves inward at the rest-state sound speed 1
+        ahead = np.arange(r.size) < front - (t + 2.0) / dr - _MARGIN
+        assert np.any(ahead)
+        assert np.all(phi[ahead] == 0.0) and np.all(dtphi[ahead] == 0.0)
 
 
 def test_history_save_load_round_trip(tmp_path, pulse_run):
