@@ -24,7 +24,7 @@ provides an independent numerical oracle for these closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,7 +33,6 @@ from .errors import (
     CflViolation,
     InvalidParameter,
     NoBlowupTrend,
-    NonFiniteField,
     PastShock,
 )
 
@@ -51,6 +50,9 @@ __all__ = [
     "sine_profile",
 ]
 
+_DT_MAX = 0.05      # largest burgers_direct_solve step, whatever the CFL allows
+_FIT_FLOOR = 0.3    # estimate_blowup_time fits only r <= (1 - this) * r(start)
+
 
 @dataclass(frozen=True)
 class ShockReport:
@@ -61,13 +63,7 @@ class ShockReport:
     tolerance: float = 0.0
 
     def to_dict(self):
-        return {
-            "classification": self.classification,
-            "t_star": self.t_star,
-            "x_star": self.x_star,
-            "method": self.method,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -211,7 +207,6 @@ def burgers_direct_solve(
     t_end: float = 0.0,
     cfl: float = 0.5,
     track_eikonal: bool = False,
-    dt_max: float = 0.05,
 ) -> BurgersHistory:
     """Conservative MUSCL/SSP-RK2 solve with Strang-split damping source."""
     if grid_n < 64:
@@ -230,7 +225,7 @@ def burgers_direct_solve(
     status = "ok"
     while t < t_end - 1e-14:
         speed = float(np.max(np.abs(phi)))
-        dt = min(cfl * dx / max(speed, 1e-12), dt_max, t_end - t)
+        dt = min(cfl * dx / max(speed, 1e-12), _DT_MAX, t_end - t)
         decay = math.exp(-a * dt / 2.0)
 
         phi *= decay
@@ -268,7 +263,7 @@ class BlowupEstimate:
     confidence_window: tuple[float, float]
 
 
-def estimate_blowup_time(times, slopes, a: float, fit_floor: float = 0.3) -> BlowupEstimate:
+def estimate_blowup_time(times, slopes, a: float) -> BlowupEstimate:
     """Extrapolate the max-negative-slope series to its blow-up time.
 
     Along the steepest characteristic the slope is c e^{-a(t+1)} / mu(t), so
@@ -290,7 +285,7 @@ def estimate_blowup_time(times, slopes, a: float, fit_floor: float = 0.3) -> Blo
     # and the saturated post-shock samples (r pinned near the grid floor).
     r = np.exp(-a * (times + 1.0)) / slopes
     r0, r_min = r[0], r.min()
-    sel = (r <= (1.0 - fit_floor) * r0) & (r >= max(4.0 * r_min, 1e-3 * r0))
+    sel = (r <= (1.0 - _FIT_FLOOR) * r0) & (r >= max(4.0 * r_min, 1e-3 * r0))
     if np.count_nonzero(sel) < 10:
         sel = np.argsort(r)[:10]
     tt, rr = times[sel], r[sel]

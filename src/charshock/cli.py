@@ -26,8 +26,8 @@ from .burgers import (
     estimate_blowup_time,
     sine_profile,
 )
-from .eos import eos_from_config, make_chaplygin, make_polytropic
-from .errors import CharshockError, ConfigInvalid, NoBlowupTrend
+from .eos import make_chaplygin, make_polytropic
+from .errors import CharshockError, ConfigInvalid, NoBlowupTrend, NoRootBeforeSigma
 from .foliation import (
     classify_largeness,
     lmu_initial,
@@ -35,10 +35,9 @@ from .foliation import (
     shock_time_3d,
     trace_rays,
 )
-from .errors import NoRootBeforeSigma
 from .harness import SweepConfig, emit_outputs, run_sweep
 from .radial import RunHistory, run_until
-from .shortpulse import SeedProfiles, build_annulus_data, bump_seeds, bump
+from .shortpulse import build_annulus_data, bump_seeds
 
 
 def _out(args):
@@ -50,7 +49,13 @@ def _f(v):
 
 
 def cmd_burgers(args):
-    spec = json.load(open(args.problem)) if args.problem else {}
+    spec = {}
+    if args.problem:
+        with open(args.problem) as fh:
+            try:
+                spec = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigInvalid(f"problem spec is not valid JSON: {exc}") from None
     a = spec.get("a", args.a)
     c = spec.get("c", args.c)
     f, df = sine_profile(c, wavelength=spec.get("wavelength", 2.0))
@@ -160,11 +165,8 @@ def cmd_foliate(args):
 
 
 def cmd_sweep(args):
-    try:
-        cfg = SweepConfig.from_json(open(args.config).read())
-    except (ConfigInvalid, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    with open(args.config) as fh:
+        cfg = SweepConfig.from_json(fh.read())
     result = run_sweep(cfg, workers=args.workers)
     emit_outputs(result, args.out)
     return 2 if result.n_failed else 0
@@ -237,7 +239,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CharshockError as exc:
+    except (CharshockError, OSError) as exc:  # user errors, incl. unreadable files
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

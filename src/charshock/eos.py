@@ -28,7 +28,6 @@ __all__ = [
     "make_polytropic",
     "make_chaplygin",
     "make_custom",
-    "eos_eval",
     "eos_from_config",
 ]
 
@@ -132,17 +131,17 @@ def make_custom(h_table, eta_sq_table) -> EquationOfState:
     return EquationOfState(family="custom", h_table=h_table, eta_sq_table=eta_sq_table)
 
 
-def eos_eval(eos: EquationOfState, h) -> EosState:
-    return eos.eval(h)
-
-
 def eos_from_config(cfg: dict) -> EquationOfState:
     """Build an EOS from a run-config record like {"family": "polytropic", "gamma": 2.0}."""
     family = cfg.get("family")
-    if family == "polytropic":
-        return make_polytropic(cfg["gamma"])
-    if family == "chaplygin":
-        return make_chaplygin()
-    if family == "custom":
-        return make_custom(cfg["h_table"], cfg["eta_sq_table"])
+    try:
+        if family == "polytropic":
+            return make_polytropic(cfg["gamma"])
+        if family == "chaplygin":
+            return make_chaplygin()
+        if family == "custom":
+            return make_custom(cfg["h_table"], cfg["eta_sq_table"])
+    except KeyError as exc:
+        raise InvalidParameter(
+            f"{family} EOS record has no {exc.args[0]!r}") from None
     raise InvalidParameter(f"unknown EOS family {family!r}")

@@ -20,7 +20,7 @@ shock-forming and global-to-sigma branches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -34,14 +34,13 @@ from .errors import (
     ShockDetected,
     SingularEndpoint,
 )
-from .radial import RunHistory, d1, d2, dt_dtphi
+from .radial import RunHistory, _enthalpy, _time_stencil, d1, d2, dt_dtphi
 
 __all__ = [
     "RayBundle",
     "ShockPrediction",
     "trace_rays",
     "mu_from_spacing",
-    "transport_coefficients",
     "mu_transport_step",
     "a1_integral",
     "predict_mu",
@@ -54,6 +53,8 @@ __all__ = [
 ALIVE = "Alive"
 SHOCK = "ShockDetected"
 LEFT = "LeftDomain"
+_MU_STOP = 0.02             # trace_rays declares a shock once mu reaches this
+_SHOCK_REGION_MU = 0.1      # shock_region_monitor watches {mu <= this}
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +114,7 @@ class ShockPrediction:
     delta_band: float = 0.0
 
     def to_dict(self):
-        return {
-            "classification": self.classification, "t_star": self.t_star,
-            "a_star": self.a_star, "c_shock": self.c_shock,
-            "c_global": self.c_global, "sigma": self.sigma, "c": self.c,
-            "a": self.a, "delta_band": self.delta_band,
-        }
+        return asdict(self)
 
 
 def classify_largeness(c, a, sigma=-0.1, delta=0.0):
@@ -181,7 +177,7 @@ class _FieldSampler:
         phi, dtphi = y
         dphi, ddtphi = d1(y, dr)
         d2phi = d2(phi, dr)
-        h = dtphi - 0.5 * dphi**2 + a * phi
+        h = _enthalpy(phi, dtphi, dphi, a)
         st = self.eos.eval(h)
         eta = st.eta
         dtt = dt_dtphi(r, phi, dtphi, dphi, d2phi, ddtphi, st.eta_sq, a)
@@ -219,22 +215,7 @@ class _FieldSampler:
             raise InterpolationOutOfRange(
                 f"ray position outside stored grid at t={t:.6f}")
         times = self.hist.times
-        i = int(np.clip(np.searchsorted(times, t) - 1, 0, len(times) - 2))
-        if abs(t - times[i]) < 1e-13:
-            snaps, weights = [i], [1.0]
-        elif abs(t - times[i + 1]) < 1e-13:
-            snaps, weights = [i + 1], [1.0]
-        elif len(times) < 4:
-            w = (t - times[i]) / (times[i + 1] - times[i])
-            snaps, weights = [i, i + 1], [1.0 - w, w]
-        else:
-            lo = int(np.clip(i - 1, 0, len(times) - 4))
-            snaps = list(range(lo, lo + 4))
-            ts = times[lo:lo + 4]
-            weights = []
-            for k in range(4):
-                others = np.delete(ts, k)
-                weights.append(float(np.prod((t - others) / (ts[k] - others))))
+        snaps, weights = _time_stencil(times, t)
         rows = np.array([_KEYS.index(k) for k in keys])
         out = 0.0
         for sk, w in zip(snaps, weights):
@@ -244,19 +225,20 @@ class _FieldSampler:
         return dict(zip(keys, out))
 
 
-def transport_coefficients(sampler: _FieldSampler, t, r_pos, mu):
-    """(m, e) per ray at positions r_pos with current mu."""
-    vals = sampler.at(t, r_pos, ("eta", "m_factor", "e"))
-    m = mu / vals["eta"] * vals["m_factor"]
-    return m, vals["e"]
+# sampled fields that d(mu)/dt needs
+_MU_KEYS = ("eta", "m_factor", "e")
+
+
+def _mu_rate(vals, mu):
+    """d(mu)/dt = m + mu * e with m = (mu/eta) * m_factor, from sampled fields."""
+    return mu / vals["eta"] * vals["m_factor"] + mu * vals["e"]
 
 
 def mu_transport_step(sampler: _FieldSampler, t, r_pos, mu):
     """d(mu)/dt = m + mu * e along the rays."""
     if np.any(mu <= 0.0):
         raise NonPositiveMu(f"mu must stay positive, min={np.min(mu)}")
-    m, e = transport_coefficients(sampler, t, r_pos, mu)
-    return m + mu * e
+    return _mu_rate(sampler.at(t, r_pos, _MU_KEYS), mu)
 
 
 def mu_from_spacing(eta, r_pos, u):
@@ -274,9 +256,8 @@ def lmu_initial(history: RunHistory, u, eos: EquationOfState = None):
     sampler = _FieldSampler(history, eos)
     t0 = float(history.times[0])
     r_pos = 2.0 + np.asarray(u, dtype=float)
-    mu0 = sampler.at(t0, r_pos, ("eta",))["eta"]
-    m, e = transport_coefficients(sampler, t0, r_pos, mu0)
-    return m + mu0 * e
+    vals = sampler.at(t0, r_pos, _MU_KEYS)
+    return _mu_rate(vals, vals["eta"])
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +279,13 @@ class RayBundle:
         return float(np.min(self.mu_spacing[t_index]))
 
 
-def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None,
-               mu_stop=0.02, substeps=1):
+def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
     """Integrate the incoming null rays and both mu discretizations.
 
     Rays are seeded at equally spaced u in [0, w] at the first stored time
     (w = annulus width = delta).  Integration is RK4 on (r, mu) through
     time-interpolated fields, sampled at every stored snapshot.  The whole
-    bundle stops once any ray reaches mu <= mu_stop (shock declared), a
+    bundle stops once any ray reaches mu <= _MU_STOP (shock declared), a
     ray crossing occurs, or a ray leaves the stored grid.
     """
     if ray_count < 33:
@@ -327,30 +307,22 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None,
     r_lo = history.r_grid[0] + 2.0 * (history.r_grid[1] - history.r_grid[0])
 
     def rhs(t, r_now, mu_now):
-        vals = sampler.at(t, r_now, ("eta", "dphi", "m_factor", "e"))
-        rdot = -(vals["eta"] + vals["dphi"])
-        mudot = mu_now / vals["eta"] * vals["m_factor"] + mu_now * vals["e"]
-        return rdot, mudot
+        vals = sampler.at(t, r_now, ("rdot",) + _MU_KEYS)
+        return vals["rdot"], _mu_rate(vals, mu_now)
 
-    stopped = False
     for i in range(len(times) - 1):
-        t_a, t_b = float(times[i]), float(times[i + 1])
-        dt = (t_b - t_a) / substeps
-        for k in range(substeps):
-            t = t_a + k * dt
-            try:
-                k1r, k1m = rhs(t, r_pos, mu_tr)
-                k2r, k2m = rhs(t + dt / 2, r_pos + dt / 2 * k1r, mu_tr + dt / 2 * k1m)
-                k3r, k3m = rhs(t + dt / 2, r_pos + dt / 2 * k2r, mu_tr + dt / 2 * k2m)
-                k4r, k4m = rhs(t + dt, r_pos + dt * k3r, mu_tr + dt * k3m)
-            except InterpolationOutOfRange:
-                status[:] = LEFT
-                stopped = True
-                break
-            r_pos = r_pos + dt / 6 * (k1r + 2 * k2r + 2 * k3r + k4r)
-            mu_tr = mu_tr + dt / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
-        if stopped:
+        t, t_b = float(times[i]), float(times[i + 1])
+        dt = t_b - t
+        try:
+            k1r, k1m = rhs(t, r_pos, mu_tr)
+            k2r, k2m = rhs(t + dt / 2, r_pos + dt / 2 * k1r, mu_tr + dt / 2 * k1m)
+            k3r, k3m = rhs(t + dt / 2, r_pos + dt / 2 * k2r, mu_tr + dt / 2 * k2m)
+            k4r, k4m = rhs(t + dt, r_pos + dt * k3r, mu_tr + dt * k3m)
+        except InterpolationOutOfRange:
+            status[:] = LEFT
             break
+        r_pos = r_pos + dt / 6 * (k1r + 2 * k2r + 2 * k3r + k4r)
+        mu_tr = mu_tr + dt / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
         if np.min(r_pos) < r_lo:
             status[:] = LEFT
             break
@@ -364,7 +336,7 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None,
         rows_sp.append(mu_sp)
         rows_tr.append(mu_tr.copy())
         last_alive = len(rows_r) - 1
-        if np.min(mu_sp) <= mu_stop or np.min(mu_tr) <= mu_stop:
+        if np.min(mu_sp) <= _MU_STOP or np.min(mu_tr) <= _MU_STOP:
             status[np.argmin(mu_sp)] = SHOCK
             break
 
@@ -375,7 +347,7 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None,
                      last_alive_index=last_alive, history=history)
 
 
-def shock_region_monitor(bundle: RayBundle, mu_threshold=0.1):
+def shock_region_monitor(bundle: RayBundle):
     """Check that mu keeps decreasing once a ray is inside {mu <= 1/10}.
 
     Returns a list of per-(time, ray) records for rays in the shock
@@ -386,7 +358,7 @@ def shock_region_monitor(bundle: RayBundle, mu_threshold=0.1):
     dmu_dt = np.gradient(mu, bundle.times, axis=0) if len(bundle.times) > 1 else np.zeros_like(mu)
     for it in range(mu.shape[0]):
         for j in range(mu.shape[1]):
-            if mu[it, j] <= mu_threshold:
+            if mu[it, j] <= _SHOCK_REGION_MU:
                 report.append({
                     "t": float(bundle.times[it]), "u": float(bundle.u[j]),
                     "mu": float(mu[it, j]),

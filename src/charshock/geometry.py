@@ -29,6 +29,8 @@ __all__ = [
     "random_subsonic_states",
 ]
 
+_MACH_MAX = 0.9  # random_subsonic_states keeps |v| below this fraction of eta
+
 
 @dataclass(frozen=True)
 class FluidPointState:
@@ -93,7 +95,7 @@ def jacobian_factor(state, sqrt_det_angular):
     return state.mu * sqrt_det_angular / state.eta
 
 
-def random_subsonic_states(n, rng=None, mach_max=0.9):
+def random_subsonic_states(n, rng=None):
     """Sample admissible states with |v| < eta, for property tests."""
     rng = np.random.default_rng(rng)
     states = []
@@ -101,7 +103,7 @@ def random_subsonic_states(n, rng=None, mach_max=0.9):
         eta = rng.uniform(0.2, 2.0)
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
-        v = rng.uniform(0.0, mach_max * eta) * direction
+        v = rng.uniform(0.0, _MACH_MAX * eta) * direction
         that = rng.normal(size=3)
         that /= np.linalg.norm(that)
         mu = rng.uniform(0.0, 1.5)

@@ -259,7 +259,7 @@ def emit_outputs(result: SweepResult, out_dir):
             "version": result.version,
             "n_cells": len(result.rows),
             "n_failed": result.n_failed,
-            "runtimes": {f"{r['a']}|{r['c']}|{r['delta']}": r["runtime"]
+            "runtimes": {f"{r['a']}|{r['c']}|{r['delta']}|{r['eos']}": r["runtime"]
                          for r in result.rows},
             "config": json.loads(result.config.to_json()),
         }, fh, indent=2, sort_keys=True)

@@ -47,6 +47,7 @@ __all__ = [
 
 _N_PIN = 3  # inner grid points held at zero (deep inside the trivial region)
 _MARGIN = 64  # grid points evolved ahead of the incoming front
+_EOS_TABLES = ("h_table", "eta_sq_table")  # custom-EOS fields kept in eos_meta
 
 
 def _edge_rows(edge, width):
@@ -102,6 +103,37 @@ def dt_dtphi(r, phi, dtphi, dphi, d2phi, ddtphi, eta_sq, a):
             - dphi**2 * d2phi - a * (dtphi - dphi**2))
 
 
+def _enthalpy(phi, dtphi, dphi, a):
+    """Enthalpy h = dtphi - dphi^2/2 + a*phi of the module docstring."""
+    return dtphi - 0.5 * dphi**2 + a * phi
+
+
+def _time_stencil(times, t):
+    """(indices, weights) of the stored snapshots that interpolate to time t.
+
+    A time within 1e-13 of a snapshot takes that snapshot alone.  Otherwise
+    the weights are 4-point Lagrange in t, linear when fewer than four
+    snapshots are stored.  Linear interpolation in t systematically smooths
+    the pulse: the relative bias is (omega*dt)^2/8 with omega ~ 1/delta,
+    which does not vanish when the snapshot cadence is scaled with delta;
+    cubic interpolation drops it to (omega*dt)^4.
+    """
+    i = int(np.clip(np.searchsorted(times, t) - 1, 0, len(times) - 2))
+    for k in (i, i + 1):
+        if abs(t - times[k]) < 1e-13:
+            return [k], [1.0]
+    if len(times) < 4:
+        w = (t - times[i]) / (times[i + 1] - times[i])
+        return [i, i + 1], [1.0 - w, w]
+    lo = int(np.clip(i - 1, 0, len(times) - 4))
+    ts = times[lo:lo + 4]
+    weights = []
+    for k in range(4):
+        others = np.delete(ts, k)
+        weights.append(float(np.prod((t - others) / (ts[k] - others))))
+    return list(range(lo, lo + 4)), weights
+
+
 @dataclass
 class RadialField:
     t: float
@@ -113,7 +145,7 @@ class RadialField:
     def derived(self, eos: EquationOfState, a: float):
         """Pointwise derived quantities: dphi, h, eta_sq, v_r."""
         dphi = d1(self.phi, self.r_grid[1] - self.r_grid[0])
-        h = self.dtphi - 0.5 * dphi**2 + a * self.phi
+        h = _enthalpy(self.phi, self.dtphi, dphi, a)
         eta_sq = eos.eta_sq(h)
         return {"dphi": dphi, "h": h, "eta_sq": eta_sq, "v_r": -dphi}
 
@@ -140,7 +172,7 @@ def _stage(t, r, y, a, eos):
     phi, dtphi = y
     dphi, ddtphi = d1(y, dr)
     d2phi = d2(phi, dr)
-    h = dtphi - 0.5 * dphi**2 + a * phi
+    h = _enthalpy(phi, dtphi, dphi, a)
     try:
         eta_sq = eos.eta_sq(h)
     except OutOfDomain as exc:
@@ -198,59 +230,43 @@ class RunHistory:
     status: str                       # 'Completed' | 'EosDomain' | 'NonFinite'
     last_good_time: float
     eos_meta: dict = field(default_factory=dict)
-    filter_strength: float = 0.0
 
     def frame(self, t):
-        """Fields at time t by cubic (4-point Lagrange) interpolation.
-
-        Linear interpolation in t systematically smooths the pulse: the
-        relative bias is (omega*dt)^2/8 with omega ~ 1/delta, which does
-        not vanish when the snapshot cadence is scaled with delta.  Cubic
-        interpolation drops this to (omega*dt)^4.  Falls back to linear
-        when fewer than four snapshots are stored.
-        """
+        """Fields at time t, interpolated in time by _time_stencil."""
         times = self.times
         if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
             raise IndexError(f"time {t} outside stored range "
                              f"[{times[0]}, {times[-1]}]")
-        i = int(np.clip(np.searchsorted(times, t) - 1, 0, len(times) - 2))
-        if len(times) < 4:
-            w = (t - times[i]) / (times[i + 1] - times[i])
-            w = min(max(w, 0.0), 1.0)
-            phi = (1 - w) * self.phi[i] + w * self.phi[i + 1]
-            dtphi = (1 - w) * self.dtphi[i] + w * self.dtphi[i + 1]
-            return RadialField(t, self.r_grid, phi, dtphi)
-        lo = int(np.clip(i - 1, 0, len(times) - 4))
-        ts = times[lo:lo + 4]
-        weights = np.empty(4)
-        for k in range(4):
-            others = np.delete(ts, k)
-            weights[k] = np.prod((t - others) / (ts[k] - others))
-        phi = np.tensordot(weights, self.phi[lo:lo + 4], axes=1)
-        dtphi = np.tensordot(weights, self.dtphi[lo:lo + 4], axes=1)
+        snaps, weights = _time_stencil(times, t)
+        phi = np.tensordot(weights, self.phi[snaps], axes=1)
+        dtphi = np.tensordot(weights, self.dtphi[snaps], axes=1)
         return RadialField(t, self.r_grid, phi, dtphi)
 
     def save(self, path):
+        tables = {f"eos_{k}": np.asarray(self.eos_meta[k])
+                  for k in _EOS_TABLES if k in self.eos_meta}
         np.savez_compressed(
             path, r_grid=self.r_grid, times=self.times, phi=self.phi,
             dtphi=self.dtphi, a=self.a, delta=self.delta,
             status=self.status, last_good_time=self.last_good_time,
             eos_family=self.eos_meta.get("family", ""),
-            eos_gamma=self.eos_meta.get("gamma", np.nan),
-            filter_strength=self.filter_strength)
+            eos_gamma=self.eos_meta.get("gamma", np.nan), **tables)
 
     @classmethod
     def load(cls, path):
-        z = np.load(path)
-        gamma = float(z["eos_gamma"])
-        meta = {"family": str(z["eos_family"])}
-        if np.isfinite(gamma):
-            meta["gamma"] = gamma
-        return cls(r_grid=z["r_grid"], times=z["times"], phi=z["phi"],
-                   dtphi=z["dtphi"], a=float(z["a"]), delta=float(z["delta"]),
-                   status=str(z["status"]),
-                   last_good_time=float(z["last_good_time"]), eos_meta=meta,
-                   filter_strength=float(z["filter_strength"]))
+        with np.load(path) as z:
+            gamma = float(z["eos_gamma"])
+            meta = {"family": str(z["eos_family"])}
+            if np.isfinite(gamma):
+                meta["gamma"] = gamma
+            for k in _EOS_TABLES:
+                if f"eos_{k}" in z.files:
+                    meta[k] = z[f"eos_{k}"].tolist()
+            return cls(r_grid=z["r_grid"], times=z["times"], phi=z["phi"],
+                       dtphi=z["dtphi"], a=float(z["a"]),
+                       delta=float(z["delta"]), status=str(z["status"]),
+                       last_good_time=float(z["last_good_time"]),
+                       eos_meta=meta)
 
 
 def energy_functional(fld: RadialField, eos: EquationOfState, a: float):
@@ -261,17 +277,8 @@ def energy_functional(fld: RadialField, eos: EquationOfState, a: float):
     return float(np.trapezoid(integrand, r))
 
 
-def _filter6(f, eps):
-    """Sixth-order low-pass filter; interior points only."""
-    out = f.copy()
-    out[3:-3] -= eps / 64.0 * (f[:-6] - 6 * f[1:-5] + 15 * f[2:-4]
-                               - 20 * f[3:-3] + 15 * f[4:-2]
-                               - 6 * f[5:-1] + f[6:])
-    return out
-
-
 def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
-              r_min=0.05, pad=1.0, sample_dt=None, filter_strength=0.0):
+              r_min=0.05, pad=1.0, sample_dt=None):
     """Evolve short-pulse data from t = -2 to t_end, storing snapshots.
 
     data: ShortPulseData providing phi_at / dtphi_at evaluators and delta.
@@ -311,9 +318,6 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
             speed = fld._first_stage(a, eos)[2]
             dt = min(cfl * (r[1] - r[0]) / speed, sample_times[stored] - t)
             fld = advance(fld, dt, a, eos)
-            if filter_strength > 0.0:
-                fld.phi = _filter6(fld.phi, filter_strength)
-                fld.dtphi = _filter6(fld.dtphi, filter_strength)
             t, y[0, j0:], y[1, j0:] = fld.t, fld.phi, fld.dtphi
             if t >= sample_times[stored] - 1e-12:
                 times[stored], snaps_p[stored], snaps_q[stored] = t, y[0], y[1]
@@ -323,11 +327,10 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     except NonFiniteField:
         status = "NonFinite"
 
-    meta = {"family": eos.family}
-    if eos.gamma is not None:
-        meta["gamma"] = eos.gamma
+    # the EOS as the config record eos_from_config reads back
+    meta = {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in vars(eos).items() if v is not None}
     return RunHistory(
         r_grid=r, times=times[:stored], phi=snaps_p[:stored],
         dtphi=snaps_q[:stored], a=a, delta=delta, status=status,
-        last_good_time=float(times[stored - 1]), eos_meta=meta,
-        filter_strength=filter_strength)
+        last_good_time=float(times[stored - 1]), eos_meta=meta)

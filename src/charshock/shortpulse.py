@@ -25,7 +25,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import GridTooCoarse, InvalidWidth
 from .eos import EquationOfState, make_polytropic
-from .radial import d1, dt_dtphi
+from .radial import _enthalpy, d1, dt_dtphi
 
 __all__ = [
     "SeedProfiles",
@@ -155,8 +155,7 @@ def _second_null_sup(r, phi, dtphi, eos, a):
     dr = r[1] - r[0]
     dphi, ddtphi = d1(np.stack((phi, dtphi)), dr)
     d2phi = d1(dphi, dr)
-    h = dtphi - 0.5 * dphi**2 + a * phi
-    eta_sq = eos.eta_sq(h)
+    eta_sq = eos.eta_sq(_enthalpy(phi, dtphi, dphi, a))
     dtt = dt_dtphi(r, phi, dtphi, dphi, d2phi, ddtphi, eta_sq, a)
     return float(np.max(np.abs(dtt - 2.0 * ddtphi + d2phi)))
 

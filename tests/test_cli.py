@@ -91,6 +91,12 @@ def test_sweep_exit_codes(tmp_path):
                  "--out", str(tmp_path / "o4")]) == 2
 
 
-def test_charshock_error_maps_to_exit_1(tmp_path):
-    assert main(["seed-data", "--delta", "1.5",
-                 "--out", str(tmp_path / "x.csv")]) == 1
+def test_charshock_error_maps_to_exit_1(tmp_path, capsys):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json")
+    for argv in (["seed-data", "--delta", "1.5", "--out", str(tmp_path / "x.csv")],
+                 ["burgers", "--problem", str(tmp_path / "missing.json")],
+                 ["burgers", "--problem", str(malformed)],
+                 ["foliate", "--history", str(tmp_path / "missing.npz")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")

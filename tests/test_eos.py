@@ -100,3 +100,12 @@ def test_config_round_trip():
     assert eos_from_config({"family": "chaplygin"}).family == "chaplygin"
     with pytest.raises(InvalidParameter):
         eos_from_config({"family": "nope"})
+
+
+@pytest.mark.parametrize("cfg, missing", [
+    ({"family": "polytropic"}, "gamma"),
+    ({"family": "custom", "h_table": [0.0, 1.0, 2.0, 3.0]}, "eta_sq_table"),
+])
+def test_config_missing_key_is_named(cfg, missing):
+    with pytest.raises(InvalidParameter, match=missing):
+        eos_from_config(cfg)

@@ -177,6 +177,8 @@ def test_sweep_csv_parses_for_every_eos(tmp_path):
     eos_column = [dict(zip(header, row))["eos"] for row in rows]
     assert sorted(eos_column) == sorted(json.dumps(e, sort_keys=True)
                                         for e in eos_values)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert len(summary["runtimes"]) == summary["n_cells"] == len(eos_values)
 
 
 def test_emit_outputs_rejects_empty(tmp_path):

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from charshock.eos import make_chaplygin, make_polytropic
+from charshock.eos import make_chaplygin, make_custom, make_polytropic
 from charshock.errors import CflViolation, EosDomain
+from charshock.foliation import trace_rays
 from charshock.radial import (
     _MARGIN,
+    _time_stencil,
     RadialField,
     RunHistory,
     advance,
@@ -272,13 +275,62 @@ def test_points_ahead_of_window_stay_zero(window_data):
         assert np.all(phi[ahead] == 0.0) and np.all(dtphi[ahead] == 0.0)
 
 
-def test_history_save_load_round_trip(tmp_path, pulse_run):
+_TABLE_H = np.linspace(-0.5, 0.5, 101)
+
+
+@pytest.mark.parametrize(
+    "eos", [EOS, make_chaplygin(), make_custom(_TABLE_H, 1.0 + _TABLE_H)],
+    ids=["polytropic", "chaplygin", "custom"])
+def test_history_save_load_round_trip(tmp_path, eos):
+    data = build_annulus_data(bump_seeds(c=1.0, delta=0.1), r_grid_n=256)
+    hist = run_until(data, a=0.0, eos=eos, t_end=-1.9, points_per_delta=16,
+                     r_min=1.6)
     path = tmp_path / "run.npz"
-    pulse_run.save(path)
+    hist.save(path)
     loaded = RunHistory.load(path)
-    assert np.array_equal(loaded.phi, pulse_run.phi)
-    assert np.array_equal(loaded.times, pulse_run.times)
-    assert loaded.status == pulse_run.status
-    assert loaded.eos_meta["family"] == "polytropic"
-    assert loaded.eos_meta["gamma"] == 2.0
-    assert loaded.delta == pulse_run.delta
+    assert np.array_equal(loaded.phi, hist.phi)
+    assert np.array_equal(loaded.dtphi, hist.dtphi)
+    assert np.array_equal(loaded.times, hist.times)
+    assert loaded.status == hist.status
+    assert loaded.eos_meta == hist.eos_meta
+    assert loaded.eos_meta["family"] == eos.family
+    assert loaded.delta == hist.delta
+    # the reloaded EOS record rebuilds the same equation of state
+    bundle = trace_rays(loaded, ray_count=33)
+    reference = trace_rays(hist, ray_count=33, eos=eos)
+    assert len(bundle.times) == len(hist.times)
+    assert np.array_equal(bundle.mu_transport, reference.mu_transport)
+
+
+@st.composite
+def _snapshot_times(draw):
+    """2 to 12 ascending snapshot times starting in [-2, -1]."""
+    steps = draw(st.lists(st.floats(0.05, 0.5), min_size=1, max_size=11))
+    return draw(st.floats(-2.0, -1.0)) + np.concatenate(([0.0], np.cumsum(steps)))
+
+
+@settings(deadline=None)
+@given(times=_snapshot_times(), frac=st.floats(0.0, 1.0),
+       coef=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_time_stencil_reproduces_cubics(times, frac, coef):
+    """Weights sum to 1 and interpolate cubics exactly (lines below 4 snapshots)."""
+    t = times[0] + frac * (times[-1] - times[0])
+    snaps, weights = _time_stencil(times, t)
+    assert abs(sum(weights) - 1.0) <= 1e-12
+    p = np.polynomial.Polynomial(coef if len(times) >= 4 else coef[:2])
+    values = p(times[snaps])
+    scale = max(1.0, float(np.max(np.abs(values))))
+    assert abs(np.dot(weights, values) - p(t)) <= 1e-12 * scale
+
+
+@settings(deadline=None)
+@given(times=_snapshot_times(), data=st.data())
+def test_frame_at_a_snapshot_time_is_that_snapshot(times, data):
+    k = data.draw(st.integers(0, len(times) - 1))
+    phi, dtphi = np.random.default_rng(k).standard_normal((2, len(times), 16))
+    hist = RunHistory(r_grid=np.linspace(1.0, 2.0, 16), times=times, phi=phi,
+                      dtphi=dtphi, a=0.0, delta=0.1, status="Completed",
+                      last_good_time=float(times[-1]))
+    fld = hist.frame(float(times[k]))
+    assert np.array_equal(fld.phi, phi[k])
+    assert np.array_equal(fld.dtphi, dtphi[k])
