@@ -18,7 +18,9 @@ c = -min f' > 0 the first crossing happens at
 
 and no crossing ever happens when a >= c > 0.  A conservative
 finite-volume solver of the flux form d(phi)/dt + d(phi^2/2)/dx = -a phi
-provides an independent numerical oracle for these closed forms.
+(minmod MUSCL, the Godunov flux max(f(max(ul, 0)), f(min(ur, 0))) of the
+convex f = phi^2/2, SSP-RK2) provides an independent numerical oracle for
+these closed forms.
 """
 
 from __future__ import annotations
@@ -110,10 +112,7 @@ def burgers_shock_time(a: float, c: float) -> ShockReport:
         return ShockReport(classification="Global", method="ClosedForm")
     if a >= c and a > 0.0:
         return ShockReport(classification="Global", method="ClosedForm")
-    if a == 0.0:
-        t_star = -1.0 + 1.0 / c
-    else:
-        t_star = -math.log1p(-a / c) / a - 1.0
+    t_star = -1.0 + 1.0 / c if a == 0.0 else -math.log1p(-a / c) / a - 1.0
     return ShockReport(
         classification="Shock",
         t_star=t_star,
@@ -158,42 +157,35 @@ class BurgersHistory:
     status: str = "ok"
     last_good_time: float = -1.0
 
-    @property
-    def reciprocal_slope(self):
-        with np.errstate(divide="ignore"):
-            return np.where(self.max_neg_slope > 0, 1.0 / self.max_neg_slope, np.inf)
 
-
-def _minmod(a, b):
-    return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
-
-
-def _godunov_flux(ul, ur):
-    """Exact Riemann flux for f(u) = u^2 / 2."""
-    fl, fr = 0.5 * ul * ul, 0.5 * ur * ur
-    shock = ul > ur
-    s = 0.5 * (ul + ur)
-    f_shock = np.where(s > 0.0, fl, fr)
-    f_rare = np.where(ul > 0.0, fl, np.where(ur < 0.0, fr, 0.0))
-    return np.where(shock, f_shock, f_rare)
+def _limited_slope(ue):
+    """Minmod slope of each interior cell of the padded row ue: the median of
+    its left difference, its right difference and 0."""
+    d = ue[1:] - ue[:-1]                 # np.diff without its call overhead
+    a, b = d[:-1], d[1:]
+    return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), 0.0))
 
 
 def _muscl_rhs(u, dx):
-    """Second-order MUSCL divergence of the Burgers flux with outflow edges."""
+    """Second-order MUSCL divergence of the Burgers flux with outflow edges.
+
+    The Godunov flux of the convex f(u) = u^2/2 at a face with states
+    (ul, ur) is max(f(max(ul, 0)), f(min(ur, 0))), the exact Riemann flux
+    of every shock and rarefaction case.
+    """
     ue = np.concatenate(([u[0], u[0]], u, [u[-1], u[-1]]))
-    du = _minmod(ue[1:-1] - ue[:-2], ue[2:] - ue[1:-1])  # limited slope per cell
-    ul = ue[1:-1] + 0.5 * du                              # left state at i+1/2
-    ur = ue[1:-1] - 0.5 * du                              # right state at i-1/2
-    flux = _godunov_flux(ul[:-1], ur[1:])
+    half = 0.5 * _limited_slope(ue)
+    ul = np.maximum(ue[1:-2] + half[:-1], 0.0)   # left state at face i+1/2, clipped at 0
+    ur = np.minimum(ue[2:-1] - half[1:], 0.0)    # right state at face i+1/2, clipped at 0
+    flux = np.maximum(0.5 * ul * ul, 0.5 * ur * ur)
     return -(flux[1:] - flux[:-1]) / dx
 
 
 def _label_rhs(u_lab, phi, dx):
     """Limited-upwind advection of the passive eikonal label: u_t + phi u_x = 0."""
-    ue = np.concatenate(
-        ([2.0 * u_lab[0] - u_lab[1]] * 2, u_lab, [2.0 * u_lab[-1] - u_lab[-2]] * 2)
-    )
-    slope = _minmod(ue[1:-1] - ue[:-2], ue[2:] - ue[1:-1])  # per extended cell
+    ue = np.concatenate(([2.0 * u_lab[0] - u_lab[1]] * 2, u_lab,
+                         [2.0 * u_lab[-1] - u_lab[-2]] * 2))
+    slope = _limited_slope(ue)           # per extended cell
     uL = ue[1:-1] + 0.5 * slope          # reconstructed value at right face
     dif_up = (uL[1:-1] - uL[:-2]) / dx   # upwind for phi > 0
     uR = ue[1:-1] - 0.5 * slope          # reconstructed value at left face
@@ -221,10 +213,10 @@ def burgers_direct_solve(
     u_lab = x.copy() if track_eikonal else None
 
     t = -1.0
-    times, slopes = [t], [max(0.0, float(np.max(-np.diff(phi) / dx)))]
+    times, slopes = [t], [max(0.0, float(np.max(phi[:-1] - phi[1:])) / dx)]
+    speed = float(np.max(np.abs(phi)))
     status = "ok"
     while t < t_end - 1e-14:
-        speed = float(np.max(np.abs(phi)))
         dt = min(cfl * dx / max(speed, 1e-12), _DT_MAX, t_end - t)
         decay = math.exp(-a * dt / 2.0)
 
@@ -239,12 +231,13 @@ def burgers_direct_solve(
             k2 = _label_rhs(u_lab + dt * k1, mid, dx)
             u_lab = u_lab + 0.5 * dt * (k1 + k2)
 
-        if not np.all(np.isfinite(phi)):
+        speed = float(np.max(np.abs(phi)))  # the next CFL speed; NaN/inf propagate
+        if not math.isfinite(speed):
             status = "NonFiniteField"
             break
         t += dt
         times.append(t)
-        slopes.append(max(0.0, float(np.max(-np.diff(phi) / dx))))
+        slopes.append(max(0.0, float(np.max(phi[:-1] - phi[1:])) / dx))
 
     return BurgersHistory(
         times=np.asarray(times),
@@ -290,10 +283,7 @@ def estimate_blowup_time(times, slopes, a: float) -> BlowupEstimate:
         sel = np.argsort(r)[:10]
     tt, rr = times[sel], r[sel]
 
-    if a == 0.0:
-        basis = tt + 1.0
-    else:
-        basis = np.expm1(-a * (tt + 1.0))
+    basis = tt + 1.0 if a == 0.0 else np.expm1(-a * (tt + 1.0))
     A = np.column_stack([np.ones_like(tt), basis])
     (alpha, beta), *_ = np.linalg.lstsq(A, rr, rcond=None)
 
@@ -313,10 +303,7 @@ def estimate_blowup_time(times, slopes, a: float) -> BlowupEstimate:
         if np.count_nonzero(sel) >= 6 and len(tt[sl]) >= 3:
             coef, *_ = np.linalg.lstsq(A[sl], rr[sl], rcond=None)
             windows.append(_root(*coef))
-    if windows:
-        lo, hi = min(windows + [t_star]), max(windows + [t_star])
-    else:
-        lo = hi = t_star
+    lo, hi = min(windows + [t_star]), max(windows + [t_star])
     return BlowupEstimate(t_star_estimate=float(t_star), confidence_window=(float(lo), float(hi)))
 
 

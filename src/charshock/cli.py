@@ -4,7 +4,7 @@ Subcommands:
   burgers      damped Burgers run from a JSON problem spec
   seed-data    short-pulse annulus data as CSV
   euler-radial radial solver run: CSV snapshots + JSON summary
-  predict      quadrature shock-time predictor as JSON
+  predict      closed-form shock-time predictor as JSON
   foliate      per-ray mu time series from a stored run history
   sweep        parameter sweep driven by a JSON config
 """
@@ -48,14 +48,32 @@ def _f(v):
     return repr(float(v))
 
 
+def _is_number(v, kind=(int, float)):
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def _problem_spec(path):
+    """The burgers --problem JSON object: grid_n an integer, domain a pair of
+    numbers, a, c, wavelength, t_end and cfl numbers."""
+    with open(path) as fh:
+        try:
+            spec = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigInvalid(f"problem spec is not valid JSON: {exc}") from None
+    if not isinstance(spec, dict):
+        raise ConfigInvalid(f"problem spec must be a JSON object, got {type(spec).__name__}")
+    bad = [k for k in ("a", "c", "wavelength", "t_end", "cfl", "grid_n") if k in spec
+           and not _is_number(spec[k], int if k == "grid_n" else (int, float))]
+    domain = spec.get("domain", [-1.0, 1.0])
+    if not (isinstance(domain, list) and len(domain) == 2 and all(map(_is_number, domain))):
+        bad.append("domain")
+    if bad:
+        raise ConfigInvalid(f"problem spec fields of the wrong type: {', '.join(bad)}")
+    return spec
+
+
 def cmd_burgers(args):
-    spec = {}
-    if args.problem:
-        with open(args.problem) as fh:
-            try:
-                spec = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigInvalid(f"problem spec is not valid JSON: {exc}") from None
+    spec = _problem_spec(args.problem) if args.problem else {}
     a = spec.get("a", args.a)
     c = spec.get("c", args.c)
     f, df = sine_profile(c, wavelength=spec.get("wavelength", 2.0))
@@ -115,6 +133,7 @@ def cmd_euler_radial(args):
     max_grad = float(np.max(np.abs(np.gradient(hist.phi[-1], dr))))
     summary = {
         "status": hist.status,
+        "message": hist.message,
         "last_good_time": hist.last_good_time,
         "n_snapshots": int(len(hist.times)),
         "max_dphi_dr_final": max_grad,
@@ -213,7 +232,7 @@ def build_parser():
     e.add_argument("--out")
     e.set_defaults(func=cmd_euler_radial)
 
-    pr = sub.add_parser("predict", help="quadrature shock-time predictor")
+    pr = sub.add_parser("predict", help="closed-form shock-time predictor")
     pr.add_argument("--c", type=float, required=True)
     pr.add_argument("--a", type=float, default=0.0)
     pr.add_argument("--sigma", type=float, default=-0.1)

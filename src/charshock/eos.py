@@ -89,24 +89,15 @@ class EquationOfState:
             rho = eta_sq ** (-0.5)
             dH_dh = np.zeros_like(h)
             deta_sq = np.full_like(h, -2.0)
-        else:
-            rho = self._rho_custom(h)
-            deta_sq = self._deta_sq_custom(h)
+        else:  # tabulated: rho = exp(int dh / eta^2) on the table grid
+            ht, et = self.h_table, self.eta_sq_table
+            log_rho = np.concatenate(([0.0], np.cumsum(np.diff(ht) * 0.5 * (1.0 / et[1:] + 1.0 / et[:-1]))))
+            log_rho -= np.interp(0.0, ht, log_rho)
+            rho = np.exp(np.interp(h, ht, log_rho))
+            deta_sq = np.interp(h, ht, np.gradient(et, ht))
             dH_dh = -2.0 - deta_sq
         H = -2.0 * h - eta_sq
         return EosState(rho=rho, eta=eta, eta_sq=eta_sq, H=H, dH_dh=dH_dh, deta_sq_dh=deta_sq)
-
-    # tabulated family: rho from exp(int dh / eta^2) on the table grid
-    def _rho_custom(self, h):
-        ht, et = self.h_table, self.eta_sq_table
-        log_rho = np.concatenate(([0.0], np.cumsum(np.diff(ht) * 0.5 * (1.0 / et[1:] + 1.0 / et[:-1]))))
-        log_rho -= np.interp(0.0, ht, log_rho)
-        return np.exp(np.interp(h, ht, log_rho))
-
-    def _deta_sq_custom(self, h):
-        ht, et = self.h_table, self.eta_sq_table
-        d = np.gradient(et, ht)
-        return np.interp(h, ht, d)
 
 
 def make_polytropic(gamma: float) -> EquationOfState:

@@ -13,18 +13,21 @@ foliation density mu is computed two independent ways:
     and Lf = df/dt + (dr/dt) df/dr the derivative along the ray.
 
 The semi-analytic predictor is mu_hat(t) = 1 + 2 A1(t) Lmu(-2, u) with
-A1(t) = int_{-2}^t d tau / (e^{a(tau+2)} (-tau)); mu_hat = 0 gives the
+A1(t) = int_{-2}^t d tau / (e^{a(tau+2)} (-tau)) = e^{-2a} (Ei(2a) - Ei(-a t))
+in closed form through the exponential integral Ei; mu_hat = 0 gives the
 predicted shock time, and the largeness threshold a* classifies seeds into
 shock-forming and global-to-sigma branches.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import expi
 
 from .eos import EquationOfState, eos_from_config
 from .errors import (
@@ -58,17 +61,27 @@ _SHOCK_REGION_MU = 0.1      # shock_region_monitor watches {mu <= this}
 
 
 # ---------------------------------------------------------------------------
-# quadrature predictor
+# closed-form predictor
 # ---------------------------------------------------------------------------
 
+_EI_A_MAX = 354.0               # beyond this |a|, e^{-2a} or Ei(2a) overflow
+_TINY = np.finfo(float).tiny    # below this |a t|, -a t is subnormal
+
+
 def a1_integral(t, a):
-    """A1(t) = int_{-2}^t d tau / (e^{a(tau+2)} (-tau)), absolute tol 1e-12."""
+    """A1(t) = int_{-2}^t d tau / (e^{a(tau+2)} (-tau)) = e^{-2a} (Ei(2a) - Ei(-a t)).
+
+    The closed form (s = -tau) holds to round-off, log(2/-t) at a = 0.  Where
+    it overflows or -a t is subnormal, quadrature answers (absolute tol 1e-12).
+    """
     if t >= 0.0:
         raise SingularEndpoint(f"integrand singular at tau=0; got t={t}")
     if t < -2.0:
         raise SingularEndpoint(f"lower limit is -2; got t={t}")
     if a == 0.0:
         return float(np.log(2.0 / -t))
+    if abs(a) <= _EI_A_MAX and abs(a * t) >= _TINY:
+        return math.exp(-2.0 * a) * float(expi(2.0 * a) - expi(-a * t))
     val, _ = quad(lambda tau: np.exp(-a * (tau + 2.0)) / (-tau), -2.0, t,
                   epsabs=1e-12, epsrel=1e-12, limit=200)
     return float(val)

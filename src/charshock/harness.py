@@ -2,7 +2,7 @@
 
 A sweep enumerates the product of the (a, c, delta, eos) axes, evaluates
 each cell in one of three modes — 'burgers' (closed form + optional
-finite-volume oracle), 'predict' (pure quadrature shock-time predictor),
+finite-volume oracle), 'predict' (closed-form shock-time predictor),
 'euler' (radial simulation + ray tracing) — and emits a deterministic CSV
 table, a long-format series file for plotting, and a JSON summary.  Cells
 that fail are recorded with their error kind; the sweep itself never
@@ -59,12 +59,7 @@ class SweepConfig:
             raise ConfigInvalid("euler mode needs delta values in (0, 1)")
 
     def to_json(self):
-        d = asdict(self)
-        d["a_values"] = list(self.a_values)
-        d["c_values"] = list(self.c_values)
-        d["delta_values"] = list(self.delta_values)
-        d["eos_values"] = list(self.eos_values)
-        return json.dumps(d, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)  # tuples as lists
 
     @classmethod
     def from_json(cls, text):
@@ -72,8 +67,7 @@ class SweepConfig:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
         for key in ("a_values", "c_values", "delta_values", "eos_values"):
@@ -228,9 +222,7 @@ _CSV_COLUMNS = ("a", "c", "delta", "eos", "classification",
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def emit_outputs(result: SweepResult, out_dir):

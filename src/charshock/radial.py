@@ -28,12 +28,13 @@ exactly zero, as a moving continuation of the pinned inner boundary.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .eos import EquationOfState
-from .errors import CflViolation, EosDomain, NonFiniteField, OutOfDomain
+from .errors import CflViolation, ConfigInvalid, EosDomain, NonFiniteField, OutOfDomain
 
 __all__ = [
     "RadialField",
@@ -230,6 +231,7 @@ class RunHistory:
     status: str                       # 'Completed' | 'EosDomain' | 'NonFinite'
     last_good_time: float
     eos_meta: dict = field(default_factory=dict)
+    message: str = ""                 # why the run broke down; "" when Completed
 
     def frame(self, t):
         """Fields at time t, interpolated in time by _time_stencil."""
@@ -248,25 +250,26 @@ class RunHistory:
         np.savez_compressed(
             path, r_grid=self.r_grid, times=self.times, phi=self.phi,
             dtphi=self.dtphi, a=self.a, delta=self.delta,
-            status=self.status, last_good_time=self.last_good_time,
-            eos_family=self.eos_meta.get("family", ""),
+            status=self.status, message=self.message,
+            last_good_time=self.last_good_time, eos_family=self.eos_meta.get("family", ""),
             eos_gamma=self.eos_meta.get("gamma", np.nan), **tables)
 
     @classmethod
     def load(cls, path):
-        with np.load(path) as z:
-            gamma = float(z["eos_gamma"])
-            meta = {"family": str(z["eos_family"])}
-            if np.isfinite(gamma):
-                meta["gamma"] = gamma
-            for k in _EOS_TABLES:
-                if f"eos_{k}" in z.files:
-                    meta[k] = z[f"eos_{k}"].tolist()
-            return cls(r_grid=z["r_grid"], times=z["times"], phi=z["phi"],
-                       dtphi=z["dtphi"], a=float(z["a"]),
-                       delta=float(z["delta"]), status=str(z["status"]),
-                       last_good_time=float(z["last_good_time"]),
-                       eos_meta=meta)
+        """Read a history written by save; older files load with message ""."""
+        try:
+            with np.load(path) as z:
+                f = {k: z[k] for k in z.files}
+            meta = {"family": str(f["eos_family"])}
+            if np.isfinite(float(f["eos_gamma"])):
+                meta["gamma"] = float(f["eos_gamma"])
+            meta.update({k: f[f"eos_{k}"].tolist() for k in _EOS_TABLES if f"eos_{k}" in f})
+            return cls(r_grid=f["r_grid"], times=f["times"], phi=f["phi"], dtphi=f["dtphi"],
+                       a=float(f["a"]), delta=float(f["delta"]), status=str(f["status"]),
+                       last_good_time=float(f["last_good_time"]), eos_meta=meta,
+                       message=str(f.get("message", "")))
+        except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+            raise ConfigInvalid(f"{path} is not a run history .npz: {exc}") from None
 
 
 def energy_functional(fld: RadialField, eos: EquationOfState, a: float):
@@ -284,9 +287,9 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     data: ShortPulseData providing phi_at / dtphi_at evaluators and delta.
     Snapshots are stored every sample_dt (default delta/20) plus the first
     and last time reached.  Breakdowns (EOS domain exit, non-finite fields)
-    terminate the run with status and last_good_time recorded.  Each step
-    evolves only the active window r >= r_front(t) - _MARGIN * dr (module
-    docstring); the snapshots hold the whole grid.
+    terminate the run with status, message and last_good_time recorded.
+    Each step evolves only the active window r >= r_front(t) - _MARGIN * dr
+    (module docstring); the snapshots hold the whole grid.
     """
     delta = data.delta
     if t_end >= 0.0:
@@ -309,7 +312,7 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     snaps_p = np.empty((len(sample_times), r.size))
     snaps_q = np.empty_like(snaps_p)
     t, times[0], snaps_p[0], snaps_q[0] = -2.0, -2.0, y[0], y[1]
-    status, stored = "Completed", 1
+    status, stored, message = "Completed", 1, ""
     try:
         c0 = float(np.sqrt(eos.eta_sq(0.0)))
         while t < t_end - 1e-12:
@@ -322,10 +325,10 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
             if t >= sample_times[stored] - 1e-12:
                 times[stored], snaps_p[stored], snaps_q[stored] = t, y[0], y[1]
                 stored += 1
-    except OutOfDomain:
-        status = "EosDomain"
-    except NonFiniteField:
-        status = "NonFinite"
+    except OutOfDomain as exc:
+        status, message = "EosDomain", str(exc)
+    except NonFiniteField as exc:
+        status, message = "NonFinite", str(exc)
 
     # the EOS as the config record eos_from_config reads back
     meta = {k: v.tolist() if isinstance(v, np.ndarray) else v
@@ -333,4 +336,4 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     return RunHistory(
         r_grid=r, times=times[:stored], phi=snaps_p[:stored],
         dtphi=snaps_q[:stored], a=a, delta=delta, status=status,
-        last_good_time=float(times[stored - 1]), eos_meta=meta)
+        last_good_time=float(times[stored - 1]), eos_meta=meta, message=message)

@@ -17,6 +17,7 @@ instead of the naive O(1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -136,7 +137,7 @@ def build_annulus_data(seeds: SeedProfiles, r_grid_n=512,
 
     r_grid = 2.0 + delta * np.linspace(0.0, s_max, r_grid_n + 1)
     s = (r_grid - 2.0) / delta
-    data = ShortPulseData(
+    return ShortPulseData(
         r_grid=r_grid,
         phi_at_minus2=delta**2 * spline(s),
         dtphi_at_minus2=delta * np.asarray(seeds.phi1(s)),
@@ -147,7 +148,6 @@ def build_annulus_data(seeds: SeedProfiles, r_grid_n=512,
         seeds=seeds,
         _phi0_spline=spline,
     )
-    return data
 
 
 def _second_null_sup(r, phi, dtphi, eos, a):
@@ -192,20 +192,15 @@ def bump(s, lo=0.1, hi=0.9):
     return out
 
 
+@cache
 def _bump_slope_norm(lo=0.1, hi=0.9):
     s = np.linspace(lo, hi, 200_001)
     return float(np.max(d1(bump(s, lo, hi), s[1] - s[0])))
 
 
-_BUMP_SLOPE = None
-
-
 def bump_seeds(c, delta, phi2_amplitude=0.0):
     """Seed profiles with max_s phi1'(s) = c and optional phi2 forcing."""
-    global _BUMP_SLOPE
-    if _BUMP_SLOPE is None:
-        _BUMP_SLOPE = _bump_slope_norm()
-    scale = c / _BUMP_SLOPE
+    scale = c / _bump_slope_norm()
 
     def phi1(s):
         return scale * bump(s)

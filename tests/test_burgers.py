@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charshock.burgers import (
+    _muscl_rhs,
     BurgersProblem,
     burgers_characteristic_solve,
     burgers_direct_solve,
@@ -153,6 +155,43 @@ def test_direct_solver_zero_profile():
     hist = burgers_direct_solve(p, grid_n=128, t_end=0.5)
     assert np.all(hist.phi == 0.0)
     assert hist.status == "ok"
+
+
+def test_direct_solver_stops_on_non_finite_field():
+    """max|phi|, the next CFL speed, is also the finiteness check."""
+    p = BurgersProblem(profile=lambda x: np.where(np.abs(x) < 0.01, np.nan, 0.0))
+    hist = burgers_direct_solve(p, grid_n=128, t_end=0.5)
+    assert hist.status == "NonFiniteField"
+    assert list(hist.times) == [-1.0] and hist.last_good_time == -1.0
+
+
+def _case_analysis_muscl_rhs(u, dx):
+    """MUSCL divergence with the minmod and Godunov flux written case by case."""
+    def minmod(a, b):
+        return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+
+    ue = np.concatenate(([u[0], u[0]], u, [u[-1], u[-1]]))
+    du = minmod(ue[1:-1] - ue[:-2], ue[2:] - ue[1:-1])
+    ul, ur = (ue[1:-1] + 0.5 * du)[:-1], (ue[1:-1] - 0.5 * du)[1:]
+    fl, fr = 0.5 * ul * ul, 0.5 * ur * ur
+    shock = np.where(0.5 * (ul + ur) > 0.0, fl, fr)
+    rarefaction = np.where(ul > 0.0, fl, np.where(ur < 0.0, fr, 0.0))
+    flux = np.where(ul > ur, shock, rarefaction)
+    return -(flux[1:] - flux[:-1]) / dx
+
+
+# zeros, plateaus and sign changes, plus values of magnitude >= 1e-3, so that no
+# product of two neighbouring differences underflows (where a * b > 0 reads 0)
+_CELL_VALUES = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]),
+                         st.floats(1e-3, 4.0), st.floats(-4.0, -1e-3))
+
+
+@settings(deadline=None, max_examples=300)
+@given(u=st.lists(_CELL_VALUES, min_size=2, max_size=40),
+       dx=st.sampled_from([1.0, 2.0 / 4096, 0.1]))
+def test_muscl_rhs_equals_case_analysis_bit_for_bit(u, dx):
+    u = np.array(u)
+    assert _muscl_rhs(u, dx).tobytes() == _case_analysis_muscl_rhs(u, dx).tobytes()
 
 
 def test_direct_solver_validates_inputs():

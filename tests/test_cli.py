@@ -53,6 +53,7 @@ def test_euler_and_foliate_round_trip(tmp_path):
                  "--history", str(hist_path), "--out", str(out)]) == 0
     summary = json.loads(out.read_text().strip().split("\n")[-1])
     assert summary["status"] == "Completed"
+    assert summary["message"] == ""
 
     fol = tmp_path / "fol.csv"
     assert main(["foliate", "--history", str(hist_path), "--rays", "33",
@@ -100,3 +101,13 @@ def test_charshock_error_maps_to_exit_1(tmp_path, capsys):
                  ["foliate", "--history", str(tmp_path / "missing.npz")]):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    # well-formed JSON of the wrong shape, and a JSON file given as a history
+    listed, typo = tmp_path / "listed.json", tmp_path / "typo.json"
+    listed.write_text("[1]")
+    typo.write_text(json.dumps({"grid_n": "x"}))
+    for argv in (["burgers", "--problem", str(listed)],
+                 ["burgers", "--problem", str(typo)],
+                 ["foliate", "--history", str(typo)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ConfigInvalid: ")

@@ -1,7 +1,12 @@
-"""Foliation diagnostics: quadrature predictor, ray tracing, dual mu."""
+"""Foliation diagnostics: closed-form predictor, ray tracing, dual mu."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
+from scipy.special import expi
 
 from charshock.eos import make_chaplygin, make_polytropic
 from charshock.errors import (
@@ -30,7 +35,7 @@ EOS = make_polytropic(2.0)
 
 
 # ---------------------------------------------------------------------------
-# quadrature predictor
+# closed-form predictor
 
 
 def test_a1_integral_at_lower_limit():
@@ -55,6 +60,29 @@ def test_a1_integral_singular_endpoint():
         a1_integral(0.0, 0.0)
     with pytest.raises(SingularEndpoint):
         a1_integral(-2.5, 0.0)
+
+
+def _a1_quad(t, a):
+    """Quadrature reference for A1(t) = int_{-2}^t e^{-a(tau+2)} / (-tau) d tau."""
+    return quad(lambda tau: np.exp(-a * (tau + 2.0)) / (-tau), -2.0, t,
+                epsabs=1e-13, epsrel=1e-13, limit=500)[0]
+
+
+@settings(deadline=None, max_examples=300)
+@given(t=st.floats(-2.0, -1e-9, exclude_min=True), a=st.floats(-20.0, 20.0))
+def test_a1_integral_matches_quadrature(t, a):
+    ref = _a1_quad(t, a)
+    assert abs(a1_integral(t, a) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("a", [400.0, -400.0])
+@pytest.mark.parametrize("t", [-1.9, -1.5])
+def test_a1_integral_falls_back_to_quadrature(t, a):
+    """|a| > 354: e^{-2a} (Ei(2a) - Ei(-a t)) is not finite, quadrature answers."""
+    with np.errstate(all="ignore"):
+        closed = np.exp(-2.0 * a) * (expi(2.0 * a) - expi(-a * t))
+    assert not math.isfinite(closed)
+    assert a1_integral(t, a) == pytest.approx(_a1_quad(t, a), rel=1e-12)
 
 
 def test_predict_mu_trivial():

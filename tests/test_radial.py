@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charshock.eos import make_chaplygin, make_custom, make_polytropic
-from charshock.errors import CflViolation, EosDomain
+from charshock.errors import CflViolation, ConfigInvalid, EosDomain
 from charshock.foliation import trace_rays
 from charshock.radial import (
     _MARGIN,
@@ -131,13 +131,29 @@ def test_cfl_violation():
         advance(fld, dt=0.5, a=0.0, eos=EOS)
 
 
-def test_run_until_records_breakdown():
-    """Data outside the EOS domain terminates with status and last time."""
+def test_run_until_records_breakdown(tmp_path):
+    """Data outside the EOS domain terminates with status, message and last
+    time; save/load keep the message, and files without one load with ""."""
     data = build_annulus_data(bump_seeds(c=-60.0, delta=0.2), r_grid_n=512)
     hist = run_until(data, a=0.0, eos=EOS, t_end=-1.9, points_per_delta=16,
                      r_min=1.5)
     assert hist.status == "EosDomain"
     assert hist.last_good_time == -2.0
+    assert hist.message.startswith("enthalpy outside") and hist.message.endswith("t=-2.000000")
+    hist.save(tmp_path / "broke.npz")
+    assert RunHistory.load(tmp_path / "broke.npz").message == hist.message
+    with np.load(tmp_path / "broke.npz") as z:
+        older = {k: z[k] for k in z.files if k != "message"}
+    np.savez(tmp_path / "older.npz", **older)
+    assert RunHistory.load(tmp_path / "older.npz").message == ""
+
+
+def test_history_load_rejects_other_files(tmp_path):
+    np.savez(tmp_path / "partial.npz", r_grid=np.linspace(1.0, 2.0, 8))
+    (tmp_path / "run.json").write_text("{}")
+    for name in ("partial.npz", "run.json"):
+        with pytest.raises(ConfigInvalid, match=name):
+            RunHistory.load(tmp_path / name)
 
 
 def test_run_until_keeps_snapshots_up_to_breakdown():
@@ -292,6 +308,7 @@ def test_history_save_load_round_trip(tmp_path, eos):
     assert np.array_equal(loaded.dtphi, hist.dtphi)
     assert np.array_equal(loaded.times, hist.times)
     assert loaded.status == hist.status
+    assert loaded.message == hist.message == ""
     assert loaded.eos_meta == hist.eos_meta
     assert loaded.eos_meta["family"] == eos.family
     assert loaded.delta == hist.delta
