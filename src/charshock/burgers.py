@@ -152,7 +152,7 @@ class BurgersHistory:
     times: np.ndarray
     max_neg_slope: np.ndarray
     x: np.ndarray
-    phi: np.ndarray                     # final field (or last finite field)
+    phi: np.ndarray                     # field at last_good_time (the last finite one)
     u_label: Optional[np.ndarray] = None  # advected eikonal label, if tracked
     status: str = "ok"
     last_good_time: float = -1.0
@@ -220,21 +220,21 @@ def burgers_direct_solve(
         dt = min(cfl * dx / max(speed, 1e-12), _DT_MAX, t_end - t)
         decay = math.exp(-a * dt / 2.0)
 
-        phi *= decay
-        phi1 = phi + dt * _muscl_rhs(phi, dx)
-        phi_new = 0.5 * (phi + phi1 + dt * _muscl_rhs(phi1, dx))
-        phi = phi_new * decay
+        phi0 = phi * decay
+        phi1 = phi0 + dt * _muscl_rhs(phi0, dx)
+        phi_new = 0.5 * (phi0 + phi1 + dt * _muscl_rhs(phi1, dx))
+        phi_next = phi_new * decay
 
+        speed = float(np.max(np.abs(phi_next)))  # the next CFL speed; NaN/inf propagate
+        if not math.isfinite(speed):
+            status = "NonFiniteField"     # phi and u_lab stay at last_good_time
+            break
         if u_lab is not None:
-            mid = 0.5 * (phi + phi_new)  # phi during the advective stage
+            mid = 0.5 * (phi_next + phi_new)  # phi during the advective stage
             k1 = _label_rhs(u_lab, mid, dx)
             k2 = _label_rhs(u_lab + dt * k1, mid, dx)
             u_lab = u_lab + 0.5 * dt * (k1 + k2)
-
-        speed = float(np.max(np.abs(phi)))  # the next CFL speed; NaN/inf propagate
-        if not math.isfinite(speed):
-            status = "NonFiniteField"
-            break
+        phi = phi_next
         t += dt
         times.append(t)
         slopes.append(max(0.0, float(np.max(phi[:-1] - phi[1:])) / dx))

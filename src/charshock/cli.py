@@ -175,11 +175,11 @@ def cmd_foliate(args):
     with _out(args) as fh:
         fh.write("t,u,r,mu_spacing,mu_transport,mu_predicted\n")
         for i, t in enumerate(bundle.times):
+            mu_hat = predict_mu(float(t), lmu, hist.a)
             for j, u in enumerate(bundle.u):
                 fh.write(f"{_f(t)},{_f(u)},{_f(bundle.r[i, j])},"
                          f"{_f(bundle.mu_spacing[i, j])},"
-                         f"{_f(bundle.mu_transport[i, j])},"
-                         f"{_f(predict_mu(float(t), lmu[j], hist.a))}\n")
+                         f"{_f(bundle.mu_transport[i, j])},{_f(mu_hat[j])}\n")
     return 0
 
 

@@ -2,15 +2,18 @@
 
 Every family is normalised so that at the reference enthalpy h = 0 the
 density and sound speed are both 1.  The defining thermodynamic relation
-is d(rho)/dh = rho / eta^2, which fixes rho(h) once eta^2(h) is chosen:
+is d(rho)/dh = rho / eta^2, which fixes rho(h) once eta^2(h) is chosen.
+The polytropic and Chaplygin families are one linear law,
 
-* polytropic (adiabatic index gamma > 1):  eta^2 = 1 + (gamma - 1) h,
-  rho = eta^2 ** (1 / (gamma - 1));
-* Chaplygin:  eta^2 = 1 - 2 h,  rho = eta^2 ** (-1/2).
+    eta^2 = 1 + k h,   k = gamma - 1 (polytropic, gamma > 1) or k = -2 (Chaplygin),
+
+so d eta^2/dh = k, rho = (eta^2)^(1/k), and a state is admissible iff
+eta^2 > 0.  The custom family interpolates a table of eta^2(h) and admits
+h strictly inside the table.
 
 The genuine-nonlinearity coefficient is H = -2 h - eta^2; its derivative
-dH/dh is the constant -(gamma + 1) for polytropic gases and identically 0
-for the Chaplygin gas.
+dH/dh = -2 - d eta^2/dh is the constant -(gamma + 1) for polytropic gases
+and identically 0 for the Chaplygin gas.
 """
 
 from __future__ import annotations
@@ -51,53 +54,51 @@ class EquationOfState:
     h_table: np.ndarray | None = field(default=None, repr=False)
     eta_sq_table: np.ndarray | None = field(default=None, repr=False)
 
+    @property
+    def _k(self):
+        """Slope k of the linear law eta^2 = 1 + k h; None for a table."""
+        if self.family == "custom":
+            return None
+        return -2.0 if self.family == "chaplygin" else self.gamma - 1.0
+
     def h_bounds(self):
         """Open admissible interval for h (sound speed stays positive)."""
-        if self.family == "polytropic":
-            return (-1.0 / (self.gamma - 1.0), np.inf)
-        if self.family == "chaplygin":
-            return (-np.inf, 0.5)
-        return (float(self.h_table[0]), float(self.h_table[-1]))
-
-    def check_admissible(self, h):
-        lo, hi = self.h_bounds()
-        h = np.asarray(h)
-        if np.any(h <= lo) or np.any(h >= hi):
-            raise OutOfDomain(
-                f"enthalpy outside admissible interval ({lo}, {hi}) for {self.family} EOS"
-            )
+        k = self._k
+        if k is None:
+            return (float(self.h_table[0]), float(self.h_table[-1]))
+        return (-1.0 / k, np.inf) if k > 0.0 else (-np.inf, -1.0 / k)
 
     def eta_sq(self, h):
-        self.check_admissible(h)
-        if self.family == "polytropic":
-            return 1.0 + (self.gamma - 1.0) * np.asarray(h, dtype=float)
-        if self.family == "chaplygin":
-            return 1.0 - 2.0 * np.asarray(h, dtype=float)
-        return np.interp(h, self.h_table, self.eta_sq_table)
+        """eta^2(h); OutOfDomain unless eta^2 > 0 (linear law) or h lies inside the table."""
+        k = self._k
+        if k is None:
+            eta_sq = np.interp(h, self.h_table, self.eta_sq_table)
+            bad = np.any(h <= self.h_table[0]) or np.any(h >= self.h_table[-1])
+        else:
+            eta_sq = 1.0 + k * np.asarray(h, dtype=float)
+            bad = np.any(eta_sq <= 0.0)
+        if bad:
+            lo, hi = self.h_bounds()
+            raise OutOfDomain(
+                f"enthalpy outside admissible interval ({lo}, {hi}) for {self.family} EOS")
+        return eta_sq
 
     def eval(self, h):
         """Return rho, eta, eta^2, H = -2h - eta^2 and dH/dh at h."""
         h = np.asarray(h, dtype=float)
         eta_sq = self.eta_sq(h)
-        eta = np.sqrt(eta_sq)
-        if self.family == "polytropic":
-            g = self.gamma
-            rho = eta_sq ** (1.0 / (g - 1.0))
-            dH_dh = np.full_like(h, -(g + 1.0))
-            deta_sq = np.full_like(h, g - 1.0)
-        elif self.family == "chaplygin":
-            rho = eta_sq ** (-0.5)
-            dH_dh = np.zeros_like(h)
-            deta_sq = np.full_like(h, -2.0)
-        else:  # tabulated: rho = exp(int dh / eta^2) on the table grid
+        k = self._k
+        if k is None:  # tabulated: rho = exp(int dh / eta^2) on the table grid
             ht, et = self.h_table, self.eta_sq_table
             log_rho = np.concatenate(([0.0], np.cumsum(np.diff(ht) * 0.5 * (1.0 / et[1:] + 1.0 / et[:-1]))))
             log_rho -= np.interp(0.0, ht, log_rho)
             rho = np.exp(np.interp(h, ht, log_rho))
             deta_sq = np.interp(h, ht, np.gradient(et, ht))
-            dH_dh = -2.0 - deta_sq
-        H = -2.0 * h - eta_sq
-        return EosState(rho=rho, eta=eta, eta_sq=eta_sq, H=H, dH_dh=dH_dh, deta_sq_dh=deta_sq)
+        else:
+            rho = np.exp(np.log1p(k * h) / k)   # (eta^2)^(1/k), accurate as k -> 0
+            deta_sq = np.full_like(h, k)
+        return EosState(rho=rho, eta=np.sqrt(eta_sq), eta_sq=eta_sq, H=-2.0 * h - eta_sq,
+                        dH_dh=-2.0 - deta_sq, deta_sq_dh=deta_sq)
 
 
 def make_polytropic(gamma: float) -> EquationOfState:

@@ -37,7 +37,7 @@ from .errors import (
     ShockDetected,
     SingularEndpoint,
 )
-from .radial import RunHistory, _enthalpy, _time_stencil, d1, d2, dt_dtphi
+from .radial import RunHistory, _fields, _rk4, _time_stencil
 
 __all__ = [
     "RayBundle",
@@ -65,26 +65,30 @@ _SHOCK_REGION_MU = 0.1      # shock_region_monitor watches {mu <= this}
 # ---------------------------------------------------------------------------
 
 _EI_A_MAX = 354.0               # beyond this |a|, e^{-2a} or Ei(2a) overflow
-_TINY = np.finfo(float).tiny    # below this |a t|, -a t is subnormal
+_TINY = np.finfo(float).tiny    # smallest normal double
 
 
 def a1_integral(t, a):
     """A1(t) = int_{-2}^t d tau / (e^{a(tau+2)} (-tau)) = e^{-2a} (Ei(2a) - Ei(-a t)).
 
     The closed form (s = -tau) holds to round-off, log(2/-t) at a = 0.  Where
-    it overflows or -a t is subnormal, quadrature answers (absolute tol 1e-12).
+    -a t is subnormal, Ei(-a t) = gamma + ln|a| + ln(-t) to round-off (and
+    log 2 - log(-t) at a = 0, where 2/-t would overflow); where e^{-2a} or
+    Ei(2a) overflows, quadrature answers (absolute tol 1e-12).
     """
     if t >= 0.0:
         raise SingularEndpoint(f"integrand singular at tau=0; got t={t}")
     if t < -2.0:
         raise SingularEndpoint(f"lower limit is -2; got t={t}")
     if a == 0.0:
-        return float(np.log(2.0 / -t))
-    if abs(a) <= _EI_A_MAX and abs(a * t) >= _TINY:
-        return math.exp(-2.0 * a) * float(expi(2.0 * a) - expi(-a * t))
-    val, _ = quad(lambda tau: np.exp(-a * (tau + 2.0)) / (-tau), -2.0, t,
-                  epsabs=1e-12, epsrel=1e-12, limit=200)
-    return float(val)
+        return float(np.log(2.0 / -t)) if -t >= _TINY else math.log(2.0) - math.log(-t)
+    if abs(a) > _EI_A_MAX:
+        val, _ = quad(lambda tau: np.exp(-a * (tau + 2.0)) / (-tau), -2.0, t,
+                      epsabs=1e-12, epsrel=1e-12, limit=200)
+        return float(val)
+    ei_at = expi(-a * t) if abs(a * t) >= _TINY else (
+        np.euler_gamma + math.log(abs(a)) + math.log(-t))
+    return math.exp(-2.0 * a) * float(expi(2.0 * a) - ei_at)
 
 
 def predict_mu(t, lmu_init, a):
@@ -171,11 +175,12 @@ class _FieldSampler:
     (omega*dt)^2..4 with omega ~ 1/(mu*delta), an error that neither
     shrinks with delta nor with the grid and that grows as the rays
     compress.  Spatial interpolation is 4-point cubic on the solver grid.
+    eos=None reads the equation of state from the history's eos_meta.
     """
 
-    def __init__(self, history: RunHistory, eos: EquationOfState):
+    def __init__(self, history: RunHistory, eos: EquationOfState = None):
         self.hist = history
-        self.eos = eos
+        self.eos = eos if eos is not None else eos_from_config(history.eos_meta)
         self.r = history.r_grid
         self.dr = self.r[1] - self.r[0]
         self.a = history.a
@@ -185,23 +190,19 @@ class _FieldSampler:
         """Derived fields on the grid at stored snapshot index k, stacked in _KEYS order."""
         if k in self._snap_cache:
             return self._snap_cache[k]
-        r, dr, a = self.r, self.dr, self.a
+        a = self.a
         y = np.stack((self.hist.phi[k], self.hist.dtphi[k]))
-        phi, dtphi = y
-        dphi, ddtphi = d1(y, dr)
-        d2phi = d2(phi, dr)
-        h = _enthalpy(phi, dtphi, dphi, a)
+        dphi, ddtphi, d2phi, h, eta_sq, dtt = _fields(self.r, y, a, self.eos)
         st = self.eos.eval(h)
         eta = st.eta
-        dtt = dt_dtphi(r, phi, dtphi, dphi, d2phi, ddtphi, st.eta_sq, a)
         dh = ddtphi - dphi * d2phi + a * dphi          # dh/dr
-        dth = dtt - dphi * ddtphi + a * dtphi          # dh/dt
+        dth = dtt - dphi * ddtphi + a * y[1]           # dh/dt
         rdot = -(eta + dphi)
         out = np.stack((
             eta, dphi, rdot,
             # m = (mu/eta) * m_factor
             0.5 * st.dH_dh * dh + a * dphi,
-            (st.deta_sq_dh / (2.0 * st.eta_sq) * (dth + rdot * dh)
+            (st.deta_sq_dh / (2.0 * eta_sq) * (dth + rdot * dh)
              + (ddtphi + rdot * d2phi) / eta),
         ))
         if len(self._snap_cache) > 8:
@@ -264,12 +265,8 @@ def mu_from_spacing(eta, r_pos, u):
 
 def lmu_initial(history: RunHistory, u, eos: EquationOfState = None):
     """Lmu(-2, u) from the initial data (mu = eta on the first slice)."""
-    if eos is None:
-        eos = eos_from_config(history.eos_meta)
-    sampler = _FieldSampler(history, eos)
-    t0 = float(history.times[0])
     r_pos = 2.0 + np.asarray(u, dtype=float)
-    vals = sampler.at(t0, r_pos, _MU_KEYS)
+    vals = _FieldSampler(history, eos).at(float(history.times[0]), r_pos, _MU_KEYS)
     return _mu_rate(vals, vals["eta"])
 
 
@@ -296,46 +293,38 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
     """Integrate the incoming null rays and both mu discretizations.
 
     Rays are seeded at equally spaced u in [0, w] at the first stored time
-    (w = annulus width = delta).  Integration is RK4 on (r, mu) through
-    time-interpolated fields, sampled at every stored snapshot.  The whole
+    (w = annulus width = delta).  Integration is RK4 (radial._rk4) on the
+    stacked state (r, mu) through time-interpolated fields, sampled at every
+    stored snapshot; eos=None reads the history's eos_meta.  The whole
     bundle stops once any ray reaches mu <= _MU_STOP (shock declared), a
     ray crossing occurs, or a ray leaves the stored grid.
     """
     if ray_count < 33:
         raise ValueError(f"ray_count must be >= 33, got {ray_count}")
-    if eos is None:
-        eos = eos_from_config(history.eos_meta)
     sampler = _FieldSampler(history, eos)
     times = history.times
     u = np.linspace(0.0, history.delta, ray_count)
-    r_pos = 2.0 + u.copy()
+    r_pos = 2.0 + u
+    mu_tr = sampler.at(float(times[0]), r_pos, ("eta",))["eta"]   # mu = eta initially
+    y = np.stack((r_pos, mu_tr))
 
-    t0 = float(times[0])
-    eta0 = sampler.at(t0, r_pos, ("eta",))["eta"]
-    mu_tr = eta0.copy()           # mu = eta on the initial slice
-
-    rows_r, rows_sp, rows_tr = [r_pos.copy()], [mu_from_spacing(eta0, r_pos, u)], [mu_tr.copy()]
+    rows_r, rows_sp, rows_tr = [r_pos], [mu_from_spacing(mu_tr, r_pos, u)], [mu_tr]
     status = np.full(ray_count, ALIVE, dtype=object)
     last_alive = 0
     r_lo = history.r_grid[0] + 2.0 * (history.r_grid[1] - history.r_grid[0])
 
-    def rhs(t, r_now, mu_now):
-        vals = sampler.at(t, r_now, ("rdot",) + _MU_KEYS)
-        return vals["rdot"], _mu_rate(vals, mu_now)
+    def rhs(t, y):
+        vals = sampler.at(t, y[0], ("rdot",) + _MU_KEYS)
+        return np.stack((vals["rdot"], _mu_rate(vals, y[1])))
 
     for i in range(len(times) - 1):
         t, t_b = float(times[i]), float(times[i + 1])
-        dt = t_b - t
         try:
-            k1r, k1m = rhs(t, r_pos, mu_tr)
-            k2r, k2m = rhs(t + dt / 2, r_pos + dt / 2 * k1r, mu_tr + dt / 2 * k1m)
-            k3r, k3m = rhs(t + dt / 2, r_pos + dt / 2 * k2r, mu_tr + dt / 2 * k2m)
-            k4r, k4m = rhs(t + dt, r_pos + dt * k3r, mu_tr + dt * k3m)
+            y = _rk4(rhs, t, y, t_b - t, rhs(t, y))
         except InterpolationOutOfRange:
             status[:] = LEFT
             break
-        r_pos = r_pos + dt / 6 * (k1r + 2 * k2r + 2 * k3r + k4r)
-        mu_tr = mu_tr + dt / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
+        r_pos, mu_tr = y
         if np.min(r_pos) < r_lo:
             status[:] = LEFT
             break
@@ -345,9 +334,9 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
         except ShockDetected:
             status[np.argmin(np.gradient(r_pos, u))] = SHOCK
             break
-        rows_r.append(r_pos.copy())
+        rows_r.append(r_pos)
         rows_sp.append(mu_sp)
-        rows_tr.append(mu_tr.copy())
+        rows_tr.append(mu_tr)
         last_alive = len(rows_r) - 1
         if np.min(mu_sp) <= _MU_STOP or np.min(mu_tr) <= _MU_STOP:
             status[np.argmin(mu_sp)] = SHOCK
@@ -366,16 +355,9 @@ def shock_region_monitor(bundle: RayBundle):
     Returns a list of per-(time, ray) records for rays in the shock
     region, each with the sign of d(mu)/dt and a violation flag.
     """
-    report = []
     mu = bundle.mu_spacing
     dmu_dt = np.gradient(mu, bundle.times, axis=0) if len(bundle.times) > 1 else np.zeros_like(mu)
-    for it in range(mu.shape[0]):
-        for j in range(mu.shape[1]):
-            if mu[it, j] <= _SHOCK_REGION_MU:
-                report.append({
-                    "t": float(bundle.times[it]), "u": float(bundle.u[j]),
-                    "mu": float(mu[it, j]),
-                    "dmu_dt": float(dmu_dt[it, j]),
-                    "violation": bool(dmu_dt[it, j] >= 0.0),
-                })
-    return report
+    its, js = np.nonzero(mu <= _SHOCK_REGION_MU)        # row-major: by time, then ray
+    return [{"t": float(bundle.times[it]), "u": float(bundle.u[j]),
+             "mu": float(mu[it, j]), "dmu_dt": float(dmu_dt[it, j]),
+             "violation": bool(dmu_dt[it, j] >= 0.0)} for it, j in zip(its, js)]

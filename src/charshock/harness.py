@@ -32,8 +32,6 @@ from .shortpulse import build_annulus_data, bump_seeds
 
 __all__ = ["SweepConfig", "SweepResult", "run_sweep", "emit_outputs"]
 
-_MODES = ("burgers", "predict", "euler")
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -156,6 +154,7 @@ def _cell_euler(cell):
 
 _CELL_FUNCS = {"burgers": _cell_burgers, "predict": _cell_predict,
                "euler": _cell_euler}
+_MODES = tuple(_CELL_FUNCS)
 
 
 def _run_cell(cell):

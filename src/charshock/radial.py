@@ -17,13 +17,19 @@ speed eta = eta(h) from the equation of state.  Spatial derivatives are
 classical RK4 under a CFL restriction based on the fastest characteristic
 speed eta + |v_r|.
 
-Each RK4 stage works on the stacked state (phi, dtphi): one d1 call for
-both rows, one d2 call, one EOS evaluation.  The first stage of a step
-also gives the CFL speed.  run_until evolves only an active window behind
-the incoming front: the data vanish ahead of the cone r = r_front - c0 (t + 2)
-through the inner edge of their support, c0 being the rest-state sound
-speed, so the grid points more than _MARGIN points ahead of it are held at
-exactly zero, as a moving continuation of the pinned inner boundary.
+The pointwise fields of that equation (dphi, d(dtphi)/dr, d2phi, h, eta^2
+and d(dtphi)/dt) have one definition, _fields, on the stacked state
+(phi, dtphi): one d1 call for both rows, one d2 call, one EOS evaluation.
+The solver stage, the ray sampler in foliation and the seed diagnostic in
+shortpulse all call it.  One classical RK4 step, _rk4, serves both the
+solver and the ray tracer; the first stage of a solver step also gives the
+CFL speed.
+
+run_until evolves only an active window behind the incoming front: the
+data vanish ahead of the cone r = r_front - c0 (t + 2) through the inner
+edge of their support, c0 being the rest-state sound speed, so the grid
+points more than _MARGIN points ahead of it are held at exactly zero, as a
+moving continuation of the pinned inner boundary.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ __all__ = [
     "RadialField",
     "RunHistory",
     "radial_rhs",
-    "dt_dtphi",
     "advance",
     "run_until",
     "energy_functional",
@@ -66,7 +71,7 @@ _D2_CENTRAL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
 # flip for the odd derivative
 _D1_LO = _edge_rows(np.array([-25.0, 48.0, -36.0, 16.0, -3.0]), 6)
 _D1_HI = -_D1_LO[::-1, ::-1]
-_D2_LO = _edge_rows(np.array([469.0, -3132.0, 5265.0, -5080.0, 2970.0, -972.0,
+_D2_LO = _edge_rows(np.array([812.0, -3132.0, 5265.0, -5080.0, 2970.0, -972.0,
                               137.0]) / 180.0, 8)
 _D2_HI = _D2_LO[::-1, ::-1]
 
@@ -98,15 +103,29 @@ def d2(f, dx):
     return out
 
 
-def dt_dtphi(r, phi, dtphi, dphi, d2phi, ddtphi, eta_sq, a):
-    """d(dtphi)/dt from the evolution equation in the module docstring."""
-    return (2.0 * dphi * ddtphi + eta_sq * (d2phi + 2.0 * dphi / r)
-            - dphi**2 * d2phi - a * (dtphi - dphi**2))
+def _fields(r, y, a, eos):
+    """(dphi, d(dtphi)/dr, d2phi, h, eta^2, d(dtphi)/dt) of the stacked state
+    y = (phi, dtphi) on the grid r, from the equation in the module docstring.
+
+    The edge rows are the one-sided stencils'; no boundary condition is applied.
+    """
+    dr = r[1] - r[0]
+    phi, dtphi = y
+    dphi, ddtphi = d1(y, dr)
+    d2phi = d2(phi, dr)
+    h = dtphi - 0.5 * dphi**2 + a * phi
+    eta_sq = eos.eta_sq(h)
+    dtt = (2.0 * dphi * ddtphi + eta_sq * (d2phi + 2.0 * dphi / r)
+           - dphi**2 * d2phi - a * (dtphi - dphi**2))
+    return dphi, ddtphi, d2phi, h, eta_sq, dtt
 
 
-def _enthalpy(phi, dtphi, dphi, a):
-    """Enthalpy h = dtphi - dphi^2/2 + a*phi of the module docstring."""
-    return dtphi - 0.5 * dphi**2 + a * phi
+def _rk4(f, t, y, dt, k1):
+    """One classical RK4 step of dy/dt = f(t, y), given the stage k1 = f(t, y)."""
+    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = f(t + dt, y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _time_stencil(times, t):
@@ -145,9 +164,8 @@ class RadialField:
 
     def derived(self, eos: EquationOfState, a: float):
         """Pointwise derived quantities: dphi, h, eta_sq, v_r."""
-        dphi = d1(self.phi, self.r_grid[1] - self.r_grid[0])
-        h = _enthalpy(self.phi, self.dtphi, dphi, a)
-        eta_sq = eos.eta_sq(h)
+        y = np.stack((self.phi, self.dtphi))
+        dphi, _, _, h, eta_sq, _ = _fields(self.r_grid, y, a, eos)
         return {"dphi": dphi, "h": h, "eta_sq": eta_sq, "v_r": -dphi}
 
     def _first_stage(self, a, eos):
@@ -169,19 +187,14 @@ def _stage(t, r, y, a, eos):
 
     Returns it with eta^2 and dphi/dr, from which the CFL speed follows.
     """
-    dr = r[1] - r[0]
-    phi, dtphi = y
-    dphi, ddtphi = d1(y, dr)
-    d2phi = d2(phi, dr)
-    h = _enthalpy(phi, dtphi, dphi, a)
     try:
-        eta_sq = eos.eta_sq(h)
+        dphi, ddtphi, _, _, eta_sq, dtt = _fields(r, y, a, eos)
     except OutOfDomain as exc:
         raise EosDomain(f"{exc} at t={t:.6f}") from None
 
     rhs = np.empty_like(y)
-    rhs[0] = dtphi
-    rhs[1] = dt_dtphi(r, phi, dtphi, dphi, d2phi, ddtphi, eta_sq, a)
+    rhs[0] = y[1]
+    rhs[1] = dtt
 
     # inner boundary: pinned to zero, deep inside the trivial region
     rhs[:, :_N_PIN] = 0.0
@@ -189,7 +202,7 @@ def _stage(t, r, y, a, eos):
     # outer boundary: characteristic outflow for the outgoing spherical wave,
     # (dt + lam * (dr + 1/r)) dtphi = 0 with lam = eta + v_r
     lam = np.sqrt(eta_sq[-2:]) - dphi[-2:]
-    rhs[1, -2:] = -lam * (ddtphi[-2:] + dtphi[-2:] / r[-2:])
+    rhs[1, -2:] = -lam * (ddtphi[-2:] + y[1, -2:] / r[-2:])
 
     if not np.isfinite(rhs).all():
         raise NonFiniteField(f"non-finite right-hand side at t={t:.6f}")
@@ -211,10 +224,7 @@ def advance(fld: RadialField, dt: float, a: float, eos: EquationOfState):
         raise CflViolation(
             f"dt={dt:.3e} exceeds CFL limit {0.9 * dr / speed:.3e}")
 
-    k2 = _stage(t + 0.5 * dt, r, y + 0.5 * dt * k1, a, eos)[0]
-    k3 = _stage(t + 0.5 * dt, r, y + 0.5 * dt * k2, a, eos)[0]
-    k4 = _stage(t + dt, r, y + dt * k3, a, eos)[0]
-    y_new = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    y_new = _rk4(lambda ts, ys: _stage(ts, r, ys, a, eos)[0], t, y, dt, k1)
     if not np.isfinite(y_new).all():
         raise NonFiniteField(f"non-finite field after step to t={t + dt:.6f}")
     return RadialField(t + dt, r, y_new[0], y_new[1])

@@ -26,7 +26,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import GridTooCoarse, InvalidWidth
 from .eos import EquationOfState, make_polytropic
-from .radial import _enthalpy, d1, dt_dtphi
+from .radial import _fields, d1
 
 __all__ = [
     "SeedProfiles",
@@ -152,11 +152,7 @@ def build_annulus_data(seeds: SeedProfiles, r_grid_n=512,
 
 def _second_null_sup(r, phi, dtphi, eos, a):
     """sup |(dt - dr)^2 phi| with dt^2 phi taken from the wave equation."""
-    dr = r[1] - r[0]
-    dphi, ddtphi = d1(np.stack((phi, dtphi)), dr)
-    d2phi = d1(dphi, dr)
-    eta_sq = eos.eta_sq(_enthalpy(phi, dtphi, dphi, a))
-    dtt = dt_dtphi(r, phi, dtphi, dphi, d2phi, ddtphi, eta_sq, a)
+    _, ddtphi, d2phi, _, _, dtt = _fields(r, np.stack((phi, dtphi)), a, eos)
     return float(np.max(np.abs(dtt - 2.0 * ddtphi + d2phi)))
 
 

@@ -158,11 +158,13 @@ def test_direct_solver_zero_profile():
 
 
 def test_direct_solver_stops_on_non_finite_field():
-    """max|phi|, the next CFL speed, is also the finiteness check."""
+    """max|phi|, the next CFL speed, is also the finiteness check; phi is the
+    field at last_good_time."""
     p = BurgersProblem(profile=lambda x: np.where(np.abs(x) < 0.01, np.nan, 0.0))
     hist = burgers_direct_solve(p, grid_n=128, t_end=0.5)
     assert hist.status == "NonFiniteField"
     assert list(hist.times) == [-1.0] and hist.last_good_time == -1.0
+    assert np.array_equal(hist.phi, p.profile(hist.x), equal_nan=True)  # the initial field
 
 
 def _case_analysis_muscl_rhs(u, dx):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from charshock.eos import (
     eos_from_config,
@@ -109,3 +110,41 @@ def test_config_round_trip():
 def test_config_missing_key_is_named(cfg, missing):
     with pytest.raises(InvalidParameter, match=missing):
         eos_from_config(cfg)
+
+
+# the linear law eta^2 = 1 + k h: polytropic gamma in (1, 6] (k = gamma - 1), Chaplygin (k = -2)
+_LINEAR_LAWS = st.one_of(st.floats(1.0, 6.0, exclude_min=True).map(make_polytropic),
+                         st.just(make_chaplygin()))
+
+
+def _slope(eos):
+    return eos.gamma - 1.0 if eos.family == "polytropic" else -2.0
+
+
+@settings(deadline=None, max_examples=300)
+@given(eos=_LINEAR_LAWS, h=st.floats(-5.0, 5.0))
+def test_linear_law_thermodynamics(eos, h):
+    """d(rho)/dh = rho / eta^2 by central differences, and dH/dh = -2 - d eta^2/dh."""
+    k = _slope(eos)
+    assume(1.0 + k * h >= 0.05)
+    step = 1e-6 * (1.0 + k * h) / max(1.0, abs(k))   # well inside the scale of rho
+    hp, hm = h + step, h - step
+    st_ = eos.eval(h)
+    drho = (eos.eval(hp).rho - eos.eval(hm).rho) / (hp - hm)
+    assert drho == pytest.approx(st_.rho / st_.eta_sq, rel=1e-7)
+    assert st_.deta_sq_dh == k
+    assert st_.dH_dh == -2.0 - st_.deta_sq_dh
+
+
+@settings(deadline=None, max_examples=300)
+@given(eos=_LINEAR_LAWS, h=st.floats(-10.0, 10.0), at_bound=st.booleans())
+def test_linear_law_domain(eos, h, at_bound):
+    """OutOfDomain exactly when 1 + k h <= 0, also at the bound h = -1/k itself."""
+    k = _slope(eos)
+    if at_bound:
+        h = -1.0 / k
+    if 1.0 + k * h <= 0.0:
+        with pytest.raises(OutOfDomain):
+            eos.eta_sq(h)
+    else:
+        assert eos.eta_sq(h) == 1.0 + k * h

@@ -85,6 +85,15 @@ def test_a1_integral_falls_back_to_quadrature(t, a):
     assert a1_integral(t, a) == pytest.approx(_a1_quad(t, a), rel=1e-12)
 
 
+@pytest.mark.parametrize("t, a, expected", [
+    (-5e-324, 0.0, 745.1332191019412),       # log 2 - log(-t); 2/-t overflows
+    (-1e-310, 1e-5, 714.4802562607919),      # -a t subnormal: Ei(x) = gamma + ln|x|
+])
+def test_a1_integral_near_the_singular_endpoint(t, a, expected):
+    """References from 40-digit arithmetic."""
+    assert a1_integral(t, a) == pytest.approx(expected, rel=1e-12)
+
+
 def test_predict_mu_trivial():
     assert predict_mu(-2.0, -1.3, 0.5) == 1.0
     assert predict_mu(-0.5, 0.0, 0.5) == 1.0

@@ -13,6 +13,8 @@ from charshock.radial import (
     RadialField,
     RunHistory,
     advance,
+    d1,
+    d2,
     energy_functional,
     radial_rhs,
     run_until,
@@ -351,3 +353,23 @@ def test_frame_at_a_snapshot_time_is_that_snapshot(times, data):
     fld = hist.frame(float(times[k]))
     assert np.array_equal(fld.phi, phi[k])
     assert np.array_equal(fld.dtphi, dtphi[k])
+
+
+_QUARTIC = st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5)
+
+
+@settings(deadline=None)
+@given(p_coef=_QUARTIC, q_coef=_QUARTIC, log2_dx=st.integers(-7, -2),
+       start=st.integers(-64, 64), n=st.integers(8, 48))
+def test_stencils_are_exact_on_quartics(p_coef, q_coef, log2_dx, start, n):
+    """d1 and d2 are exact to round-off on polynomials of degree <= 4 at every
+    grid point, the one-sided edge rows included, on a stacked pair of rows."""
+    dx = 2.0**log2_dx
+    x = dx * (start + np.arange(n))           # exactly representable grid
+    polys = [np.polynomial.Polynomial(c) for c in (p_coef, q_coef)]
+    f = np.stack([p(x) for p in polys])
+    # round-off scale: the largest term of the polynomials on the grid
+    scale = max(1.0, float(np.max(np.abs(x)))) ** 4 * 5.0
+    for k, deriv in ((1, d1), (2, d2)):
+        exact = np.stack([p.deriv(k)(x) for p in polys])
+        assert np.max(np.abs(deriv(f, dx) - exact)) <= 1e-12 * scale / dx**k
