@@ -22,7 +22,7 @@ shock-forming and global-to-sigma branches.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -160,8 +160,8 @@ def classify_largeness(c, a, sigma=-0.1, delta=0.0):
 # field sampling along rays
 # ---------------------------------------------------------------------------
 
-# rows of a derived-field snapshot, and the cubic stencil's offsets from its cell
-_KEYS = ("eta", "dphi", "rdot", "m_factor", "e")
+# rows of a sampled block, and the cubic stencil's offsets from its cell
+_ETA, _RDOT, _M_FACTOR, _E = range(4)
 _CUBIC_OFFSETS = np.arange(-1, 3)
 
 
@@ -187,7 +187,7 @@ class _FieldSampler:
         self._snap_cache = {}
 
     def _snap_arrays(self, k):
-        """Derived fields on the grid at stored snapshot index k, stacked in _KEYS order."""
+        """The four-row block on the grid at stored snapshot index k."""
         if k in self._snap_cache:
             return self._snap_cache[k]
         a = self.a
@@ -199,7 +199,7 @@ class _FieldSampler:
         dth = dtt - dphi * ddtphi + a * y[1]           # dh/dt
         rdot = -(eta + dphi)
         out = np.stack((
-            eta, dphi, rdot,
+            eta, rdot,
             # m = (mu/eta) * m_factor
             0.5 * st.dH_dh * dh + a * dphi,
             (st.deta_sq_dh / (2.0 * eta_sq) * (dth + rdot * dh)
@@ -210,8 +210,8 @@ class _FieldSampler:
         self._snap_cache[k] = out
         return out
 
-    def _cubic(self, arr, rows, r_pos):
-        """4-point cubic interpolation of rows of a stacked grid array at positions r_pos."""
+    def _cubic(self, arr, r_pos):
+        """4-point cubic interpolation of every row of a stacked grid array at r_pos."""
         r, dr = self.r, self.dr
         i = np.clip(((r_pos - r[0]) / dr).astype(int), 1, len(r) - 3)
         x = (r_pos - r[i]) / dr                # in [0, 1] inside the cell
@@ -219,10 +219,11 @@ class _FieldSampler:
         w1 = (x + 1.0) * (x - 1.0) * (x - 2.0) / 2.0
         w2 = -(x + 1.0) * x * (x - 2.0) / 2.0
         w3 = (x + 1.0) * x * (x - 1.0) / 6.0
-        g = arr[rows[:, None, None], i + _CUBIC_OFFSETS[:, None]]   # (key, point, ray)
+        g = arr[:, i + _CUBIC_OFFSETS[:, None]]   # (row, point, ray)
         return w0 * g[:, 0] + w1 * g[:, 1] + w2 * g[:, 2] + w3 * g[:, 3]
 
-    def at(self, t, r_pos, keys):
+    def at(self, t, r_pos):
+        """The block (eta, rdot = dr/dt, m_factor, e) at time t and positions r_pos."""
         r = self.r
         r_pos = np.asarray(r_pos, dtype=float)
         if np.min(r_pos) < r[0] or np.max(r_pos) > r[-1]:
@@ -230,29 +231,24 @@ class _FieldSampler:
                 f"ray position outside stored grid at t={t:.6f}")
         times = self.hist.times
         snaps, weights = _time_stencil(times, t)
-        rows = np.array([_KEYS.index(k) for k in keys])
         out = 0.0
         for sk, w in zip(snaps, weights):
             # incoming characteristic shift at unit speed, clamped to grid
             shifted = np.clip(r_pos + (t - times[sk]), r[0], r[-1])
-            out = out + w * self._cubic(self._snap_arrays(sk), rows, shifted)
-        return dict(zip(keys, out))
+            out = out + w * self._cubic(self._snap_arrays(sk), shifted)
+        return out
 
 
-# sampled fields that d(mu)/dt needs
-_MU_KEYS = ("eta", "m_factor", "e")
-
-
-def _mu_rate(vals, mu):
-    """d(mu)/dt = m + mu * e with m = (mu/eta) * m_factor, from sampled fields."""
-    return mu / vals["eta"] * vals["m_factor"] + mu * vals["e"]
+def _mu_rate(blk, mu):
+    """d(mu)/dt = m + mu * e with m = (mu/eta) * m_factor, from a sampled block."""
+    return mu / blk[_ETA] * blk[_M_FACTOR] + mu * blk[_E]
 
 
 def mu_transport_step(sampler: _FieldSampler, t, r_pos, mu):
     """d(mu)/dt = m + mu * e along the rays."""
     if np.any(mu <= 0.0):
         raise NonPositiveMu(f"mu must stay positive, min={np.min(mu)}")
-    return _mu_rate(sampler.at(t, r_pos, _MU_KEYS), mu)
+    return _mu_rate(sampler.at(t, r_pos), mu)
 
 
 def mu_from_spacing(eta, r_pos, u):
@@ -266,8 +262,8 @@ def mu_from_spacing(eta, r_pos, u):
 def lmu_initial(history: RunHistory, u, eos: EquationOfState = None):
     """Lmu(-2, u) from the initial data (mu = eta on the first slice)."""
     r_pos = 2.0 + np.asarray(u, dtype=float)
-    vals = _FieldSampler(history, eos).at(float(history.times[0]), r_pos, _MU_KEYS)
-    return _mu_rate(vals, vals["eta"])
+    blk = _FieldSampler(history, eos).at(float(history.times[0]), r_pos)
+    return _mu_rate(blk, blk[_ETA])
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +279,6 @@ class RayBundle:
     mu_transport: np.ndarray       # (n_t, n_rays)
     status: np.ndarray             # final per-ray status strings
     last_alive_index: int          # last time index with the full bundle alive
-    history: RunHistory = field(repr=False, default=None)
-
-    def min_mu(self, t_index):
-        return float(np.min(self.mu_spacing[t_index]))
 
 
 def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
@@ -294,8 +286,10 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
 
     Rays are seeded at equally spaced u in [0, w] at the first stored time
     (w = annulus width = delta).  Integration is RK4 (radial._rk4) on the
-    stacked state (r, mu) through time-interpolated fields, sampled at every
-    stored snapshot; eos=None reads the history's eos_meta.  The whole
+    stacked state (r, mu) through time-interpolated fields, one step per
+    stored snapshot interval; eos=None reads the history's eos_meta.  The
+    block sampled at each snapshot time gives both the spacing mu there and
+    the next step's first stage, so a step takes four samples.  The whole
     bundle stops once any ray reaches mu <= _MU_STOP (shock declared), a
     ray crossing occurs, or a ray leaves the stored grid.
     """
@@ -305,7 +299,8 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
     times = history.times
     u = np.linspace(0.0, history.delta, ray_count)
     r_pos = 2.0 + u
-    mu_tr = sampler.at(float(times[0]), r_pos, ("eta",))["eta"]   # mu = eta initially
+    blk = sampler.at(float(times[0]), r_pos)
+    mu_tr = blk[_ETA]                            # mu = eta initially
     y = np.stack((r_pos, mu_tr))
 
     rows_r, rows_sp, rows_tr = [r_pos], [mu_from_spacing(mu_tr, r_pos, u)], [mu_tr]
@@ -313,14 +308,16 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
     last_alive = 0
     r_lo = history.r_grid[0] + 2.0 * (history.r_grid[1] - history.r_grid[0])
 
+    def rate(blk, mu):
+        return np.stack((blk[_RDOT], _mu_rate(blk, mu)))
+
     def rhs(t, y):
-        vals = sampler.at(t, y[0], ("rdot",) + _MU_KEYS)
-        return np.stack((vals["rdot"], _mu_rate(vals, y[1])))
+        return rate(sampler.at(t, y[0]), y[1])
 
     for i in range(len(times) - 1):
         t, t_b = float(times[i]), float(times[i + 1])
         try:
-            y = _rk4(rhs, t, y, t_b - t, rhs(t, y))
+            y = _rk4(rhs, t, y, t_b - t, rate(blk, y[1]))
         except InterpolationOutOfRange:
             status[:] = LEFT
             break
@@ -328,9 +325,9 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
         if np.min(r_pos) < r_lo:
             status[:] = LEFT
             break
-        eta = sampler.at(t_b, r_pos, ("eta",))["eta"]
+        blk = sampler.at(t_b, r_pos)
         try:
-            mu_sp = mu_from_spacing(eta, r_pos, u)
+            mu_sp = mu_from_spacing(blk[_ETA], r_pos, u)
         except ShockDetected:
             status[np.argmin(np.gradient(r_pos, u))] = SHOCK
             break
@@ -346,7 +343,7 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
     return RayBundle(u=u, times=times[:n], r=np.asarray(rows_r),
                      mu_spacing=np.asarray(rows_sp),
                      mu_transport=np.asarray(rows_tr), status=status,
-                     last_alive_index=last_alive, history=history)
+                     last_alive_index=last_alive)
 
 
 def shock_region_monitor(bundle: RayBundle):

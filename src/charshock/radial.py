@@ -45,7 +45,6 @@ from .errors import CflViolation, ConfigInvalid, EosDomain, NonFiniteField, OutO
 __all__ = [
     "RadialField",
     "RunHistory",
-    "radial_rhs",
     "advance",
     "run_until",
     "energy_functional",
@@ -162,12 +161,6 @@ class RadialField:
     dtphi: np.ndarray
     _k1: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def derived(self, eos: EquationOfState, a: float):
-        """Pointwise derived quantities: dphi, h, eta_sq, v_r."""
-        y = np.stack((self.phi, self.dtphi))
-        dphi, _, _, h, eta_sq, _ = _fields(self.r_grid, y, a, eos)
-        return {"dphi": dphi, "h": h, "eta_sq": eta_sq, "v_r": -dphi}
-
     def _first_stage(self, a, eos):
         """(stacked state, RK4 stage k1, CFL speed max(eta + |v_r|)).
 
@@ -207,12 +200,6 @@ def _stage(t, r, y, a, eos):
     if not np.isfinite(rhs).all():
         raise NonFiniteField(f"non-finite right-hand side at t={t:.6f}")
     return rhs, eta_sq, dphi
-
-
-def radial_rhs(fld: RadialField, a: float, eos: EquationOfState):
-    """Time derivatives (d phi/dt, d dtphi/dt) of the radial system."""
-    rhs = _stage(fld.t, fld.r_grid, np.stack((fld.phi, fld.dtphi)), a, eos)[0]
-    return rhs[0], rhs[1]
 
 
 def advance(fld: RadialField, dt: float, a: float, eos: EquationOfState):
@@ -284,9 +271,9 @@ class RunHistory:
 
 def energy_functional(fld: RadialField, eos: EquationOfState, a: float):
     """int ((dtphi)^2 + eta^2 (dphi)^2) r^2 dr, a Lyapunov-type functional."""
-    der = fld.derived(eos, a)
     r = fld.r_grid
-    integrand = (fld.dtphi**2 + der["eta_sq"] * der["dphi"]**2) * r**2
+    dphi, _, _, _, eta_sq, _ = _fields(r, np.stack((fld.phi, fld.dtphi)), a, eos)
+    integrand = (fld.dtphi**2 + eta_sq * dphi**2) * r**2
     return float(np.trapezoid(integrand, r))
 
 

@@ -9,6 +9,8 @@ from charshock.errors import CflViolation, ConfigInvalid, EosDomain
 from charshock.foliation import trace_rays
 from charshock.radial import (
     _MARGIN,
+    _fields,
+    _stage,
     _time_stencil,
     RadialField,
     RunHistory,
@@ -16,12 +18,16 @@ from charshock.radial import (
     d1,
     d2,
     energy_functional,
-    radial_rhs,
     run_until,
 )
 from charshock.shortpulse import build_annulus_data, bump_seeds
 
 EOS = make_polytropic(2.0)
+
+
+def _rhs(fld, a, eos):
+    """(d phi/dt, d dtphi/dt) of a field, from the solver stage."""
+    return _stage(fld.t, fld.r_grid, np.stack((fld.phi, fld.dtphi)), a, eos)[0]
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +42,7 @@ def test_zero_field_is_stationary():
     r = np.linspace(0.5, 3.0, 400)
     fld = RadialField(t=-2.0, r_grid=r, phi=np.zeros_like(r),
                       dtphi=np.zeros_like(r))
-    rhs_phi, rhs_dtphi = radial_rhs(fld, a=0.3, eos=EOS)
+    rhs_phi, rhs_dtphi = _rhs(fld, 0.3, EOS)
     assert np.all(rhs_phi == 0.0)
     assert np.all(rhs_dtphi == 0.0)
 
@@ -48,7 +54,7 @@ def test_harmonic_profile_rhs_quadratic_in_amplitude():
     for eps in (1e-2, 1e-3):
         fld = RadialField(t=-2.0, r_grid=r, phi=eps / r,
                           dtphi=np.zeros_like(r))
-        _, rhs_dtphi = radial_rhs(fld, a=0.0, eos=EOS)
+        _, rhs_dtphi = _rhs(fld, 0.0, EOS)
         sups.append(np.max(np.abs(rhs_dtphi[5:-5])))
     assert sups[0] / sups[1] >= 50.0    # quadratic would give 100
     assert sups[1] <= 1e-5
@@ -71,7 +77,7 @@ def test_rhs_matches_cartesian_contraction():
 
     r = np.linspace(1.0, 3.2, 4401)
     fld = RadialField(t=-2.0, r_grid=r, phi=phi_f(r), dtphi=dtphi_f(r))
-    _, dtt_radial = radial_rhs(fld, a=a_damp, eos=EOS)
+    _, dtt_radial = _rhs(fld, a_damp, EOS)
 
     rng = np.random.default_rng(3)
     residuals = {}
@@ -122,7 +128,7 @@ def test_eos_domain_breakdown():
     fld = RadialField(t=-2.0, r_grid=r, phi=np.zeros_like(r),
                       dtphi=np.full_like(r, 0.6))
     with pytest.raises(EosDomain):
-        radial_rhs(fld, a=0.0, eos=make_chaplygin())   # h = 0.6 >= 1/2
+        _rhs(fld, 0.0, make_chaplygin())   # h = 0.6 >= 1/2
 
 
 def test_cfl_violation():
@@ -242,15 +248,15 @@ def test_self_convergence():
 
 
 def _reference_run(data, a, eos, r, t_end, sample_dt, cfl=0.4):
-    """Full-grid solve through the public advance, dt from derived()."""
+    """Full-grid solve through the public advance, dt from the pointwise fields."""
     fld = RadialField(-2.0, r, data.phi_at(r), data.dtphi_at(r))
     sample_times = np.arange(-2.0, t_end + 1e-12, sample_dt)
     if sample_times[-1] < t_end - 1e-12:
         sample_times = np.append(sample_times, t_end)
     times, phis, dtphis = [fld.t], [fld.phi], [fld.dtphi]
     while fld.t < t_end - 1e-12:
-        der = fld.derived(eos, a)
-        speed = np.max(np.sqrt(der["eta_sq"]) + np.abs(der["v_r"]))
+        dphi, _, _, _, eta_sq, _ = _fields(r, np.stack((fld.phi, fld.dtphi)), a, eos)
+        speed = np.max(np.sqrt(eta_sq) + np.abs(dphi))
         dt = min(cfl * (r[1] - r[0]) / speed, sample_times[len(times)] - fld.t)
         fld = advance(fld, dt, a, eos)
         if fld.t >= sample_times[len(times)] - 1e-12:
