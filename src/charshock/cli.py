@@ -12,6 +12,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -35,21 +36,18 @@ from .foliation import (
     shock_time_3d,
     trace_rays,
 )
-from .harness import SweepConfig, emit_outputs, run_sweep
+from .harness import SweepConfig, _is_number, emit_outputs, run_sweep
 from .radial import RunHistory, run_until
 from .shortpulse import build_annulus_data, bump_seeds
 
 
 def _out(args):
-    return open(args.out, "w") if args.out else sys.stdout
+    """The --out file, or stdout, which leaving the with block must not close."""
+    return open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
 
 
 def _f(v):
     return repr(float(v))
-
-
-def _is_number(v, kind=(int, float)):
-    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 def _problem_spec(path):

@@ -123,17 +123,28 @@ def make_custom(h_table, eta_sq_table) -> EquationOfState:
     return EquationOfState(family="custom", h_table=h_table, eta_sq_table=eta_sq_table)
 
 
+# each family's constructor and the record fields it takes, in order
+_RECORDS = {"polytropic": (make_polytropic, ("gamma",)),
+            "chaplygin": (make_chaplygin, ()),
+            "custom": (make_custom, ("h_table", "eta_sq_table"))}
+
+
+def _eos_record(cfg):
+    """(constructor, arguments) of a config record; InvalidParameter if the
+    record is not an object, names no known family or lacks a field."""
+    if not isinstance(cfg, dict):
+        raise InvalidParameter(f"EOS record must be an object, got {cfg!r}")
+    family = cfg.get("family")
+    if not isinstance(family, str) or family not in _RECORDS:
+        raise InvalidParameter(f"unknown EOS family {family!r}")
+    make, names = _RECORDS[family]
+    missing = [k for k in names if k not in cfg]
+    if missing:
+        raise InvalidParameter(f"{family} EOS record has no {missing[0]!r}")
+    return make, [cfg[k] for k in names]
+
+
 def eos_from_config(cfg: dict) -> EquationOfState:
     """Build an EOS from a run-config record like {"family": "polytropic", "gamma": 2.0}."""
-    family = cfg.get("family")
-    try:
-        if family == "polytropic":
-            return make_polytropic(cfg["gamma"])
-        if family == "chaplygin":
-            return make_chaplygin()
-        if family == "custom":
-            return make_custom(cfg["h_table"], cfg["eta_sq_table"])
-    except KeyError as exc:
-        raise InvalidParameter(
-            f"{family} EOS record has no {exc.args[0]!r}") from None
-    raise InvalidParameter(f"unknown EOS family {family!r}")
+    make, args = _eos_record(cfg)
+    return make(*args)

@@ -32,6 +32,7 @@ from scipy.special import expi
 from .eos import EquationOfState, eos_from_config
 from .errors import (
     InterpolationOutOfRange,
+    InvalidParameter,
     NonPositiveMu,
     NoRootBeforeSigma,
     ShockDetected,
@@ -291,10 +292,11 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
     block sampled at each snapshot time gives both the spacing mu there and
     the next step's first stage, so a step takes four samples.  The whole
     bundle stops once any ray reaches mu <= _MU_STOP (shock declared), a
-    ray crossing occurs, or a ray leaves the stored grid.
+    ray crossing occurs, or a ray leaves the stored grid.  ray_count must
+    be at least 33 (InvalidParameter otherwise).
     """
     if ray_count < 33:
-        raise ValueError(f"ray_count must be >= 33, got {ray_count}")
+        raise InvalidParameter(f"ray_count must be >= 33, got {ray_count}")
     sampler = _FieldSampler(history, eos)
     times = history.times
     u = np.linspace(0.0, history.delta, ray_count)

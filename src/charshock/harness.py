@@ -24,13 +24,20 @@ import numpy as np
 from . import __version__
 from .burgers import BurgersProblem, burgers_direct_solve, burgers_shock_time, \
     estimate_blowup_time, sine_profile
-from .eos import eos_from_config
-from .errors import CharshockError, ConfigInvalid
+from .eos import _eos_record, eos_from_config
+from .errors import CharshockError, ConfigInvalid, InvalidParameter
 from .foliation import classify_largeness, trace_rays
 from .radial import run_until
 from .shortpulse import build_annulus_data, bump_seeds
 
 __all__ = ["SweepConfig", "SweepResult", "run_sweep", "emit_outputs"]
+
+
+_AXES = ("a_values", "c_values", "delta_values", "eos_values")
+
+
+def _is_number(v, kind=(int, float)):
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -45,14 +52,25 @@ class SweepConfig:
     seed: int = 0
 
     def validate(self):
+        """ConfigInvalid unless every field is well formed; an EOS parameter
+        out of range (gamma <= 1) fails its own cells only."""
         if self.mode not in _MODES:
             raise ConfigInvalid(f"mode must be one of {_MODES}, got {self.mode!r}")
-        for name in ("a_values", "c_values", "delta_values", "eos_values"):
+        for name in _AXES:
             vals = getattr(self, name)
-            if len(vals) == 0:
-                raise ConfigInvalid(f"axis {name} is empty")
-        if not -2.0 < self.sigma < 0.0:
-            raise ConfigInvalid(f"sigma must lie in (-2, 0), got {self.sigma}")
+            if not isinstance(vals, (tuple, list)) or len(vals) == 0:
+                raise ConfigInvalid(f"axis {name} must be a non-empty list, got {vals!r}")
+            if name != "eos_values" and not all(map(_is_number, vals)):
+                raise ConfigInvalid(f"axis {name} must hold numbers, got {vals!r}")
+        for record in self.eos_values:
+            try:
+                _eos_record(record)
+            except InvalidParameter as exc:
+                raise ConfigInvalid(f"eos_values: {exc}") from None
+        if not _is_number(self.sigma) or not -2.0 < self.sigma < 0.0:
+            raise ConfigInvalid(f"sigma must lie in (-2, 0), got {self.sigma!r}")
+        if not isinstance(self.solver, dict):
+            raise ConfigInvalid(f"solver must be an object, got {self.solver!r}")
         if self.mode == "euler" and any(not 0.0 < d < 1.0 for d in self.delta_values):
             raise ConfigInvalid("euler mode needs delta values in (0, 1)")
 
@@ -65,11 +83,16 @@ class SweepConfig:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(d, dict):
+            raise ConfigInvalid(f"config must be a JSON object, got {d!r}")
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
-        for key in ("a_values", "c_values", "delta_values", "eos_values"):
-            if key in d:
+        missing = {"a_values", "c_values"} - set(d)
+        if missing:
+            raise ConfigInvalid(f"missing config keys: {sorted(missing)}")
+        for key in _AXES:
+            if isinstance(d.get(key), list):
                 d[key] = tuple(d[key])
         cfg = cls(**d)
         cfg.validate()

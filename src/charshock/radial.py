@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eos import EquationOfState
-from .errors import CflViolation, ConfigInvalid, EosDomain, NonFiniteField, OutOfDomain
+from .errors import (CflViolation, ConfigInvalid, EosDomain, InvalidParameter,
+                     NonFiniteField, OutOfDomain)
 
 __all__ = [
     "RadialField",
@@ -287,12 +288,27 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     terminate the run with status, message and last_good_time recorded.
     Each step evolves only the active window r >= r_front(t) - _MARGIN * dr
     (module docstring); the snapshots hold the whole grid.
+
+    Inputs are checked on entry: CflViolation for cfl outside (0, 0.9] or
+    t_end >= 0; InvalidParameter for t_end <= -2, points_per_delta or
+    sample_dt <= 0, and fewer than the stencils' 8 grid points.
     """
     delta = data.delta
+    if not 0.0 < cfl <= 0.9:
+        raise CflViolation(f"cfl must lie in (0, 0.9], got {cfl}")
     if t_end >= 0.0:
         raise CflViolation(f"t_end must be negative, got {t_end}")
+    if not t_end > -2.0:
+        raise InvalidParameter(f"t_end must lie after the start time -2, got {t_end}")
+    if not points_per_delta > 0:
+        raise InvalidParameter(f"points_per_delta must be positive, got {points_per_delta}")
+    if sample_dt is not None and not sample_dt > 0.0:
+        raise InvalidParameter(f"sample_dt must be positive, got {sample_dt}")
     dr = delta / points_per_delta
     r_max = data.r_grid[-1] + pad
+    if not r_max - r_min >= 7 * dr:
+        raise InvalidParameter(
+            f"grid [{r_min}, {r_max}] holds fewer than 8 points of spacing {dr}")
     n = int(np.ceil((r_max - r_min) / dr))
     r = r_min + dr * np.arange(n + 1)
     y = np.stack((data.phi_at(r), data.dtphi_at(r)))

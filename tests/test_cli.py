@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from charshock.cli import main
+from charshock.radial import RunHistory
 
 
 def test_burgers_command(tmp_path):
@@ -111,3 +112,35 @@ def test_charshock_error_maps_to_exit_1(tmp_path, capsys):
                  ["foliate", "--history", str(typo)]):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ConfigInvalid: ")
+
+    # a solver input that would never finish, and too few rays
+    hist_path = tmp_path / "zero.npz"
+    r = np.linspace(1.0, 3.0, 64)
+    RunHistory(r_grid=r, times=np.array([-2.0, -1.9]), phi=np.zeros((2, r.size)),
+               dtphi=np.zeros((2, r.size)), a=0.0, delta=0.1, status="Completed",
+               last_good_time=-1.9,
+               eos_meta={"family": "polytropic", "gamma": 2.0}).save(hist_path)
+    for argv, kind in ((["euler-radial", "--cfl", "0"], "CflViolation"),
+                       (["foliate", "--history", str(hist_path), "--rays", "9"],
+                        "InvalidParameter")):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {kind}: ")
+
+    # sweep configs of the wrong shape
+    base = {"a_values": [0.0], "c_values": [1.0]}
+    for cfg in (None, 1, {**base, "a_values": 1}, {**base, "sigma": "x"},
+                {**base, "solver": 1},
+                {**base, "mode": "euler", "delta_values": ["x"]},
+                {**base, "eos_values": [{"family": "polytropic"}]},
+                {**base, "eos_values": ["x"]}, {"c_values": [1.0]}):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: ConfigInvalid: ")
+
+
+def test_stdout_stays_open_across_calls(capsys):
+    """Writing to stdout (no --out) leaves it open for the next command."""
+    for _ in range(2):
+        assert main(["predict", "--c", "0.2"]) == 0
+        assert json.loads(capsys.readouterr().out)["classification"] == "ShockBefore"

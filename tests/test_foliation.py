@@ -10,6 +10,7 @@ from scipy.special import expi
 
 from charshock.eos import make_chaplygin, make_polytropic
 from charshock.errors import (
+    InvalidParameter,
     NonPositiveMu,
     NoRootBeforeSigma,
     ShockDetected,
@@ -160,7 +161,7 @@ def test_trace_rays_trivial_fields():
 
 
 def test_trace_rays_requires_enough_rays():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter):
         trace_rays(trivial_history(), ray_count=9)
 
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charshock.errors import ConfigInvalid
 from charshock.harness import SweepConfig, emit_outputs, run_sweep
@@ -49,6 +50,54 @@ def test_config_rejects_bad_input():
     with pytest.raises(ConfigInvalid):
         SweepConfig(a_values=(0.0,), c_values=(1.0,), mode="euler",
                     delta_values=(0.0,)).validate()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), _FINITE, st.text(max_size=8))
+_EOS_RECORD = st.one_of(
+    st.builds(lambda g: {"family": "polytropic", "gamma": g}, st.floats(1.01, 6.0)),
+    st.just({"family": "chaplygin"}),
+    st.lists(st.floats(0.1, 2.0), min_size=4, max_size=6).map(
+        lambda eta_sq: {"family": "custom", "eta_sq_table": eta_sq,
+                        "h_table": [0.25 * k - 0.5 for k in range(len(eta_sq))]}))
+
+
+@st.composite
+def _configs(draw):
+    mode = draw(st.sampled_from(("burgers", "predict", "euler")))
+    axis = st.lists(_FINITE, min_size=1, max_size=4).map(tuple)
+    deltas = st.lists(st.floats(0.001, 0.999), min_size=1, max_size=3).map(tuple)
+    return SweepConfig(
+        a_values=draw(axis), c_values=draw(axis), mode=mode,
+        delta_values=draw(deltas if mode == "euler" else axis),
+        eos_values=tuple(draw(st.lists(_EOS_RECORD, min_size=1, max_size=3))),
+        sigma=draw(st.floats(-1.999, -0.001)),
+        solver=draw(st.dictionaries(st.text(max_size=8), _JSON_SCALAR, max_size=4)),
+        seed=draw(st.integers()))
+
+
+@settings(deadline=None)
+@given(cfg=_configs())
+def test_config_json_round_trip_property(cfg):
+    """Every valid config survives to_json/from_json unchanged, and its hash
+    does not depend on the order of the solver's keys."""
+    text = cfg.to_json()
+    again = SweepConfig.from_json(text)
+    assert again == cfg
+    assert again.to_json() == text
+    reordered = SweepConfig(**{**vars(cfg), "solver": dict(reversed(cfg.solver.items()))})
+    assert again.config_hash() == cfg.config_hash() == reordered.config_hash()
+
+
+def test_config_rejects_malformed_fields():
+    base = {"a_values": [0.0], "c_values": [1.0]}
+    for bad in (None, 1, [base], {"c_values": [1.0]}, {**base, "a_values": 1},
+                {**base, "c_values": [True]}, {**base, "sigma": "x"},
+                {**base, "solver": 1}, {**base, "mode": "euler", "delta_values": ["x"]},
+                {**base, "eos_values": [{"family": "polytropic"}]},
+                {**base, "eos_values": ["x"]}, {**base, "eos_values": [{"family": "x"}]}):
+        with pytest.raises(ConfigInvalid):
+            SweepConfig.from_json(json.dumps(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +147,16 @@ def test_crash_isolation_records_failed_cell():
     bad = next(r for r in result.rows if r["status"] != "ok")
     assert bad["status"] == "InvalidParameter"
     assert bad["error"] != ""
+
+
+def test_euler_cell_rejects_zero_cfl():
+    """A solver input that would never finish fails its cell instead of hanging."""
+    cfg = SweepConfig(
+        a_values=(0.0,), c_values=(1.0,), mode="euler", delta_values=(0.1,),
+        solver={"cfl": 0, "points_per_delta": 16, "t_end": -1.8, "r_min": 1.6,
+                "ray_count": 33, "r_grid_n": 256})
+    row = run_sweep(cfg).rows[0]
+    assert row["status"] == "CflViolation"
 
 
 def test_rows_sorted_by_axes():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charshock.eos import make_chaplygin, make_custom, make_polytropic
-from charshock.errors import CflViolation, ConfigInvalid, EosDomain
+from charshock.errors import CflViolation, ConfigInvalid, EosDomain, InvalidParameter
 from charshock.foliation import trace_rays
 from charshock.radial import (
     _MARGIN,
@@ -137,6 +137,33 @@ def test_cfl_violation():
                       dtphi=np.zeros_like(r))
     with pytest.raises(CflViolation):
         advance(fld, dt=0.5, a=0.0, eos=EOS)
+
+
+_BAD_INPUTS = [
+    ({"cfl": 0.0}, CflViolation),
+    ({"cfl": -1.0}, CflViolation),
+    ({"cfl": 0.95}, CflViolation),
+    ({"cfl": float("nan")}, CflViolation),
+    ({"t_end": 0.0}, CflViolation),
+    ({"t_end": -2.0}, InvalidParameter),
+    ({"t_end": -3.0}, InvalidParameter),
+    ({"points_per_delta": 0}, InvalidParameter),
+    ({"sample_dt": 0.0}, InvalidParameter),
+    ({"sample_dt": -1.0}, InvalidParameter),
+    ({"r_min": 5.0}, InvalidParameter),
+    ({"r_min": 3.0, "pad": -0.1}, InvalidParameter),
+]
+
+
+@pytest.mark.parametrize("kwargs, error", _BAD_INPUTS, ids=[
+    ",".join(f"{k}={v}" for k, v in kw.items()) for kw, _ in _BAD_INPUTS])
+def test_run_until_rejects_bad_inputs(kwargs, error):
+    """Bad solver inputs raise on entry instead of hanging, stepping backward
+    in time or failing inside the step loop."""
+    data = build_annulus_data(bump_seeds(c=1.0, delta=0.1), r_grid_n=256)
+    args = {"t_end": -1.9, "points_per_delta": 16, "r_min": 1.6, **kwargs}
+    with pytest.raises(error):
+        run_until(data, a=0.0, eos=EOS, **args)
 
 
 def test_run_until_records_breakdown(tmp_path):
