@@ -12,6 +12,10 @@ foliation density mu is computed two independent ways:
 
     and Lf = df/dt + (dr/dt) df/dr the derivative along the ray.
 
+The fields come from the stored snapshots through _FieldSampler: one
+four-row block (eta, dr/dt, m_factor, e) per sample, and trace_rays
+samples each snapshot time once.
+
 The semi-analytic predictor is mu_hat(t) = 1 + 2 A1(t) Lmu(-2, u) with
 A1(t) = int_{-2}^t d tau / (e^{a(tau+2)} (-tau)) = e^{-2a} (Ei(2a) - Ei(-a t))
 in closed form through the exponential integral Ei; mu_hat = 0 gives the

@@ -128,11 +128,12 @@ def test_charshock_error_maps_to_exit_1(tmp_path, capsys):
 
     # sweep configs of the wrong shape
     base = {"a_values": [0.0], "c_values": [1.0]}
-    for cfg in (None, 1, {**base, "a_values": 1}, {**base, "sigma": "x"},
+    for cfg in (None, 1, [base], {"c_values": [1.0]}, {**base, "a_values": 1},
+                {**base, "c_values": [True]}, {**base, "sigma": "x"},
                 {**base, "solver": 1},
                 {**base, "mode": "euler", "delta_values": ["x"]},
                 {**base, "eos_values": [{"family": "polytropic"}]},
-                {**base, "eos_values": ["x"]}, {"c_values": [1.0]}):
+                {**base, "eos_values": ["x"]}, {**base, "eos_values": [{"family": "x"}]}):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1

@@ -89,17 +89,6 @@ def test_config_json_round_trip_property(cfg):
     assert again.config_hash() == cfg.config_hash() == reordered.config_hash()
 
 
-def test_config_rejects_malformed_fields():
-    base = {"a_values": [0.0], "c_values": [1.0]}
-    for bad in (None, 1, [base], {"c_values": [1.0]}, {**base, "a_values": 1},
-                {**base, "c_values": [True]}, {**base, "sigma": "x"},
-                {**base, "solver": 1}, {**base, "mode": "euler", "delta_values": ["x"]},
-                {**base, "eos_values": [{"family": "polytropic"}]},
-                {**base, "eos_values": ["x"]}, {**base, "eos_values": [{"family": "x"}]}):
-        with pytest.raises(ConfigInvalid):
-            SweepConfig.from_json(json.dumps(bad))
-
-
 # ---------------------------------------------------------------------------
 # sweep evaluation
 
