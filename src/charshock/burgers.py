@@ -26,7 +26,7 @@ these closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,9 +64,6 @@ class ShockReport:
     method: str = "ClosedForm"
     tolerance: float = 0.0
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class BurgersProblem:
@@ -80,11 +77,7 @@ class BurgersProblem:
 
     def __post_init__(self):
         x = np.linspace(self.domain[0], self.domain[1], 8193)
-        if self.slope is not None:
-            s = self.slope(x)
-        else:
-            s = np.gradient(self.profile(x), x)
-        self.c = float(-np.min(s))
+        self.c = float(-np.min(self.slope_at(x)))
 
     def slope_at(self, x):
         if self.slope is not None:

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -77,7 +78,7 @@ def cmd_burgers(args):
     f, df = sine_profile(c, wavelength=spec.get("wavelength", 2.0))
     problem = BurgersProblem(profile=f, a=a, slope=df,
                              domain=tuple(spec.get("domain", (-1.0, 1.0))))
-    report = burgers_shock_time(a, problem.c).to_dict()
+    report = asdict(burgers_shock_time(a, problem.c))
     hist = burgers_direct_solve(problem, grid_n=spec.get("grid_n", args.grid),
                                 t_end=spec.get("t_end", args.t_end),
                                 cfl=spec.get("cfl", 0.5))
@@ -152,8 +153,7 @@ def cmd_euler_radial(args):
 
 
 def cmd_predict(args):
-    pred = classify_largeness(args.c, args.a, sigma=args.sigma,
-                              delta=args.delta).to_dict()
+    pred = asdict(classify_largeness(args.c, args.a, sigma=args.sigma))
     # alternative single-c normalization of the shock-time integral
     try:
         pred["t_star_single_c"] = shock_time_3d(args.c, args.a,
@@ -234,7 +234,6 @@ def build_parser():
     pr.add_argument("--c", type=float, required=True)
     pr.add_argument("--a", type=float, default=0.0)
     pr.add_argument("--sigma", type=float, default=-0.1)
-    pr.add_argument("--delta", type=float, default=0.0)
     pr.add_argument("--out")
     pr.set_defaults(func=cmd_predict)
 

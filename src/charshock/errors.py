@@ -53,10 +53,6 @@ class ShockDetected(CharshockError):
     """Ray spacing collapsed (crossing characteristics)."""
 
 
-class NonPositiveMu(CharshockError):
-    pass
-
-
 class SingularEndpoint(CharshockError):
     """The focusing integrand 1/(-t) is singular at t = 0."""
 

@@ -26,7 +26,7 @@ shock-forming and global-to-sigma branches.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -37,7 +37,6 @@ from .eos import EquationOfState, eos_from_config
 from .errors import (
     InterpolationOutOfRange,
     InvalidParameter,
-    NonPositiveMu,
     NoRootBeforeSigma,
     ShockDetected,
     SingularEndpoint,
@@ -49,7 +48,6 @@ __all__ = [
     "ShockPrediction",
     "trace_rays",
     "mu_from_spacing",
-    "mu_transport_step",
     "a1_integral",
     "predict_mu",
     "shock_time_3d",
@@ -58,9 +56,6 @@ __all__ = [
     "lmu_initial",
 ]
 
-ALIVE = "Alive"
-SHOCK = "ShockDetected"
-LEFT = "LeftDomain"
 _MU_STOP = 0.02             # trace_rays declares a shock once mu reaches this
 _SHOCK_REGION_MU = 0.1      # shock_region_monitor watches {mu <= this}
 
@@ -133,13 +128,9 @@ class ShockPrediction:
     sigma: float
     c: float
     a: float
-    delta_band: float = 0.0
-
-    def to_dict(self):
-        return asdict(self)
 
 
-def classify_largeness(c, a, sigma=-0.1, delta=0.0):
+def classify_largeness(c, a, sigma=-0.1):
     """Shock/global dichotomy from the largeness threshold a*.
 
     a* = -4 A1(sigma) < 0.  The seed slope c = max phi1' is compared with
@@ -158,7 +149,7 @@ def classify_largeness(c, a, sigma=-0.1, delta=0.0):
         cls, t_star = "Indeterminate", float("nan")
     return ShockPrediction(classification=cls, t_star=t_star, a_star=a_star,
                            c_shock=c_shock, c_global=c_global, sigma=sigma,
-                           c=c, a=a, delta_band=delta)
+                           c=c, a=a)
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +240,6 @@ def _mu_rate(blk, mu):
     return mu / blk[_ETA] * blk[_M_FACTOR] + mu * blk[_E]
 
 
-def mu_transport_step(sampler: _FieldSampler, t, r_pos, mu):
-    """d(mu)/dt = m + mu * e along the rays."""
-    if np.any(mu <= 0.0):
-        raise NonPositiveMu(f"mu must stay positive, min={np.min(mu)}")
-    return _mu_rate(sampler.at(t, r_pos), mu)
-
-
 def mu_from_spacing(eta, r_pos, u):
     """mu = eta * dr/du across the bundle, central differences in u."""
     dr_du = np.gradient(r_pos, u)
@@ -282,8 +266,6 @@ class RayBundle:
     r: np.ndarray                  # (n_t, n_rays) positions
     mu_spacing: np.ndarray         # (n_t, n_rays)
     mu_transport: np.ndarray       # (n_t, n_rays)
-    status: np.ndarray             # final per-ray status strings
-    last_alive_index: int          # last time index with the full bundle alive
 
 
 def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
@@ -310,8 +292,6 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
     y = np.stack((r_pos, mu_tr))
 
     rows_r, rows_sp, rows_tr = [r_pos], [mu_from_spacing(mu_tr, r_pos, u)], [mu_tr]
-    status = np.full(ray_count, ALIVE, dtype=object)
-    last_alive = 0
     r_lo = history.r_grid[0] + 2.0 * (history.r_grid[1] - history.r_grid[0])
 
     def rate(blk, mu):
@@ -325,31 +305,25 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
         try:
             y = _rk4(rhs, t, y, t_b - t, rate(blk, y[1]))
         except InterpolationOutOfRange:
-            status[:] = LEFT
             break
         r_pos, mu_tr = y
         if np.min(r_pos) < r_lo:
-            status[:] = LEFT
             break
         blk = sampler.at(t_b, r_pos)
         try:
             mu_sp = mu_from_spacing(blk[_ETA], r_pos, u)
         except ShockDetected:
-            status[np.argmin(np.gradient(r_pos, u))] = SHOCK
             break
         rows_r.append(r_pos)
         rows_sp.append(mu_sp)
         rows_tr.append(mu_tr)
-        last_alive = len(rows_r) - 1
         if np.min(mu_sp) <= _MU_STOP or np.min(mu_tr) <= _MU_STOP:
-            status[np.argmin(mu_sp)] = SHOCK
             break
 
     n = len(rows_r)
     return RayBundle(u=u, times=times[:n], r=np.asarray(rows_r),
                      mu_spacing=np.asarray(rows_sp),
-                     mu_transport=np.asarray(rows_tr), status=status,
-                     last_alive_index=last_alive)
+                     mu_transport=np.asarray(rows_tr))
 
 
 def shock_region_monitor(bundle: RayBundle):

@@ -49,7 +49,6 @@ class SweepConfig:
     eos_values: tuple = ({"family": "polytropic", "gamma": 2.0},)
     sigma: float = -0.1
     solver: dict = field(default_factory=dict)
-    seed: int = 0
 
     def validate(self):
         """ConfigInvalid unless every field is well formed; an EOS parameter
@@ -117,12 +116,8 @@ class SweepResult:
 def _cell_burgers(cell):
     a, c = cell["a"], cell["c"]
     report = burgers_shock_time(a, c)
-    row = {
-        "t_star_predicted": report.t_star if report.t_star is not None else float("nan"),
-        "classification": report.classification,
-        "t_star_simulated": float("nan"),
-        "min_mu_at_sigma": float("nan"),
-    }
+    t_star = report.t_star if report.t_star is not None else float("nan")
+    row = {"t_star_predicted": t_star, "classification": report.classification}
     solver = cell["solver"]
     if solver.get("simulate", False):
         f, df = sine_profile(c)
@@ -136,14 +131,8 @@ def _cell_burgers(cell):
 
 
 def _cell_predict(cell):
-    pred = classify_largeness(cell["c"], cell["a"], sigma=cell["sigma"],
-                              delta=cell["delta"])
-    return {
-        "t_star_predicted": pred.t_star,
-        "classification": pred.classification,
-        "t_star_simulated": float("nan"),
-        "min_mu_at_sigma": float("nan"),
-    }
+    pred = classify_largeness(cell["c"], cell["a"], sigma=cell["sigma"])
+    return {"t_star_predicted": pred.t_star, "classification": pred.classification}
 
 
 def _cell_euler(cell):

@@ -34,6 +34,7 @@ moving continuation of the pinned inner boundary.
 
 from __future__ import annotations
 
+import math
 import zipfile
 from dataclasses import dataclass, field
 
@@ -146,11 +147,9 @@ def _time_stencil(times, t):
         w = (t - times[i]) / (times[i + 1] - times[i])
         return [i, i + 1], [1.0 - w, w]
     lo = int(np.clip(i - 1, 0, len(times) - 4))
-    ts = times[lo:lo + 4]
-    weights = []
-    for k in range(4):
-        others = np.delete(ts, k)
-        weights.append(float(np.prod((t - others) / (ts[k] - others))))
+    ts = times[lo:lo + 4].tolist()
+    weights = [math.prod((t - ts[j]) / (ts[k] - ts[j]) for j in range(4) if j != k)
+               for k in range(4)]
     return list(range(lo, lo + 4)), weights
 
 

@@ -194,14 +194,14 @@ def _bump_slope_norm(lo=0.1, hi=0.9):
     return float(np.max(d1(bump(s, lo, hi), s[1] - s[0])))
 
 
-def bump_seeds(c, delta, phi2_amplitude=0.0):
-    """Seed profiles with max_s phi1'(s) = c and optional phi2 forcing."""
+def bump_seeds(c, delta):
+    """Seed profiles with max_s phi1'(s) = c and no phi2 forcing."""
     scale = c / _bump_slope_norm()
 
     def phi1(s):
         return scale * bump(s)
 
     def phi2(s):
-        return phi2_amplitude * bump(s)
+        return np.zeros_like(np.asarray(s, dtype=float))
 
     return SeedProfiles(phi1=phi1, phi2=phi2, delta=delta)

@@ -11,7 +11,6 @@ from scipy.special import expi
 from charshock.eos import make_chaplygin, make_polytropic
 from charshock.errors import (
     InvalidParameter,
-    NonPositiveMu,
     NoRootBeforeSigma,
     ShockDetected,
     SingularEndpoint,
@@ -19,11 +18,11 @@ from charshock.errors import (
 from charshock.foliation import (
     RayBundle,
     _FieldSampler,
+    _mu_rate,
     a1_integral,
     classify_largeness,
     lmu_initial,
     mu_from_spacing,
-    mu_transport_step,
     predict_mu,
     shock_region_monitor,
     shock_time_3d,
@@ -175,16 +174,8 @@ def test_mu_from_spacing_detects_crossing():
 def test_transport_trivial_fields_is_zero():
     hist = trivial_history()
     sampler = _FieldSampler(hist, EOS)
-    dmu = mu_transport_step(sampler, -1.8, np.array([2.0, 2.05]),
-                            np.array([1.0, 1.0]))
+    dmu = _mu_rate(sampler.at(-1.8, np.array([2.0, 2.05])), np.array([1.0, 1.0]))
     assert np.max(np.abs(dmu)) <= 1e-12
-
-
-def test_transport_rejects_nonpositive_mu():
-    hist = trivial_history()
-    sampler = _FieldSampler(hist, EOS)
-    with pytest.raises(NonPositiveMu):
-        mu_transport_step(sampler, -1.8, np.array([2.0]), np.array([0.0]))
 
 
 @pytest.fixture(scope="module")
@@ -249,14 +240,10 @@ def test_shock_region_monitor_flags():
     u = np.linspace(0.0, 0.1, 34)
     mu = np.tile(np.linspace(0.09, 0.04, 6)[:, None], (1, 34))
     bundle = RayBundle(u=u, times=times, r=np.tile(2.0 + u, (6, 1)),
-                       mu_spacing=mu, mu_transport=mu.copy(),
-                       status=np.full(34, "Alive", dtype=object),
-                       last_alive_index=5)
+                       mu_spacing=mu, mu_transport=mu.copy())
     report = shock_region_monitor(bundle)
     assert len(report) == 6 * 34
     assert all(not rec["violation"] for rec in report)
     rising = RayBundle(u=u, times=times, r=np.tile(2.0 + u, (6, 1)),
-                       mu_spacing=mu[::-1], mu_transport=mu[::-1].copy(),
-                       status=np.full(34, "Alive", dtype=object),
-                       last_alive_index=5)
+                       mu_spacing=mu[::-1], mu_transport=mu[::-1].copy())
     assert all(rec["violation"] for rec in shock_region_monitor(rising))
