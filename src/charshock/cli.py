@@ -28,7 +28,7 @@ from .burgers import (
     estimate_blowup_time,
     sine_profile,
 )
-from .eos import make_chaplygin, make_polytropic
+from .eos import _is_number, make_chaplygin, make_polytropic
 from .errors import CharshockError, ConfigInvalid, NoBlowupTrend, NoRootBeforeSigma
 from .foliation import (
     classify_largeness,
@@ -37,7 +37,7 @@ from .foliation import (
     shock_time_3d,
     trace_rays,
 )
-from .harness import SweepConfig, _is_number, emit_outputs, run_sweep
+from .harness import SweepConfig, emit_outputs, run_sweep
 from .radial import RunHistory, run_until
 from .shortpulse import build_annulus_data, bump_seeds
 

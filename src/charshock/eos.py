@@ -123,25 +123,40 @@ def make_custom(h_table, eta_sq_table) -> EquationOfState:
     return EquationOfState(family="custom", h_table=h_table, eta_sq_table=eta_sq_table)
 
 
-# each family's constructor and the record fields it takes, in order
-_RECORDS = {"polytropic": (make_polytropic, ("gamma",)),
-            "chaplygin": (make_chaplygin, ()),
-            "custom": (make_custom, ("h_table", "eta_sq_table"))}
+def _is_number(v, kind=(int, float)):
+    """Whether v is a JSON value of the given kind; a bool is not a number."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def _is_number_list(v):
+    return isinstance(v, list) and all(map(_is_number, v))
+
+
+# each family's constructor and the record fields it takes, in order, with
+# the check of each field's JSON type
+_RECORDS = {"polytropic": (make_polytropic, {"gamma": _is_number}),
+            "chaplygin": (make_chaplygin, {}),
+            "custom": (make_custom, {"h_table": _is_number_list,
+                                     "eta_sq_table": _is_number_list})}
 
 
 def _eos_record(cfg):
     """(constructor, arguments) of a config record; InvalidParameter if the
-    record is not an object, names no known family or lacks a field."""
+    record is not an object, names no known family, lacks a field or has
+    one of the wrong type (gamma a number, the tables lists of numbers)."""
     if not isinstance(cfg, dict):
         raise InvalidParameter(f"EOS record must be an object, got {cfg!r}")
     family = cfg.get("family")
     if not isinstance(family, str) or family not in _RECORDS:
         raise InvalidParameter(f"unknown EOS family {family!r}")
-    make, names = _RECORDS[family]
-    missing = [k for k in names if k not in cfg]
+    make, checks = _RECORDS[family]
+    missing = [k for k in checks if k not in cfg]
     if missing:
         raise InvalidParameter(f"{family} EOS record has no {missing[0]!r}")
-    return make, [cfg[k] for k in names]
+    bad = [k for k, ok in checks.items() if not ok(cfg[k])]
+    if bad:
+        raise InvalidParameter(f"{family} EOS record field {bad[0]!r} has the wrong type")
+    return make, [cfg[k] for k in checks]
 
 
 def eos_from_config(cfg: dict) -> EquationOfState:

@@ -75,7 +75,10 @@ def a1_integral(t, a):
     -a t is subnormal, Ei(-a t) = gamma + ln|a| + ln(-t) to round-off (and
     log 2 - log(-t) at a = 0, where 2/-t would overflow); where e^{-2a} or
     Ei(2a) overflows, quadrature answers (absolute tol 1e-12).
+    InvalidParameter for a non-finite t or a.
     """
+    if not (math.isfinite(t) and math.isfinite(a)):
+        raise InvalidParameter(f"t and a must be finite, got t={t}, a={a}")
     if t >= 0.0:
         raise SingularEndpoint(f"integrand singular at tau=0; got t={t}")
     if t < -2.0:
@@ -101,8 +104,11 @@ def shock_time_3d(c, a, sigma=-0.1, coefficient=4.0):
 
     The default coefficient 4 comes from integrating the mu transport
     equation with mu(-2) = 1 and Lmu(-2) = -2c; coefficient=1 gives the
-    alternative single-c normalization for comparison.
+    alternative single-c normalization for comparison.  InvalidParameter
+    for a non-finite c.
     """
+    if not math.isfinite(c):
+        raise InvalidParameter(f"c must be finite, got {c}")
     if c <= 0.0:
         raise NoRootBeforeSigma(f"no shock for non-positive slope c={c}")
 
@@ -136,7 +142,10 @@ def classify_largeness(c, a, sigma=-0.1):
     a* = -4 A1(sigma) < 0.  The seed slope c = max phi1' is compared with
     c_shock = -2/a* (shock forms before sigma) and c_global = -1/a* (the
     solution persists to sigma); the gap in between is Indeterminate.
+    InvalidParameter for a non-finite c.
     """
+    if not math.isfinite(c):
+        raise InvalidParameter(f"c must be finite, got {c}")
     a1_sigma = a1_integral(sigma, a)
     a_star = -4.0 * a1_sigma
     c_shock = -2.0 / a_star

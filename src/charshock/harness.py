@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +25,7 @@ import numpy as np
 from . import __version__
 from .burgers import BurgersProblem, burgers_direct_solve, burgers_shock_time, \
     estimate_blowup_time, sine_profile
-from .eos import _eos_record, eos_from_config
+from .eos import _eos_record, _is_number, eos_from_config
 from .errors import CharshockError, ConfigInvalid, InvalidParameter
 from .foliation import classify_largeness, trace_rays
 from .radial import run_until
@@ -34,10 +35,15 @@ __all__ = ["SweepConfig", "SweepResult", "run_sweep", "emit_outputs"]
 
 
 _AXES = ("a_values", "c_values", "delta_values", "eos_values")
-
-
-def _is_number(v, kind=(int, float)):
-    return isinstance(v, kind) and not isinstance(v, bool)
+_NUMBER = (int, float)
+# each mode's solver entries and the JSON types they take
+_SOLVER_ENTRIES = {
+    "burgers": {"simulate": bool, "grid_n": int, "t_end": _NUMBER, "cfl": _NUMBER},
+    "predict": {},
+    "euler": {"r_grid_n": int, "ray_count": int, "points_per_delta": _NUMBER,
+              "t_end": _NUMBER, "cfl": _NUMBER, "r_min": _NUMBER,
+              "sample_dt": (*_NUMBER, type(None))},
+}
 
 
 @dataclass(frozen=True)
@@ -51,16 +57,19 @@ class SweepConfig:
     solver: dict = field(default_factory=dict)
 
     def validate(self):
-        """ConfigInvalid unless every field is well formed; an EOS parameter
-        out of range (gamma <= 1) fails its own cells only."""
+        """ConfigInvalid unless every field is well formed: finite axis values,
+        known solver entries of the right JSON type, EOS records of known
+        families with fields of the right type.  A value out of range
+        (gamma <= 1, cfl = 0) fails its own cells only."""
         if self.mode not in _MODES:
             raise ConfigInvalid(f"mode must be one of {_MODES}, got {self.mode!r}")
         for name in _AXES:
             vals = getattr(self, name)
             if not isinstance(vals, (tuple, list)) or len(vals) == 0:
                 raise ConfigInvalid(f"axis {name} must be a non-empty list, got {vals!r}")
-            if name != "eos_values" and not all(map(_is_number, vals)):
-                raise ConfigInvalid(f"axis {name} must hold numbers, got {vals!r}")
+            if name != "eos_values" and not all(
+                    _is_number(v) and -math.inf < v < math.inf for v in vals):
+                raise ConfigInvalid(f"axis {name} must hold finite numbers, got {vals!r}")
         for record in self.eos_values:
             try:
                 _eos_record(record)
@@ -70,6 +79,14 @@ class SweepConfig:
             raise ConfigInvalid(f"sigma must lie in (-2, 0), got {self.sigma!r}")
         if not isinstance(self.solver, dict):
             raise ConfigInvalid(f"solver must be an object, got {self.solver!r}")
+        entries = _SOLVER_ENTRIES[self.mode]
+        for key, v in self.solver.items():
+            if key not in entries:
+                raise ConfigInvalid(f"unknown {self.mode} solver entry {key!r}; "
+                                    f"known: {sorted(entries)}")
+            kind = entries[key]
+            if not (isinstance(v, bool) if kind is bool else _is_number(v, kind)):
+                raise ConfigInvalid(f"solver entry {key!r} has the wrong type: {v!r}")
         if self.mode == "euler" and any(not 0.0 < d < 1.0 for d in self.delta_values):
             raise ConfigInvalid("euler mode needs delta values in (0, 1)")
 

@@ -288,17 +288,18 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     Each step evolves only the active window r >= r_front(t) - _MARGIN * dr
     (module docstring); the snapshots hold the whole grid.
 
-    Inputs are checked on entry: CflViolation for cfl outside (0, 0.9] or
-    t_end >= 0; InvalidParameter for t_end <= -2, points_per_delta or
-    sample_dt <= 0, and fewer than the stencils' 8 grid points.
+    Inputs are checked on entry: CflViolation for cfl outside (0, 0.9];
+    InvalidParameter for a non-finite a, t_end outside (-2, 0),
+    points_per_delta or sample_dt <= 0, and fewer than the stencils' 8 grid
+    points.
     """
     delta = data.delta
     if not 0.0 < cfl <= 0.9:
         raise CflViolation(f"cfl must lie in (0, 0.9], got {cfl}")
-    if t_end >= 0.0:
-        raise CflViolation(f"t_end must be negative, got {t_end}")
-    if not t_end > -2.0:
-        raise InvalidParameter(f"t_end must lie after the start time -2, got {t_end}")
+    if not math.isfinite(a):
+        raise InvalidParameter(f"a must be finite, got {a}")
+    if not -2.0 < t_end < 0.0:
+        raise InvalidParameter(f"t_end must lie in (-2, 0), got {t_end}")
     if not points_per_delta > 0:
         raise InvalidParameter(f"points_per_delta must be positive, got {points_per_delta}")
     if sample_dt is not None and not sample_dt > 0.0:

@@ -16,6 +16,7 @@ instead of the naive O(1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
@@ -24,7 +25,7 @@ import numpy as np
 from numpy.polynomial import legendre
 from scipy.interpolate import CubicSpline
 
-from .errors import GridTooCoarse, InvalidWidth
+from .errors import GridTooCoarse, InvalidParameter, InvalidWidth
 from .eos import EquationOfState, make_polytropic
 from .radial import _fields, d1
 
@@ -118,8 +119,11 @@ def build_annulus_data(seeds: SeedProfiles, r_grid_n=512,
 
     width_mode 'delta' takes w = delta (the full support of the data);
     'delta_squared' takes w = delta^2 (the inner restriction), which only
-    makes sense for delta < 1.
+    makes sense for delta < 1.  r_grid_n must be at least 1
+    (InvalidParameter otherwise).
     """
+    if r_grid_n < 1:
+        raise InvalidParameter(f"r_grid_n must be >= 1, got {r_grid_n}")
     delta = seeds.delta
     if not 0.0 < delta < 1.0:
         raise InvalidWidth(f"pulse amplitude must lie in (0, 1), got {delta}")
@@ -195,7 +199,10 @@ def _bump_slope_norm(lo=0.1, hi=0.9):
 
 
 def bump_seeds(c, delta):
-    """Seed profiles with max_s phi1'(s) = c and no phi2 forcing."""
+    """Seed profiles with max_s phi1'(s) = c and no phi2 forcing; c must be
+    finite (InvalidParameter otherwise)."""
+    if not math.isfinite(c):
+        raise InvalidParameter(f"c must be finite, got {c}")
     scale = c / _bump_slope_norm()
 
     def phi1(s):

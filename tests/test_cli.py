@@ -122,7 +122,12 @@ def test_charshock_error_maps_to_exit_1(tmp_path, capsys):
                eos_meta={"family": "polytropic", "gamma": 2.0}).save(hist_path)
     for argv, kind in ((["euler-radial", "--cfl", "0"], "CflViolation"),
                        (["foliate", "--history", str(hist_path), "--rays", "9"],
-                        "InvalidParameter")):
+                        "InvalidParameter"),
+                       (["predict", "--c", "nan"], "InvalidParameter"),
+                       (["predict", "--c", "1", "--a", "nan"], "InvalidParameter"),
+                       (["euler-radial", "--c", "nan"], "InvalidParameter"),
+                       (["euler-radial", "--a", "nan"], "InvalidParameter"),
+                       (["seed-data", "--grid", "-5"], "InvalidParameter")):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {kind}: ")
 
@@ -133,7 +138,17 @@ def test_charshock_error_maps_to_exit_1(tmp_path, capsys):
                 {**base, "solver": 1},
                 {**base, "mode": "euler", "delta_values": ["x"]},
                 {**base, "eos_values": [{"family": "polytropic"}]},
-                {**base, "eos_values": ["x"]}, {**base, "eos_values": [{"family": "x"}]}):
+                {**base, "eos_values": ["x"]}, {**base, "eos_values": [{"family": "x"}]},
+                # a mistyped solver key, entries and EOS fields of the wrong type
+                {**base, "mode": "euler", "delta_values": [0.05], "solver": {"ray_cnt": 33}},
+                {**base, "mode": "euler", "delta_values": [0.05], "solver": {"ray_count": "x"}},
+                {**base, "solver": {"simulate": True}},
+                {**base, "mode": "burgers", "solver": {"simulate": 1}},
+                {**base, "eos_values": [{"family": "polytropic", "gamma": "x"}]},
+                {**base, "eos_values": [{"family": "custom", "h_table": ["a"] * 4,
+                                         "eta_sq_table": [1.0] * 4}]},
+                # NaN and Infinity JSON literals
+                {**base, "c_values": [float("nan")]}, {**base, "a_values": [float("inf")]}):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1

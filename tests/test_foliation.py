@@ -62,6 +62,12 @@ def test_a1_integral_singular_endpoint():
         a1_integral(-2.5, 0.0)
 
 
+@pytest.mark.parametrize("t, a", [(math.nan, 0.0), (-1.0, math.nan), (-1.0, math.inf)])
+def test_a1_integral_rejects_non_finite(t, a):
+    with pytest.raises(InvalidParameter):
+        a1_integral(t, a)
+
+
 def _a1_quad(t, a):
     """Quadrature reference for A1(t) = int_{-2}^t e^{-a(tau+2)} / (-tau) d tau."""
     return quad(lambda tau: np.exp(-a * (tau + 2.0)) / (-tau), -2.0, t,

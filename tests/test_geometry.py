@@ -1,7 +1,10 @@
 """Metric assembly and frame-identity tests."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charshock.errors import DegenerateSoundSpeed
 from charshock.geometry import (
@@ -80,3 +83,30 @@ def test_jacobian_factor():
     assert jacobian_factor(state, 4.0) == pytest.approx(4.0)
     state0 = FluidPointState(v=np.zeros(3), eta=1.3, mu=0.0)
     assert jacobian_factor(state0, 4.0) == 0.0
+
+
+def _unit(polar, azimuth):
+    return np.array([math.sin(polar) * math.cos(azimuth),
+                     math.sin(polar) * math.sin(azimuth), math.cos(polar)])
+
+
+_DIRECTION = st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
+
+
+@settings(deadline=None, max_examples=300)
+@given(eta=st.floats(0.2, 2.0), mach=st.floats(0.0, 0.9), v_dir=_DIRECTION,
+       t_dir=_DIRECTION, mu=st.floats(0.0, 1.5))
+def test_frame_metric_identities_property(eta, mach, v_dir, t_dir, mu):
+    """Acceptance 5's identities and residual bound for every admissible state:
+    eta in [0.2, 2], |v| up to 0.9 eta, mu in [0, 1.5]."""
+    state = FluidPointState(v=mach * eta * _unit(*v_dir), eta=eta, mu=mu,
+                            that=_unit(*t_dir))
+    g, g_inv = assemble_metric(state)
+    assert np.max(np.abs(g @ g_inv - np.eye(4))) <= 1e-12
+    fr = build_frames(state)
+    L, Lb, N, T = fr.L, fr.Lbar, fr.N, fr.T
+    scale = max(1.0, fr.kappa) ** 2
+    for val, want in ((L @ g @ L, 0.0), (Lb @ g @ Lb, 0.0), (L @ g @ T, -mu),
+                      (T @ g @ T, fr.kappa ** 2), (L @ g @ Lb, -2.0 * mu),
+                      (N @ g @ N, -eta ** 2)):
+        assert abs(float(val) - want) <= 1e-12 * scale

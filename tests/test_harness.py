@@ -53,7 +53,16 @@ def test_config_rejects_bad_input():
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
-_JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), _FINITE, st.text(max_size=8))
+_NUMBER = st.one_of(st.integers(), _FINITE)
+# each mode's solver entries, drawn from the JSON types validate accepts
+_SOLVER = {
+    "burgers": {"simulate": st.booleans(), "grid_n": st.integers(), "t_end": _NUMBER,
+                "cfl": _NUMBER},
+    "predict": {},
+    "euler": {"r_grid_n": st.integers(), "ray_count": st.integers(),
+              "points_per_delta": _NUMBER, "t_end": _NUMBER, "cfl": _NUMBER,
+              "r_min": _NUMBER, "sample_dt": st.one_of(st.none(), _NUMBER)},
+}
 _EOS_RECORD = st.one_of(
     st.builds(lambda g: {"family": "polytropic", "gamma": g}, st.floats(1.01, 6.0)),
     st.just({"family": "chaplygin"}),
@@ -72,7 +81,7 @@ def _configs(draw):
         delta_values=draw(deltas if mode == "euler" else axis),
         eos_values=tuple(draw(st.lists(_EOS_RECORD, min_size=1, max_size=3))),
         sigma=draw(st.floats(-1.999, -0.001)),
-        solver=draw(st.dictionaries(st.text(max_size=8), _JSON_SCALAR, max_size=4)))
+        solver=draw(st.fixed_dictionaries({}, optional=_SOLVER[mode])))
 
 
 @settings(deadline=None)

@@ -144,7 +144,7 @@ _BAD_INPUTS = [
     ({"cfl": -1.0}, CflViolation),
     ({"cfl": 0.95}, CflViolation),
     ({"cfl": float("nan")}, CflViolation),
-    ({"t_end": 0.0}, CflViolation),
+    ({"t_end": 0.0}, InvalidParameter),
     ({"t_end": -2.0}, InvalidParameter),
     ({"t_end": -3.0}, InvalidParameter),
     ({"points_per_delta": 0}, InvalidParameter),
@@ -152,6 +152,7 @@ _BAD_INPUTS = [
     ({"sample_dt": -1.0}, InvalidParameter),
     ({"r_min": 5.0}, InvalidParameter),
     ({"r_min": 3.0, "pad": -0.1}, InvalidParameter),
+    ({"a": float("nan")}, InvalidParameter),
 ]
 
 
@@ -161,9 +162,9 @@ def test_run_until_rejects_bad_inputs(kwargs, error):
     """Bad solver inputs raise on entry instead of hanging, stepping backward
     in time or failing inside the step loop."""
     data = build_annulus_data(bump_seeds(c=1.0, delta=0.1), r_grid_n=256)
-    args = {"t_end": -1.9, "points_per_delta": 16, "r_min": 1.6, **kwargs}
+    args = {"a": 0.0, "t_end": -1.9, "points_per_delta": 16, "r_min": 1.6, **kwargs}
     with pytest.raises(error):
-        run_until(data, a=0.0, eos=EOS, **args)
+        run_until(data, eos=EOS, **args)
 
 
 def test_run_until_records_breakdown(tmp_path):
