@@ -14,7 +14,10 @@ foliation density mu is computed two independent ways:
 
 The fields come from the stored snapshots through _FieldSampler: one
 four-row block (eta, dr/dt, m_factor, e) per sample, and trace_rays
-samples each snapshot time once.
+samples each snapshot time once.  _mu_rate is the one transport law, for
+trace_rays and lmu_initial alike.  trace_rays returns the rows up to the
+last time at which the whole bundle was traced; why it stopped there is
+not recorded.
 
 The semi-analytic predictor is mu_hat(t) = 1 + 2 A1(t) Lmu(-2, u) with
 A1(t) = int_{-2}^t d tau / (e^{a(tau+2)} (-tau)) = e^{-2a} (Ei(2a) - Ei(-a t))
@@ -270,8 +273,11 @@ def lmu_initial(history: RunHistory, u, eos: EquationOfState = None):
 
 @dataclass
 class RayBundle:
+    """The traced bundle: one row per stored time, from the first one up to
+    the last at which every ray was traced."""
+
     u: np.ndarray                  # ray labels, initial r - 2
-    times: np.ndarray              # sample times (subset of history times)
+    times: np.ndarray              # the leading history times
     r: np.ndarray                  # (n_t, n_rays) positions
     mu_spacing: np.ndarray         # (n_t, n_rays)
     mu_transport: np.ndarray       # (n_t, n_rays)
@@ -286,9 +292,10 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
     stored snapshot interval; eos=None reads the history's eos_meta.  The
     block sampled at each snapshot time gives both the spacing mu there and
     the next step's first stage, so a step takes four samples.  The whole
-    bundle stops once any ray reaches mu <= _MU_STOP (shock declared), a
-    ray crossing occurs, or a ray leaves the stored grid.  ray_count must
-    be at least 33 (InvalidParameter otherwise).
+    bundle stops at the first row in which any ray reaches mu <= _MU_STOP
+    (that row is kept), or at the first step in which rays cross or a ray
+    leaves the stored grid (that step's row is dropped).  ray_count must be
+    at least 33 (InvalidParameter otherwise).
     """
     if ray_count < 33:
         raise InvalidParameter(f"ray_count must be >= 33, got {ray_count}")
