@@ -61,8 +61,6 @@ class ShockReport:
     classification: str                 # "Global" or "Shock"
     t_star: Optional[float] = None
     x_star: Optional[float] = None
-    method: str = "ClosedForm"
-    tolerance: float = 0.0
 
 
 @dataclass
@@ -102,17 +100,11 @@ def burgers_shock_time(a: float, c: float) -> ShockReport:
         raise InvalidParameter("a and c must be finite")
     if c <= 0.0:
         # no compression anywhere: global with infinite horizon
-        return ShockReport(classification="Global", method="ClosedForm")
+        return ShockReport(classification="Global")
     if a >= c and a > 0.0:
-        return ShockReport(classification="Global", method="ClosedForm")
+        return ShockReport(classification="Global")
     t_star = -1.0 + 1.0 / c if a == 0.0 else -math.log1p(-a / c) / a - 1.0
-    return ShockReport(
-        classification="Shock",
-        t_star=t_star,
-        x_star=0.0,
-        method="ClosedForm",
-        tolerance=4.0 * np.finfo(float).eps * max(1.0, abs(t_star)),
-    )
+    return ShockReport(classification="Shock", t_star=t_star, x_star=0.0)
 
 
 def burgers_mu(x, t, problem: BurgersProblem):
@@ -148,7 +140,10 @@ class BurgersHistory:
     phi: np.ndarray                     # field at last_good_time (the last finite one)
     u_label: Optional[np.ndarray] = None  # advected eikonal label, if tracked
     status: str = "ok"
-    last_good_time: float = -1.0
+
+    @property
+    def last_good_time(self):
+        return float(self.times[-1])
 
 
 def _limited_slope(ue):
@@ -188,8 +183,8 @@ def _label_rhs(u_lab, phi, dx):
 
 def burgers_direct_solve(
     problem: BurgersProblem,
-    grid_n: int = 1024,
-    t_end: float = 0.0,
+    grid_n: int = 2048,
+    t_end: float = 2.0,
     cfl: float = 0.5,
     track_eikonal: bool = False,
 ) -> BurgersHistory:
@@ -239,7 +234,6 @@ def burgers_direct_solve(
         phi=phi,
         u_label=u_lab,
         status=status,
-        last_good_time=t,
     )
 
 

@@ -121,8 +121,7 @@ def cmd_seed_data(args):
 
 def cmd_euler_radial(args):
     eos = _eos_from_args(args)
-    data = build_annulus_data(bump_seeds(c=args.c, delta=args.delta),
-                              r_grid_n=512)
+    data = build_annulus_data(bump_seeds(c=args.c, delta=args.delta))
     hist = run_until(data, a=args.a, eos=eos, t_end=args.t_end, cfl=args.cfl,
                      points_per_delta=args.points_per_delta,
                      r_min=args.r_min, sample_dt=args.sample_dt)

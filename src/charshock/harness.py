@@ -40,9 +40,8 @@ _NUMBER = (int, float)
 _SOLVER_ENTRIES = {
     "burgers": {"simulate": bool, "grid_n": int, "t_end": _NUMBER, "cfl": _NUMBER},
     "predict": {},
-    "euler": {"r_grid_n": int, "ray_count": int, "points_per_delta": _NUMBER,
-              "t_end": _NUMBER, "cfl": _NUMBER, "r_min": _NUMBER,
-              "sample_dt": (*_NUMBER, type(None))},
+    "euler": {"ray_count": int, "points_per_delta": _NUMBER, "cfl": _NUMBER,
+              "r_min": _NUMBER, "sample_dt": (*_NUMBER, type(None))},
 }
 
 
@@ -135,13 +134,10 @@ def _cell_burgers(cell):
     report = burgers_shock_time(a, c)
     t_star = report.t_star if report.t_star is not None else float("nan")
     row = {"t_star_predicted": t_star, "classification": report.classification}
-    solver = cell["solver"]
-    if solver.get("simulate", False):
+    entries = dict(cell["solver"])
+    if entries.pop("simulate", False):
         f, df = sine_profile(c)
-        problem = BurgersProblem(profile=f, a=a, slope=df)
-        hist = burgers_direct_solve(
-            problem, grid_n=solver.get("grid_n", 2048),
-            t_end=solver.get("t_end", 2.0), cfl=solver.get("cfl", 0.5))
+        hist = burgers_direct_solve(BurgersProblem(profile=f, a=a, slope=df), **entries)
         est = estimate_blowup_time(hist.times, hist.max_neg_slope, a)
         row["t_star_simulated"] = est.t_star_estimate
     return row
@@ -154,18 +150,12 @@ def _cell_predict(cell):
 
 def _cell_euler(cell):
     row = _cell_predict(cell)
-    solver = cell["solver"]
+    entries = dict(cell["solver"])
+    rays = {"ray_count": entries.pop("ray_count")} if "ray_count" in entries else {}
     eos = eos_from_config(cell["eos"])
-    data = build_annulus_data(bump_seeds(c=cell["c"], delta=cell["delta"]),
-                              r_grid_n=solver.get("r_grid_n", 512))
-    hist = run_until(
-        data, a=cell["a"], eos=eos,
-        t_end=solver.get("t_end", cell["sigma"]),
-        cfl=solver.get("cfl", 0.4),
-        points_per_delta=solver.get("points_per_delta", 64),
-        r_min=solver.get("r_min", 0.05),
-        sample_dt=solver.get("sample_dt"))
-    bundle = trace_rays(hist, ray_count=solver.get("ray_count", 65), eos=eos)
+    data = build_annulus_data(bump_seeds(c=cell["c"], delta=cell["delta"]))
+    hist = run_until(data, a=cell["a"], eos=eos, t_end=cell["sigma"], **entries)
+    bundle = trace_rays(hist, eos=eos, **rays)
     min_mu = np.min(bundle.mu_spacing, axis=1)
     row["min_mu_at_sigma"] = float(min_mu[-1])
     below = np.where(min_mu <= 0.1)[0]

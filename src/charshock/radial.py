@@ -226,9 +226,12 @@ class RunHistory:
     a: float
     delta: float
     status: str                       # 'Completed' | 'EosDomain' | 'NonFinite'
-    last_good_time: float
     eos_meta: dict = field(default_factory=dict)
     message: str = ""                 # why the run broke down; "" when Completed
+
+    @property
+    def last_good_time(self):
+        return float(self.times[-1])
 
     def frame(self, t):
         """Fields at time t, interpolated in time by _time_stencil."""
@@ -248,7 +251,7 @@ class RunHistory:
             path, r_grid=self.r_grid, times=self.times, phi=self.phi,
             dtphi=self.dtphi, a=self.a, delta=self.delta,
             status=self.status, message=self.message,
-            last_good_time=self.last_good_time, eos_family=self.eos_meta.get("family", ""),
+            eos_family=self.eos_meta.get("family", ""),
             eos_gamma=self.eos_meta.get("gamma", np.nan), **tables)
 
     @classmethod
@@ -263,8 +266,7 @@ class RunHistory:
             meta.update({k: f[f"eos_{k}"].tolist() for k in _EOS_TABLES if f"eos_{k}" in f})
             return cls(r_grid=f["r_grid"], times=f["times"], phi=f["phi"], dtphi=f["dtphi"],
                        a=float(f["a"]), delta=float(f["delta"]), status=str(f["status"]),
-                       last_good_time=float(f["last_good_time"]), eos_meta=meta,
-                       message=str(f.get("message", "")))
+                       eos_meta=meta, message=str(f.get("message", "")))
         except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as exc:
             raise ConfigInvalid(f"{path} is not a run history .npz: {exc}") from None
 
@@ -349,4 +351,4 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     return RunHistory(
         r_grid=r, times=times[:stored], phi=snaps_p[:stored],
         dtphi=snaps_q[:stored], a=a, delta=delta, status=status,
-        last_good_time=float(times[stored - 1]), eos_meta=meta, message=message)
+        eos_meta=meta, message=message)

@@ -16,6 +16,8 @@ def test_burgers_command(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,max_neg_slope,r_of_t,min_mu_closed_form"
     report = json.loads(lines[-1])
+    assert set(report) == {"classification", "t_star", "x_star", "t_star_direct",
+                           "confidence_window"}
     assert report["t_star"] == pytest.approx(0.0, abs=1e-12)
     slopes = [float(row.split(",")[1]) for row in lines[1:-1]]
     assert slopes == sorted(slopes)          # steepening toward the shock
@@ -85,10 +87,9 @@ def test_sweep_exit_codes(tmp_path):
     failing = tmp_path / "failing.json"
     failing.write_text(json.dumps({
         "a_values": [0.0], "c_values": [1.0], "mode": "euler",
-        "delta_values": [0.1],
+        "delta_values": [0.1], "sigma": -1.8,
         "eos_values": [{"family": "polytropic", "gamma": 0.5}],
-        "solver": {"points_per_delta": 16, "t_end": -1.8, "r_min": 1.6,
-                   "ray_count": 33, "r_grid_n": 256}}))
+        "solver": {"points_per_delta": 16, "r_min": 1.6, "ray_count": 33}}))
     assert main(["sweep", "--config", str(failing),
                  "--out", str(tmp_path / "o4")]) == 2
 
@@ -118,7 +119,6 @@ def test_charshock_error_maps_to_exit_1(tmp_path, capsys):
     r = np.linspace(1.0, 3.0, 64)
     RunHistory(r_grid=r, times=np.array([-2.0, -1.9]), phi=np.zeros((2, r.size)),
                dtphi=np.zeros((2, r.size)), a=0.0, delta=0.1, status="Completed",
-               last_good_time=-1.9,
                eos_meta={"family": "polytropic", "gamma": 2.0}).save(hist_path)
     for argv, kind in ((["euler-radial", "--cfl", "0"], "CflViolation"),
                        (["foliate", "--history", str(hist_path), "--rays", "9"],
@@ -142,6 +142,9 @@ def test_charshock_error_maps_to_exit_1(tmp_path, capsys):
                 # a mistyped solver key, entries and EOS fields of the wrong type
                 {**base, "mode": "euler", "delta_values": [0.05], "solver": {"ray_cnt": 33}},
                 {**base, "mode": "euler", "delta_values": [0.05], "solver": {"ray_count": "x"}},
+                # sigma ends every euler run, and the seed grid is not a setting
+                {**base, "mode": "euler", "delta_values": [0.05], "solver": {"t_end": -1.8}},
+                {**base, "mode": "euler", "delta_values": [0.05], "solver": {"r_grid_n": 256}},
                 {**base, "solver": {"simulate": True}},
                 {**base, "mode": "burgers", "solver": {"simulate": 1}},
                 {**base, "eos_values": [{"family": "polytropic", "gamma": "x"}]},

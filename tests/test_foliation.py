@@ -150,7 +150,7 @@ def trivial_history(delta=0.1):
     times = np.linspace(-2.0, -1.2, 41)
     z = np.zeros((len(times), len(r)))
     return RunHistory(r_grid=r, times=times, phi=z, dtphi=z.copy(), a=0.0,
-                      delta=delta, status="Completed", last_good_time=-1.2,
+                      delta=delta, status="Completed",
                       eos_meta={"family": "polytropic", "gamma": 2.0})
 
 

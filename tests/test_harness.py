@@ -59,8 +59,7 @@ _SOLVER = {
     "burgers": {"simulate": st.booleans(), "grid_n": st.integers(), "t_end": _NUMBER,
                 "cfl": _NUMBER},
     "predict": {},
-    "euler": {"r_grid_n": st.integers(), "ray_count": st.integers(),
-              "points_per_delta": _NUMBER, "t_end": _NUMBER, "cfl": _NUMBER,
+    "euler": {"ray_count": st.integers(), "points_per_delta": _NUMBER, "cfl": _NUMBER,
               "r_min": _NUMBER, "sample_dt": st.one_of(st.none(), _NUMBER)},
 }
 _EOS_RECORD = st.one_of(
@@ -134,8 +133,7 @@ def test_crash_isolation_records_failed_cell():
         a_values=(0.0,), c_values=(1.0,), mode="euler", delta_values=(0.1,),
         eos_values=({"family": "polytropic", "gamma": 2.0},
                     {"family": "polytropic", "gamma": 0.5}),
-        solver={"points_per_delta": 16, "t_end": -1.8, "r_min": 1.6,
-                "ray_count": 33, "r_grid_n": 256})
+        sigma=-1.8, solver={"points_per_delta": 16, "r_min": 1.6, "ray_count": 33})
     result = run_sweep(cfg)
     assert len(result.rows) == 2
     by_status = sorted(r["status"] for r in result.rows)
@@ -150,8 +148,8 @@ def test_euler_cell_rejects_zero_cfl():
     """A solver input that would never finish fails its cell instead of hanging."""
     cfg = SweepConfig(
         a_values=(0.0,), c_values=(1.0,), mode="euler", delta_values=(0.1,),
-        solver={"cfl": 0, "points_per_delta": 16, "t_end": -1.8, "r_min": 1.6,
-                "ray_count": 33, "r_grid_n": 256})
+        sigma=-1.8, solver={"cfl": 0, "points_per_delta": 16, "r_min": 1.6,
+                            "ray_count": 33})
     row = run_sweep(cfg).rows[0]
     assert row["status"] == "CflViolation"
 
@@ -180,8 +178,7 @@ def test_workers_env_must_be_an_integer(monkeypatch):
 def test_euler_mode_cell():
     cfg = SweepConfig(
         a_values=(0.0,), c_values=(1.0,), mode="euler", delta_values=(0.1,),
-        solver={"points_per_delta": 16, "t_end": -1.8, "r_min": 1.6,
-                "ray_count": 33, "r_grid_n": 256})
+        sigma=-1.8, solver={"points_per_delta": 16, "r_min": 1.6, "ray_count": 33})
     row = run_sweep(cfg).rows[0]
     assert row["status"] == "ok"
     assert row["run_status"] == "Completed"

@@ -169,7 +169,8 @@ def test_run_until_rejects_bad_inputs(kwargs, error):
 
 def test_run_until_records_breakdown(tmp_path):
     """Data outside the EOS domain terminates with status, message and last
-    time; save/load keep the message, and files without one load with ""."""
+    time; save/load keep the message, files without one load with "", and a
+    stored last_good_time key of an older file is ignored."""
     data = build_annulus_data(bump_seeds(c=-60.0, delta=0.2), r_grid_n=512)
     hist = run_until(data, a=0.0, eos=EOS, t_end=-1.9, points_per_delta=16,
                      r_min=1.5)
@@ -179,9 +180,11 @@ def test_run_until_records_breakdown(tmp_path):
     hist.save(tmp_path / "broke.npz")
     assert RunHistory.load(tmp_path / "broke.npz").message == hist.message
     with np.load(tmp_path / "broke.npz") as z:
+        assert "last_good_time" not in z.files
         older = {k: z[k] for k in z.files if k != "message"}
-    np.savez(tmp_path / "older.npz", **older)
-    assert RunHistory.load(tmp_path / "older.npz").message == ""
+    np.savez(tmp_path / "older.npz", last_good_time=-1.0, **older)
+    again = RunHistory.load(tmp_path / "older.npz")
+    assert again.message == "" and again.last_good_time == -2.0
 
 
 def test_history_load_rejects_other_files(tmp_path):
@@ -382,8 +385,7 @@ def test_frame_at_a_snapshot_time_is_that_snapshot(times, data):
     k = data.draw(st.integers(0, len(times) - 1))
     phi, dtphi = np.random.default_rng(k).standard_normal((2, len(times), 16))
     hist = RunHistory(r_grid=np.linspace(1.0, 2.0, 16), times=times, phi=phi,
-                      dtphi=dtphi, a=0.0, delta=0.1, status="Completed",
-                      last_good_time=float(times[-1]))
+                      dtphi=dtphi, a=0.0, delta=0.1, status="Completed")
     fld = hist.frame(float(times[k]))
     assert np.array_equal(fld.phi, phi[k])
     assert np.array_equal(fld.dtphi, dtphi[k])
