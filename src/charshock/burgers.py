@@ -143,6 +143,7 @@ class BurgersHistory:
 
     @property
     def last_good_time(self):
+        """The last time stored, times[-1]; a non-finite step is not stored."""
         return float(self.times[-1])
 
 
@@ -188,7 +189,10 @@ def burgers_direct_solve(
     cfl: float = 0.5,
     track_eikonal: bool = False,
 ) -> BurgersHistory:
-    """Conservative MUSCL/SSP-RK2 solve with Strang-split damping source."""
+    """Conservative MUSCL/SSP-RK2 solve with Strang-split damping source from
+    t = -1 to t_end, or to the last step before a non-finite field (status
+    "NonFiniteField").  The defaults are the sweep's and the CLI's; grid_n < 64
+    is an InvalidParameter, cfl outside (0, 0.9] a CflViolation."""
     if grid_n < 64:
         raise InvalidParameter("grid_n must be >= 64")
     if not (0.0 < cfl <= 0.9):

@@ -53,7 +53,7 @@ def _f(v):
 
 def _problem_spec(path):
     """The burgers --problem JSON object: grid_n an integer, domain a pair of
-    numbers, a, c, wavelength, t_end and cfl numbers."""
+    numbers, a, c, wavelength, t_end and cfl numbers; every number finite."""
     with open(path) as fh:
         try:
             spec = json.load(fh)
@@ -67,7 +67,8 @@ def _problem_spec(path):
     if not (isinstance(domain, list) and len(domain) == 2 and all(map(_is_number, domain))):
         bad.append("domain")
     if bad:
-        raise ConfigInvalid(f"problem spec fields of the wrong type: {', '.join(bad)}")
+        raise ConfigInvalid(
+            f"problem spec fields of the wrong type or not finite: {', '.join(bad)}")
     return spec
 
 

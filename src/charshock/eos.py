@@ -18,6 +18,7 @@ and identically 0 for the Chaplygin gas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -124,8 +125,12 @@ def make_custom(h_table, eta_sq_table) -> EquationOfState:
 
 
 def _is_number(v, kind=(int, float)):
-    """Whether v is a JSON value of the given kind; a bool is not a number."""
-    return isinstance(v, kind) and not isinstance(v, bool)
+    """Whether v is a JSON value of the given kind that converts to a finite
+    float; a bool is not a number."""
+    try:
+        return isinstance(v, kind) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:                     # an int beyond the float range
+        return False
 
 
 def _is_number_list(v):

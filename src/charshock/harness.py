@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -36,7 +35,9 @@ __all__ = ["SweepConfig", "SweepResult", "run_sweep", "emit_outputs"]
 
 _AXES = ("a_values", "c_values", "delta_values", "eos_values")
 _NUMBER = (int, float)
-# each mode's solver entries and the JSON types they take
+# each mode's solver entries and their JSON types; each goes unchanged to the
+# library function that takes it, so an unset one keeps that default (euler:
+# ray_count to trace_rays, the rest to run_until, whose t_end is sigma)
 _SOLVER_ENTRIES = {
     "burgers": {"simulate": bool, "grid_n": int, "t_end": _NUMBER, "cfl": _NUMBER},
     "predict": {},
@@ -56,18 +57,18 @@ class SweepConfig:
     solver: dict = field(default_factory=dict)
 
     def validate(self):
-        """ConfigInvalid unless every field is well formed: finite axis values,
+        """ConfigInvalid unless every field is well formed: numeric axis values,
         known solver entries of the right JSON type, EOS records of known
-        families with fields of the right type.  A value out of range
-        (gamma <= 1, cfl = 0) fails its own cells only."""
+        families with fields of the right type, and every number convertible
+        to a finite float.  A value out of range (gamma <= 1, cfl = 0) fails
+        its own cells only."""
         if self.mode not in _MODES:
             raise ConfigInvalid(f"mode must be one of {_MODES}, got {self.mode!r}")
         for name in _AXES:
             vals = getattr(self, name)
             if not isinstance(vals, (tuple, list)) or len(vals) == 0:
                 raise ConfigInvalid(f"axis {name} must be a non-empty list, got {vals!r}")
-            if name != "eos_values" and not all(
-                    _is_number(v) and -math.inf < v < math.inf for v in vals):
+            if name != "eos_values" and not all(map(_is_number, vals)):
                 raise ConfigInvalid(f"axis {name} must hold finite numbers, got {vals!r}")
         for record in self.eos_values:
             try:
@@ -84,8 +85,9 @@ class SweepConfig:
                 raise ConfigInvalid(f"unknown {self.mode} solver entry {key!r}; "
                                     f"known: {sorted(entries)}")
             kind = entries[key]
-            if not (isinstance(v, bool) if kind is bool else _is_number(v, kind)):
-                raise ConfigInvalid(f"solver entry {key!r} has the wrong type: {v!r}")
+            if not (isinstance(v, kind) if kind is bool or v is None else _is_number(v, kind)):
+                raise ConfigInvalid(
+                    f"solver entry {key!r} has the wrong type or is not finite: {v!r}")
         if self.mode == "euler" and any(not 0.0 < d < 1.0 for d in self.delta_values):
             raise ConfigInvalid("euler mode needs delta values in (0, 1)")
 
@@ -167,7 +169,7 @@ def _cell_euler(cell):
             row["t_star_simulated"] = float(t0 + (m0 - 0.1) / (m0 - m1) * (t1 - t0))
         else:
             row["t_star_simulated"] = float(bundle.times[i])
-    row["run_status"] = hist.status
+    row["run_status"], row["error"] = hist.status, hist.message  # why the run stopped
     return row
 
 
@@ -184,7 +186,7 @@ def _run_cell(cell):
         "eos": json.dumps(cell["eos"], sort_keys=True),
         "t_star_predicted": float("nan"), "t_star_simulated": float("nan"),
         "classification": "", "min_mu_at_sigma": float("nan"),
-        "status": "ok", "error": "",
+        "run_status": "", "status": "ok", "error": "",
     }
     try:
         base.update(_CELL_FUNCS[cell["mode"]](cell))
@@ -199,16 +201,19 @@ def _run_cell(cell):
 
 
 def _worker_count(workers=None):
-    env = os.environ.get("CHARSHOCK_WORKERS")
+    """CHARSHOCK_WORKERS if set, else workers, else 1; ConfigInvalid below 1."""
+    source, env = "workers", os.environ.get("CHARSHOCK_WORKERS")
     if env is not None:
+        source = "CHARSHOCK_WORKERS"
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
-            raise ConfigInvalid(
-                f"CHARSHOCK_WORKERS must be an integer, got {env!r}") from None
-    if workers is not None:
-        return max(1, workers)
-    return 1
+            raise ConfigInvalid(f"{source} must be an integer, got {env!r}") from None
+    if workers is None:
+        return 1
+    if workers < 1:
+        raise ConfigInvalid(f"{source} must be at least 1, got {workers}")
+    return workers
 
 
 def run_sweep(config: SweepConfig, workers=None) -> SweepResult:
@@ -220,8 +225,8 @@ def run_sweep(config: SweepConfig, workers=None) -> SweepResult:
         for a in config.a_values for c in config.c_values
         for d in config.delta_values for e in config.eos_values
     ]
-    n_workers = _worker_count(workers)
-    if n_workers > 1 and len(cells) > 1:
+    n_workers = min(_worker_count(workers), len(cells))  # a fork per worker
+    if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             rows = list(pool.map(_run_cell, cells))
     else:
@@ -236,7 +241,7 @@ def run_sweep(config: SweepConfig, workers=None) -> SweepResult:
 
 _CSV_COLUMNS = ("a", "c", "delta", "eos", "classification",
                 "t_star_predicted", "t_star_simulated", "min_mu_at_sigma",
-                "status", "config_hash", "version")
+                "status", "config_hash", "version", "run_status", "error")
 
 
 def _fmt(v):

@@ -219,6 +219,9 @@ def advance(fld: RadialField, dt: float, a: float, eos: EquationOfState):
 
 @dataclass
 class RunHistory:
+    """The snapshots of a run_until solve and how it ended; the last one is the
+    last time reached (last_good_time), eos_meta the EOS as a config record."""
+
     r_grid: np.ndarray
     times: np.ndarray                 # snapshot times, ascending
     phi: np.ndarray                   # (n_snapshots, n_r)
@@ -256,7 +259,8 @@ class RunHistory:
 
     @classmethod
     def load(cls, path):
-        """Read a history written by save; older files load with message ""."""
+        """Read a history written by save; older files load with message "",
+        and the last_good_time key they hold is ignored."""
         try:
             with np.load(path) as z:
                 f = {k: z[k] for k in z.files}
@@ -286,7 +290,8 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     data: ShortPulseData providing phi_at / dtphi_at evaluators and delta.
     Snapshots are stored every sample_dt (default delta/20) plus the first
     and last time reached.  Breakdowns (EOS domain exit, non-finite fields)
-    terminate the run with status, message and last_good_time recorded.
+    terminate the run with status and message recorded; the last snapshot is
+    then the last good time.
     Each step evolves only the active window r >= r_front(t) - _MARGIN * dr
     (module docstring); the snapshots hold the whole grid.
 

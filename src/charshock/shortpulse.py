@@ -107,7 +107,7 @@ class ShortPulseData:
     def dtphi_at(self, r):
         """dtphi(-2, r), extended by zero outside the annulus."""
         s = self._s(r)
-        inside = (s > 0.0) & (s < 1.0)
+        inside = (s > 0.0) & (s < self.s_grid[-1])
         out = np.zeros_like(s)
         out[inside] = self.delta * np.asarray(self.seeds.phi1(s[inside]))
         return out

@@ -108,8 +108,13 @@ def test_charshock_error_maps_to_exit_1(tmp_path, capsys):
     listed, typo = tmp_path / "listed.json", tmp_path / "typo.json"
     listed.write_text("[1]")
     typo.write_text(json.dumps({"grid_n": "x"}))
+    huge, nan = tmp_path / "huge.json", tmp_path / "nan.json"
+    huge.write_text(json.dumps({"t_end": 10**400}))
+    nan.write_text(json.dumps({"t_end": float("nan")}))
     for argv in (["burgers", "--problem", str(listed)],
                  ["burgers", "--problem", str(typo)],
+                 ["burgers", "--problem", str(huge)],
+                 ["burgers", "--problem", str(nan)],
                  ["foliate", "--history", str(typo)]):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ConfigInvalid: ")
@@ -150,8 +155,13 @@ def test_charshock_error_maps_to_exit_1(tmp_path, capsys):
                 {**base, "eos_values": [{"family": "polytropic", "gamma": "x"}]},
                 {**base, "eos_values": [{"family": "custom", "h_table": ["a"] * 4,
                                          "eta_sq_table": [1.0] * 4}]},
-                # NaN and Infinity JSON literals
-                {**base, "c_values": [float("nan")]}, {**base, "a_values": [float("inf")]}):
+                # NaN and Infinity JSON literals, and ints beyond the float range
+                {**base, "c_values": [float("nan")]}, {**base, "a_values": [float("inf")]},
+                {**base, "a_values": [10**400]},
+                {**base, "mode": "euler", "delta_values": [0.05],
+                 "solver": {"points_per_delta": 10**400}},
+                {**base, "mode": "euler", "delta_values": [0.05], "solver": {"r_min": 10**400}},
+                {**base, "mode": "burgers", "solver": {"simulate": True, "t_end": 10**400}}):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from charshock import harness
 from charshock.errors import ConfigInvalid
 from charshock.harness import SweepConfig, emit_outputs, run_sweep
 
@@ -175,6 +176,45 @@ def test_workers_env_must_be_an_integer(monkeypatch):
         run_sweep(PREDICT_CFG)
 
 
+def test_worker_count_below_one_is_rejected(monkeypatch):
+    with pytest.raises(ConfigInvalid, match="workers must be at least 1"):
+        run_sweep(PREDICT_CFG, workers=0)
+    monkeypatch.setenv("CHARSHOCK_WORKERS", "-2")
+    with pytest.raises(ConfigInvalid, match="CHARSHOCK_WORKERS must be at least 1"):
+        run_sweep(PREDICT_CFG, workers=4)
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_is_capped_at_the_cell_count(monkeypatch):
+    """No more workers start than there are cells; one cell needs no pool."""
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    two = SweepConfig(a_values=(0.0, 0.25), c_values=(1.0,), mode="predict")
+    monkeypatch.setenv("CHARSHOCK_WORKERS", "500")
+    assert [r["status"] for r in run_sweep(two).rows] == ["ok", "ok"]
+    monkeypatch.delenv("CHARSHOCK_WORKERS")
+    assert len(run_sweep(two, workers=3).rows) == 2
+    assert len(run_sweep(PREDICT_CFG, workers=8).rows) == 1
+    assert _InProcessPool.sizes == [2, 2]
+
+
 def test_euler_mode_cell():
     cfg = SweepConfig(
         a_values=(0.0,), c_values=(1.0,), mode="euler", delta_values=(0.1,),
@@ -232,6 +272,19 @@ def test_sweep_csv_parses_for_every_eos(tmp_path):
                                         for e in eos_values)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert len(summary["runtimes"]) == summary["n_cells"] == len(eos_values)
+
+
+def test_sweep_csv_shows_why_an_euler_run_stopped(tmp_path):
+    """A cell whose run leaves the EOS domain is status ok, and its row says
+    so: run_status EosDomain, the run's message in error."""
+    cfg = SweepConfig(a_values=(0.0,), c_values=(-20.0,), mode="euler",
+                      delta_values=(0.2,), sigma=-1.5)
+    emit_outputs(run_sweep(cfg), tmp_path)
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["status"] == "ok"
+    assert row["run_status"] == "EosDomain"
+    assert row["error"].startswith("enthalpy outside")
 
 
 def test_emit_outputs_rejects_empty(tmp_path):

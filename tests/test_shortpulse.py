@@ -65,6 +65,16 @@ def test_delta_halving_scaling_law():
     assert sup[0.05][1] / sup[0.1][1] == pytest.approx(0.5, rel=1e-6)
 
 
+def test_data_vanish_beyond_a_delta_squared_annulus():
+    """Both fields stop at the annulus's outer edge 2 + delta^2, not at 2 + delta."""
+    data = build_annulus_data(bump_seeds(c=1.0, delta=0.5), width_mode="delta_squared")
+    assert data.r_grid[-1] == 2.25
+    beyond = np.array([2.25, 2.3, 2.35, 2.5])
+    assert np.all(data.dtphi_at(beyond) == 0.0)
+    assert np.all(data.phi_at(beyond) == data.phi_at(2.25))
+    assert data.dtphi_at(2.2) > 0.0
+
+
 def test_invalid_width():
     with pytest.raises(InvalidWidth):
         build_annulus_data(SeedProfiles(phi1=zero, phi2=zero, delta=1.0))
