@@ -225,7 +225,7 @@ def run_sweep(config: SweepConfig, workers=None) -> SweepResult:
         for a in config.a_values for c in config.c_values
         for d in config.delta_values for e in config.eos_values
     ]
-    n_workers = min(_worker_count(workers), len(cells))  # a fork per worker
+    n_workers = min(_worker_count(workers), len(cells))  # the pool forks all up front
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             rows = list(pool.map(_run_cell, cells))
