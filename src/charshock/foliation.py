@@ -13,11 +13,12 @@ foliation density mu is computed two independent ways:
     and Lf = df/dt + (dr/dt) df/dr the derivative along the ray.
 
 The fields come from the stored snapshots through _FieldSampler: one
-four-row block (eta, dr/dt, m_factor, e) per sample, and trace_rays
-samples each snapshot time once.  _mu_rate is the one transport law, for
-trace_rays and lmu_initial alike.  trace_rays returns the rows up to the
-last time at which the whole bundle was traced; why it stopped there is
-not recorded.
+four-row block (eta, dr/dt, m_factor, e) per sample, from one vectorised
+pass over the sample's snapshots, each derived only on a band of the grid
+around the bundle; trace_rays samples each snapshot time once.  _mu_rate
+is the one transport law, for trace_rays and lmu_initial alike.
+trace_rays returns the rows up to the last time at which the whole bundle
+was traced; why it stopped there is not recorded.
 
 The semi-analytic predictor is mu_hat(t) = 1 + 2 A1(t) Lmu(-2, u) with
 A1(t) = int_{-2}^t d tau / (e^{a(tau+2)} (-tau)) = e^{-2a} (Ei(2a) - Ei(-a t))
@@ -168,9 +169,13 @@ def classify_largeness(c, a, sigma=-0.1):
 # field sampling along rays
 # ---------------------------------------------------------------------------
 
-# rows of a sampled block, and the cubic stencil's offsets from its cell
+# rows of a sampled block; the cubic stencil's taps as offsets from the cell,
+# tap j's weight at x being v[a] v[b] v[c] / d_j for v = x - _TAPS
 _ETA, _RDOT, _M_FACTOR, _E = range(4)
-_CUBIC_OFFSETS = np.arange(-1, 3)
+_TAPS = np.arange(-1.0, 3.0)[:, None, None]
+_TAP_FACTORS = np.array([[1, 0, 0, 0], [2, 2, 1, 1], [3, 3, 3, 2]])    # (a, b, c) of each j
+_TAP_DENOMS = np.array([-6.0, 2.0, -2.0, 6.0])[:, None, None]
+_BAND_MARGIN = 8    # cells derived beyond the taps, so that one band serves later samples
 
 
 class _FieldSampler:
@@ -192,59 +197,63 @@ class _FieldSampler:
         self.r = history.r_grid
         self.dr = self.r[1] - self.r[0]
         self.a = history.a
-        self._snap_cache = {}
+        self.times = history.times.tolist()
+        self._bands = {}    # snapshot index -> (valid cells lo, hi, first, taps)
 
-    def _snap_arrays(self, k):
-        """The four-row block on the grid at stored snapshot index k."""
-        if k in self._snap_cache:
-            return self._snap_cache[k]
-        a = self.a
-        y = np.stack((self.hist.phi[k], self.hist.dtphi[k]))
-        dphi, ddtphi, d2phi, h, eta_sq, dtt = _fields(self.r, y, a, self.eos)
-        st = self.eos.eval(h)
-        eta = st.eta
-        dh = ddtphi - dphi * d2phi + a * dphi          # dh/dr
-        dth = dtt - dphi * ddtphi + a * y[1]           # dh/dt
-        rdot = -(eta + dphi)
-        out = np.stack((
-            eta, rdot,
-            # m = (mu/eta) * m_factor
-            0.5 * st.dH_dh * dh + a * dphi,
-            (st.deta_sq_dh / (2.0 * eta_sq) * (dth + rdot * dh)
-             + (ddtphi + rdot * d2phi) / eta),
-        ))
-        if len(self._snap_cache) > 8:
-            self._snap_cache.pop(next(iter(self._snap_cache)))
-        self._snap_cache[k] = out
-        return out
-
-    def _cubic(self, arr, r_pos):
-        """4-point cubic interpolation of every row of a stacked grid array at r_pos."""
-        r, dr = self.r, self.dr
-        i = np.clip(((r_pos - r[0]) / dr).astype(int), 1, len(r) - 3)
-        x = (r_pos - r[i]) / dr                # in [0, 1] inside the cell
-        w0 = -x * (x - 1.0) * (x - 2.0) / 6.0
-        w1 = (x + 1.0) * (x - 1.0) * (x - 2.0) / 2.0
-        w2 = -(x + 1.0) * x * (x - 2.0) / 2.0
-        w3 = (x + 1.0) * x * (x - 1.0) / 6.0
-        g = arr[:, i + _CUBIC_OFFSETS[:, None]]   # (row, point, ray)
-        return w0 * g[:, 0] + w1 * g[:, 1] + w2 * g[:, 2] + w3 * g[:, 3]
+    def _band(self, k, lo, hi):
+        """(first, taps) of snapshot k for cells lo..hi-1, taps[p, q, j] being row q
+        at grid point first + j + p - 1.  The block is derived, with the grid's dr,
+        on the taps, _BAND_MARGIN more cells and the stencils' 2-point reach on
+        each side, which makes it the whole grid's bit for bit on the cells."""
+        band = self._bands.get(k)
+        if band is None or not (band[0] <= lo and hi <= band[1]):
+            lo, hi, a, n = lo - _BAND_MARGIN, hi + _BAND_MARGIN, self.a, len(self.r)
+            b0, b1 = max(min(lo - 3, n - 8), 0), min(max(hi + 4, 8), n)    # 8: d2's edge rows
+            y = np.array((self.hist.phi[k, b0:b1], self.hist.dtphi[k, b0:b1]))
+            dphi, ddtphi, d2phi, h, eta_sq, dtt = _fields(self.r[b0:b1], y, a, self.eos, self.dr)
+            st = self.eos.eval(h)
+            eta = st.eta
+            dh = ddtphi - dphi * d2phi + a * dphi          # dh/dr
+            dth = dtt - dphi * ddtphi + a * y[1]           # dh/dt
+            rdot = -(eta + dphi)
+            block = np.array((
+                eta, rdot,
+                # m = (mu/eta) * m_factor
+                0.5 * st.dH_dh * dh + a * dphi,
+                (st.deta_sq_dh / (2.0 * eta_sq) * (dth + rdot * dh)
+                 + (ddtphi + rdot * d2phi) / eta),
+            ))
+            if len(self._bands) > 8:
+                self._bands.pop(next(iter(self._bands)))
+            band = self._bands[k] = (lo, hi, b0 + 1, np.array(
+                [block[:, p:p + b1 - b0 - 3] for p in range(4)]))
+        return band[2:]
 
     def at(self, t, r_pos):
         """The block (eta, rdot = dr/dt, m_factor, e) at time t and positions r_pos."""
-        r = self.r
+        r, dr = self.r, self.dr
         r_pos = np.asarray(r_pos, dtype=float)
-        if np.min(r_pos) < r[0] or np.max(r_pos) > r[-1]:
+        if r_pos.min() < r[0] or r_pos.max() > r[-1]:
             raise InterpolationOutOfRange(
                 f"ray position outside stored grid at t={t:.6f}")
-        times = self.hist.times
-        snaps, weights = _time_stencil(times, t)
-        out = 0.0
-        for sk, w in zip(snaps, weights):
-            # incoming characteristic shift at unit speed, clamped to grid
-            shifted = np.clip(r_pos + (t - times[sk]), r[0], r[-1])
-            out = out + w * self._cubic(self._snap_arrays(sk), shifted)
-        return out
+        snaps, weights = _time_stencil(self.times, t)
+        # per (snapshot, ray): the position shifted along the incoming
+        # characteristic at unit speed and clamped to the grid, its cell i
+        # and the taps' weights w[tap, snapshot, ray] at the position in the cell
+        shifted = np.minimum(np.maximum(
+            r_pos + np.array([t - self.times[k] for k in snaps])[:, None], r[0]), r[-1])
+        i = np.minimum(np.maximum(((shifted - r[0]) / dr).astype(int), 1), len(r) - 3)
+        f = ((shifted - r[i]) / dr - _TAPS).take(_TAP_FACTORS, axis=0)
+        w = f[0] * f[1] * f[2] / _TAP_DENOMS
+        # one gather g[tap, row, snapshot, ray] from the bands laid end to end
+        bands = [self._band(k, lo, hi + 1) for k, lo, hi in
+                 zip(snaps, i.min(axis=1).tolist(), i.max(axis=1).tolist())]
+        end = 0     # where each band starts in the concatenation, less its first cell
+        starts = [(end := end + taps.shape[2]) - taps.shape[2] - first for first, taps in bands]
+        g = np.concatenate([taps for _, taps in bands], axis=2).take(
+            i + np.array(starts)[:, None], axis=2)
+        cubic = np.add.reduce(np.multiply(w[:, None], g, out=g), axis=0)
+        return np.add.reduce(cubic * np.array(weights)[:, None], axis=1, initial=0.0)
 
 
 def _mu_rate(blk, mu):
@@ -307,11 +316,13 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
     mu_tr = blk[_ETA]                            # mu = eta initially
     y = np.stack((r_pos, mu_tr))
 
-    rows_r, rows_sp, rows_tr = [r_pos], [mu_from_spacing(mu_tr, r_pos, u)], [mu_tr]
+    rows = np.empty((3, len(times), ray_count))     # r, mu_spacing, mu_transport
+    rows[:, 0] = r_pos, mu_from_spacing(mu_tr, r_pos, u), mu_tr
+    n = 1                                           # rows traced
     r_lo = history.r_grid[0] + 2.0 * (history.r_grid[1] - history.r_grid[0])
 
     def rate(blk, mu):
-        return np.stack((blk[_RDOT], _mu_rate(blk, mu)))
+        return np.array((blk[_RDOT], _mu_rate(blk, mu)))
 
     def rhs(t, y):
         return rate(sampler.at(t, y[0]), y[1])
@@ -330,16 +341,13 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
             mu_sp = mu_from_spacing(blk[_ETA], r_pos, u)
         except ShockDetected:
             break
-        rows_r.append(r_pos)
-        rows_sp.append(mu_sp)
-        rows_tr.append(mu_tr)
+        rows[:, n] = r_pos, mu_sp, mu_tr
+        n += 1
         if np.min(mu_sp) <= _MU_STOP or np.min(mu_tr) <= _MU_STOP:
             break
 
-    n = len(rows_r)
-    return RayBundle(u=u, times=times[:n], r=np.asarray(rows_r),
-                     mu_spacing=np.asarray(rows_sp),
-                     mu_transport=np.asarray(rows_tr))
+    return RayBundle(u=u, times=times[:n], r=rows[0, :n], mu_spacing=rows[1, :n],
+                     mu_transport=rows[2, :n])
 
 
 def shock_region_monitor(bundle: RayBundle):

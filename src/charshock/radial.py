@@ -34,6 +34,7 @@ moving continuation of the pinned inner boundary.
 
 from __future__ import annotations
 
+import bisect
 import math
 import zipfile
 from dataclasses import dataclass, field
@@ -104,13 +105,14 @@ def d2(f, dx):
     return out
 
 
-def _fields(r, y, a, eos):
+def _fields(r, y, a, eos, dr=None):
     """(dphi, d(dtphi)/dr, d2phi, h, eta^2, d(dtphi)/dt) of the stacked state
     y = (phi, dtphi) on the grid r, from the equation in the module docstring.
 
     The edge rows are the one-sided stencils'; no boundary condition is applied.
+    dr defaults to r[1] - r[0], which on a slice can differ from the grid's.
     """
-    dr = r[1] - r[0]
+    dr = r[1] - r[0] if dr is None else dr
     phi, dtphi = y
     dphi, ddtphi = d1(y, dr)
     d2phi = d2(phi, dr)
@@ -139,15 +141,16 @@ def _time_stencil(times, t):
     which does not vanish when the snapshot cadence is scaled with delta;
     cubic interpolation drops it to (omega*dt)^4.
     """
-    i = int(np.clip(np.searchsorted(times, t) - 1, 0, len(times) - 2))
+    n = len(times)
+    i = min(max(bisect.bisect_left(times, t) - 1, 0), n - 2)
     for k in (i, i + 1):
         if abs(t - times[k]) < 1e-13:
             return [k], [1.0]
-    if len(times) < 4:
+    if n < 4:
         w = (t - times[i]) / (times[i + 1] - times[i])
         return [i, i + 1], [1.0 - w, w]
-    lo = int(np.clip(i - 1, 0, len(times) - 4))
-    ts = times[lo:lo + 4].tolist()
+    lo = min(max(i - 1, 0), n - 4)
+    ts = [float(s) for s in times[lo:lo + 4]]
     weights = [math.prod((t - ts[j]) / (ts[k] - ts[j]) for j in range(4) if j != k)
                for k in range(4)]
     return list(range(lo, lo + 4)), weights

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import expi
 
-from charshock.eos import make_chaplygin, make_polytropic
+from charshock import foliation
+from charshock.eos import eos_from_config, make_chaplygin, make_custom, make_polytropic
 from charshock.errors import (
+    InterpolationOutOfRange,
     InvalidParameter,
     NoRootBeforeSigma,
     ShockDetected,
@@ -28,7 +30,7 @@ from charshock.foliation import (
     shock_time_3d,
     trace_rays,
 )
-from charshock.radial import RunHistory, run_until
+from charshock.radial import RunHistory, _fields, _time_stencil, run_until
 from charshock.shortpulse import build_annulus_data, bump_seeds
 
 EOS = make_polytropic(2.0)
@@ -234,6 +236,115 @@ def test_chaplygin_mu_stays_near_one():
                      r_min=1.35, sample_dt=0.0025)
     bundle = trace_rays(hist, ray_count=65)
     assert np.max(np.abs(bundle.mu_spacing - 1.0)) <= 3.0 * hist.delta
+
+
+class _FullGridSampler:
+    """Reference for _FieldSampler.at: each snapshot's block derived on the
+    whole grid, and each snapshot of the time stencil interpolated apart."""
+
+    def __init__(self, history, eos=None):
+        self.hist = history
+        self.eos = eos if eos is not None else eos_from_config(history.eos_meta)
+        self.r = history.r_grid
+        self.dr = self.r[1] - self.r[0]
+
+    def block(self, k):
+        a, y = self.hist.a, np.stack((self.hist.phi[k], self.hist.dtphi[k]))
+        dphi, ddtphi, d2phi, h, eta_sq, dtt = _fields(self.r, y, a, self.eos)
+        st_ = self.eos.eval(h)
+        eta = st_.eta
+        dh = ddtphi - dphi * d2phi + a * dphi
+        dth = dtt - dphi * ddtphi + a * y[1]
+        rdot = -(eta + dphi)
+        return np.stack((eta, rdot, 0.5 * st_.dH_dh * dh + a * dphi,
+                         (st_.deta_sq_dh / (2.0 * eta_sq) * (dth + rdot * dh)
+                          + (ddtphi + rdot * d2phi) / eta)))
+
+    def cubic(self, arr, r_pos):
+        r, dr = self.r, self.dr
+        i = np.clip(((r_pos - r[0]) / dr).astype(int), 1, len(r) - 3)
+        x = (r_pos - r[i]) / dr
+        w0 = -x * (x - 1.0) * (x - 2.0) / 6.0
+        w1 = (x + 1.0) * (x - 1.0) * (x - 2.0) / 2.0
+        w2 = -(x + 1.0) * x * (x - 2.0) / 2.0
+        w3 = (x + 1.0) * x * (x - 1.0) / 6.0
+        g = arr[:, i + np.arange(-1, 3)[:, None]]
+        return w0 * g[:, 0] + w1 * g[:, 1] + w2 * g[:, 2] + w3 * g[:, 3]
+
+    def at(self, t, r_pos):
+        r, times = self.r, self.hist.times
+        r_pos = np.asarray(r_pos, dtype=float)
+        if np.min(r_pos) < r[0] or np.max(r_pos) > r[-1]:
+            raise InterpolationOutOfRange(f"outside the grid at t={t}")
+        out = 0.0
+        for k, w in zip(*_time_stencil(times, t)):
+            shifted = np.clip(r_pos + (t - times[k]), r[0], r[-1])
+            out = out + w * self.cubic(self.block(k), shifted)
+        return out
+
+
+_SAMPLER_EOS = (EOS, make_polytropic(1.4), make_chaplygin(),
+                make_custom(np.linspace(-0.5, 0.5, 9), 1.0 + 0.8 * np.linspace(-0.5, 0.5, 9)
+                            + 0.3 * np.linspace(-0.5, 0.5, 9) ** 2))
+
+
+@st.composite
+def _sampled_histories(draw):
+    """A random history (2 to 7 snapshots, 12 to 120 grid points, small noisy
+    fields) and a few (t, positions) to sample it at: exact snapshot times,
+    times within 1e-13 of one and times in between; positions in a window of
+    the grid, which may end at either end of the grid."""
+    n_r, n_t = draw(st.integers(12, 120)), draw(st.integers(2, 7))
+    dr = draw(st.floats(0.002, 0.05))
+    r = draw(st.floats(0.5, 2.0)) + dr * np.arange(n_r)
+    steps = draw(st.lists(st.floats(0.001, 0.05), min_size=n_t - 1, max_size=n_t - 1))
+    times = -1.9 + np.concatenate(([0.0], np.cumsum(steps)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amp = draw(st.floats(1e-6, 1e-4))
+    hist = RunHistory(r_grid=r, times=times, phi=amp * rng.standard_normal((n_t, n_r)),
+                      dtphi=amp * rng.standard_normal((n_t, n_r)),
+                      a=draw(st.floats(-0.5, 0.5)), delta=0.1, status="Completed")
+    samples = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, n_t - 1))
+        t = draw(st.sampled_from([times[k], times[k] + 5e-14, times[k] - 5e-14,
+                                  draw(st.floats(times[0], times[-1]))]))
+        # a window of the grid, often one that ends at r[0] or r[-1]
+        lo, hi = sorted(draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+                        for _ in range(2))
+        fracs = lo + (hi - lo) * np.array(draw(st.lists(
+            st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=12)))
+        samples.append((float(min(max(t, times[0]), times[-1])),
+                        np.minimum(r[0] + fracs * (r[-1] - r[0]), r[-1])))
+    return hist, samples
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_sampled_histories(), eos=st.sampled_from(_SAMPLER_EOS),
+       margin=st.sampled_from([0, 1, foliation._BAND_MARGIN]))
+def test_field_sampler_matches_full_grid_reference(case, eos, margin):
+    """Band-limited derivation and the one-pass interpolation give the full
+    grid's block bit for bit, whichever bands the samples need.  The band
+    margin only decides how often a band is derived; at 0 the taps use every
+    point a band claims to hold."""
+    hist, samples = case
+    sampler, reference = _FieldSampler(hist, eos), _FullGridSampler(hist, eos)
+    kept, foliation._BAND_MARGIN = foliation._BAND_MARGIN, margin
+    try:
+        for t, r_pos in samples:
+            assert np.array_equal(sampler.at(t, r_pos), reference.at(t, r_pos))
+    finally:
+        foliation._BAND_MARGIN = kept
+
+
+def test_trace_rays_and_lmu_match_full_grid_reference(pulse_bundle, monkeypatch):
+    hist, bundle = pulse_bundle
+    lmu = lmu_initial(hist, bundle.u)
+    monkeypatch.setattr(foliation, "_FieldSampler", _FullGridSampler)
+    reference = trace_rays(hist, ray_count=65)
+    for name in ("times", "r", "mu_spacing", "mu_transport"):
+        assert np.array_equal(getattr(bundle, name), getattr(reference, name)), name
+    assert np.array_equal(lmu, lmu_initial(hist, bundle.u))
 
 
 def test_shock_region_monitor_empty_when_mu_large(pulse_bundle):
