@@ -192,9 +192,12 @@ def burgers_direct_solve(
     """Conservative MUSCL/SSP-RK2 solve with Strang-split damping source from
     t = -1 to t_end, or to the last step before a non-finite field (status
     "NonFiniteField").  The defaults are the sweep's and the CLI's; grid_n < 64
-    is an InvalidParameter, cfl outside (0, 0.9] a CflViolation."""
+    and a t_end that is not finite or not above -1 are an InvalidParameter,
+    cfl outside (0, 0.9] a CflViolation."""
     if grid_n < 64:
         raise InvalidParameter("grid_n must be >= 64")
+    if not (math.isfinite(t_end) and t_end > -1.0):
+        raise InvalidParameter(f"t_end must be finite and above -1, got {t_end}")
     if not (0.0 < cfl <= 0.9):
         raise CflViolation(f"cfl must lie in (0, 0.9], got {cfl}")
     a = problem.a

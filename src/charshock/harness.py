@@ -159,7 +159,8 @@ def _cell_euler(cell):
     hist = run_until(data, a=cell["a"], eos=eos, t_end=cell["sigma"], **entries)
     bundle = trace_rays(hist, eos=eos, **rays)
     min_mu = np.min(bundle.mu_spacing, axis=1)
-    row["min_mu_at_sigma"] = float(min_mu[-1])
+    if bundle.times[-1] >= cell["sigma"] - 1e-12:    # else the bundle stopped short of sigma
+        row["min_mu_at_sigma"] = float(min_mu[-1])
     below = np.where(min_mu <= 0.1)[0]
     if below.size:
         i = below[0]

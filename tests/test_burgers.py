@@ -1,11 +1,15 @@
 """Damped Burgers characteristic analysis and direct-solver oracle tests."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import charshock
 from charshock.burgers import (
     _muscl_rhs,
     BurgersProblem,
@@ -165,6 +169,26 @@ def test_direct_solver_stops_on_non_finite_field():
     assert hist.status == "NonFiniteField"
     assert list(hist.times) == [-1.0] and hist.last_good_time == -1.0
     assert np.array_equal(hist.phi, p.profile(hist.x), equal_nan=True)  # the initial field
+
+
+@pytest.mark.parametrize("t_end", [float("nan"), -1.0, -1.5, float("-inf")])
+def test_direct_solver_rejects_t_end_not_above_start(t_end):
+    with pytest.raises(InvalidParameter):
+        burgers_direct_solve(make_problem(), grid_n=64, t_end=t_end)
+
+
+def test_burgers_command_rejects_infinite_t_end(tmp_path):
+    """An infinite t_end is refused on entry; unchecked, the solve never ends,
+    so the command runs in a child process under a timeout."""
+    src = os.path.dirname(os.path.dirname(charshock.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "charshock.cli", "burgers", "--grid", "64", "--t-end", "inf",
+         "--out", str(tmp_path / "out.csv")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])})
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: InvalidParameter: ")
 
 
 def _case_analysis_muscl_rhs(u, dx):

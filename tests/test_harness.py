@@ -155,6 +155,18 @@ def test_euler_cell_rejects_zero_cfl():
     assert row["status"] == "CflViolation"
 
 
+def test_min_mu_at_sigma_is_nan_when_the_bundle_stops_before_sigma():
+    """The run reaches sigma but the rays reach mu <= 0.02 at about t = -1.94,
+    so there is no mu at sigma to report."""
+    cfg = SweepConfig(
+        a_values=(0.0,), c_values=(-20.0,), mode="euler", delta_values=(0.1,),
+        sigma=-1.8, solver={"points_per_delta": 16, "r_min": 1.6, "ray_count": 33})
+    row = run_sweep(cfg).rows[0]
+    assert row["status"] == "ok" and row["run_status"] == "Completed"
+    assert math.isnan(row["min_mu_at_sigma"])
+    assert row["t_star_simulated"] < -1.9
+
+
 def test_rows_sorted_by_axes():
     cfg = SweepConfig(a_values=(0.5, 0.0), c_values=(2.0, 1.0),
                       mode="predict")
