@@ -169,8 +169,8 @@ def classify_largeness(c, a, sigma=-0.1):
 # field sampling along rays
 # ---------------------------------------------------------------------------
 
-# rows of a sampled block; the cubic stencil's taps as offsets from the cell,
-# tap j's weight at x being v[a] v[b] v[c] / d_j for v = x - _TAPS
+# rows of a sampled block; the cubic stencil's taps as offsets from the cell, tap
+# j's weight at x being v[a] * v[b] * v[c] / d_j, v = x - _TAPS, in this order
 _ETA, _RDOT, _M_FACTOR, _E = range(4)
 _TAPS = np.arange(-1.0, 3.0)[:, None, None]
 _TAP_FACTORS = np.array([[1, 0, 0, 0], [2, 2, 1, 1], [3, 3, 3, 2]])    # (a, b, c) of each j
@@ -245,7 +245,8 @@ class _FieldSampler:
         i = np.minimum(np.maximum(((shifted - r[0]) / dr).astype(int), 1), len(r) - 3)
         f = ((shifted - r[i]) / dr - _TAPS).take(_TAP_FACTORS, axis=0)
         w = f[0] * f[1] * f[2] / _TAP_DENOMS
-        # one gather g[tap, row, snapshot, ray] from the bands laid end to end
+        # one gather g[tap, row, snapshot, ray] from the bands laid end to end,
+        # then sums over taps and over snapshots, each in a fixed order
         bands = [self._band(k, lo, hi + 1) for k, lo, hi in
                  zip(snaps, i.min(axis=1).tolist(), i.max(axis=1).tolist())]
         end = 0     # where each band starts in the concatenation, less its first cell

@@ -141,15 +141,14 @@ def _time_stencil(times, t):
     which does not vanish when the snapshot cadence is scaled with delta;
     cubic interpolation drops it to (omega*dt)^4.
     """
-    n = len(times)
-    i = min(max(bisect.bisect_left(times, t) - 1, 0), n - 2)
+    i = min(max(bisect.bisect_left(times, t) - 1, 0), len(times) - 2)
     for k in (i, i + 1):
         if abs(t - times[k]) < 1e-13:
             return [k], [1.0]
-    if n < 4:
+    if len(times) < 4:
         w = (t - times[i]) / (times[i + 1] - times[i])
         return [i, i + 1], [1.0 - w, w]
-    lo = min(max(i - 1, 0), n - 4)
+    lo = min(max(i - 1, 0), len(times) - 4)
     ts = [float(s) for s in times[lo:lo + 4]]
     weights = [math.prod((t - ts[j]) / (ts[k] - ts[j]) for j in range(4) if j != k)
                for k in range(4)]
