@@ -74,10 +74,10 @@ class EquationOfState:
         k = self._k
         if k is None:
             eta_sq = np.interp(h, self.h_table, self.eta_sq_table)
-            bad = np.any(h <= self.h_table[0]) or np.any(h >= self.h_table[-1])
+            bad = (h <= self.h_table[0]).any() or (h >= self.h_table[-1]).any()
         else:
             eta_sq = 1.0 + k * np.asarray(h, dtype=float)
-            bad = np.any(eta_sq <= 0.0)
+            bad = (eta_sq <= 0.0).any()
         if bad:
             lo, hi = self.h_bounds()
             raise OutOfDomain(

@@ -66,8 +66,8 @@ def _edge_rows(edge, width):
     return rows.T
 
 
-# 4th-order stencils: 5-point central rows (times 12 dx^k), convolution order
-_D1_CENTRAL = np.array([-1.0, 8.0, 0.0, -8.0, 1.0])
+# 4th-order stencils: 5-point central rows (times 12 dx^k), correlation order
+_D1_CENTRAL = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
 _D2_CENTRAL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
 # one-sided rows at the lower edge; the upper edge mirrors them, with a sign
 # flip for the odd derivative
@@ -79,12 +79,12 @@ _D2_HI = _D2_LO[::-1, ::-1]
 
 
 def _central(f, stencil):
-    """Central 5-point stencil along the last axis, by one convolution.
+    """Central 5-point stencil along the last axis, by one correlation.
 
     The two points at each end of a row mix in the neighbouring row or the
     zero padding; d1 and d2 overwrite them with the one-sided rows.
     """
-    return np.convolve(f.ravel(), stencil, "same").reshape(f.shape)
+    return np.correlate(f.ravel(), stencil, "same").reshape(f.shape)
 
 
 def d1(f, dx):
@@ -116,10 +116,20 @@ def _fields(r, y, a, eos, dr=None):
     phi, dtphi = y
     dphi, ddtphi = d1(y, dr)
     d2phi = d2(phi, dr)
-    h = dtphi - 0.5 * dphi**2 + a * phi
+    dphi_sq, two_dphi = dphi**2, 2.0 * dphi
+    h = dtphi - 0.5 * dphi_sq + a * phi
     eta_sq = eos.eta_sq(h)
-    dtt = (2.0 * dphi * ddtphi + eta_sq * (d2phi + 2.0 * dphi / r)
-           - dphi**2 * d2phi - a * (dtphi - dphi**2))
+    # in place, in the order of 2 dphi ddtphi + eta^2 (d2phi + 2 dphi / r)
+    # - dphi^2 d2phi - a (dtphi - dphi^2): the same bits with fewer temporaries
+    dtt = two_dphi * ddtphi
+    two_dphi /= r
+    two_dphi += d2phi
+    two_dphi *= eta_sq
+    dtt += two_dphi
+    dtt -= dphi_sq * d2phi
+    np.subtract(dtphi, dphi_sq, out=dphi_sq)
+    dphi_sq *= a
+    dtt -= dphi_sq
     return dphi, ddtphi, d2phi, h, eta_sq, dtt
 
 

@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charshock.eos import make_chaplygin, make_custom, make_polytropic
-from charshock.errors import CflViolation, ConfigInvalid, EosDomain, InvalidParameter
+from charshock.errors import (CflViolation, ConfigInvalid, EosDomain, InvalidParameter,
+                              NonFiniteField, OutOfDomain)
 from charshock.foliation import trace_rays
 from charshock.radial import (
+    _D1_HI,
+    _D1_LO,
+    _D2_HI,
+    _D2_LO,
     _MARGIN,
+    _N_PIN,
     _fields,
     _stage,
     _time_stencil,
@@ -276,6 +282,89 @@ def test_self_convergence():
         r, phi = sols[ppd]
         errs.append(np.max(np.abs(phi - np.interp(r, r_fine, phi_fine))))
     assert errs[0] / errs[1] >= 8.0
+
+
+# The stage as it was written before its in-place trims, kept verbatim as the
+# reference they must reproduce bit for bit.
+_REF_D1_CENTRAL = np.array([-1.0, 8.0, 0.0, -8.0, 1.0])
+_REF_D2_CENTRAL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
+
+
+def _ref_central(f, stencil):
+    return np.convolve(f.ravel(), stencil, "same").reshape(f.shape)
+
+
+def _ref_d1(f, dx):
+    out = _ref_central(f, _REF_D1_CENTRAL)
+    out[..., :2] = f[..., :6] @ _D1_LO
+    out[..., -2:] = f[..., -6:] @ _D1_HI
+    out /= 12 * dx
+    return out
+
+
+def _ref_d2(f, dx):
+    out = _ref_central(f, _REF_D2_CENTRAL)
+    out /= 12 * dx**2
+    out[..., :2] = f[..., :8] @ _D2_LO / dx**2
+    out[..., -2:] = f[..., -8:] @ _D2_HI / dx**2
+    return out
+
+
+def _ref_fields(r, y, a, eos, dr=None):
+    dr = r[1] - r[0] if dr is None else dr
+    phi, dtphi = y
+    dphi, ddtphi = _ref_d1(y, dr)
+    d2phi = _ref_d2(phi, dr)
+    h = dtphi - 0.5 * dphi**2 + a * phi
+    eta_sq = eos.eta_sq(h)
+    dtt = (2.0 * dphi * ddtphi + eta_sq * (d2phi + 2.0 * dphi / r)
+           - dphi**2 * d2phi - a * (dtphi - dphi**2))
+    return dphi, ddtphi, d2phi, h, eta_sq, dtt
+
+
+def _ref_stage(t, r, y, a, eos):
+    try:
+        dphi, ddtphi, _, _, eta_sq, dtt = _ref_fields(r, y, a, eos)
+    except OutOfDomain as exc:
+        raise EosDomain(f"{exc} at t={t:.6f}") from None
+    rhs = np.empty_like(y)
+    rhs[0] = y[1]
+    rhs[1] = dtt
+    rhs[:, :_N_PIN] = 0.0
+    lam = np.sqrt(eta_sq[-2:]) - dphi[-2:]
+    rhs[1, -2:] = -lam * (ddtphi[-2:] + y[1, -2:] / r[-2:])
+    if not np.isfinite(rhs).all():
+        raise NonFiniteField(f"non-finite right-hand side at t={t:.6f}")
+    return rhs, eta_sq, dphi
+
+
+def _outcome(fn, *args):
+    """The bytes of every returned array, or the error raised."""
+    try:
+        return [np.asarray(x).tobytes() for x in fn(*args)]
+    except (OutOfDomain, NonFiniteField) as exc:
+        return type(exc), str(exc)
+
+
+_STAGE_EOS = [EOS, make_polytropic(1.4), make_chaplygin(),
+              make_custom(np.linspace(-0.5, 0.5, 41), np.exp(np.linspace(-0.5, 0.5, 41)))]
+
+
+@settings(deadline=None, max_examples=200)
+@given(eos=st.sampled_from(_STAGE_EOS), a=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+       n=st.integers(8, 160), r0=st.floats(0.05, 2.0), width=st.floats(0.1, 3.0),
+       amp=st.lists(st.floats(-0.2, 0.2), min_size=2, max_size=2),
+       centre=st.floats(0.0, 1.0), cut=st.floats(0.0, 1.0), own_dr=st.booleans())
+def test_stage_trims_match_reference_bytes(eos, a, n, r0, width, amp, centre, cut, own_dr):
+    """_fields and _stage give the reference's bytes, sign of zero included,
+    on smooth states that vanish identically ahead of a cut, as pulses do."""
+    r = r0 + width / n * np.arange(n)
+    s = (r - r0) / width
+    bump = np.exp(-((s - centre) / 0.3) ** 2) * (s >= cut)
+    y = np.stack((amp[0] * bump * s, amp[1] * bump * np.cos(5.0 * s)))
+    dr = width / n if own_dr else None
+    assert _outcome(_fields, r, y, a, eos, dr) == _outcome(_ref_fields, r, y, a, eos, dr)
+    assert _outcome(_stage, -1.5, r, y, a, eos) == _outcome(_ref_stage, -1.5, r, y, a, eos)
 
 
 def _reference_run(data, a, eos, r, t_end, sample_dt, cfl=0.4):
