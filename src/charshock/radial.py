@@ -15,7 +15,8 @@ with dphi = d(phi)/dr, enthalpy h = dtphi - dphi^2/2 + a*phi and sound
 speed eta = eta(h) from the equation of state.  Spatial derivatives are
 4th-order central differences (one-sided at the edges); time stepping is
 classical RK4 under a CFL restriction based on the fastest characteristic
-speed eta + |v_r|.
+speed eta + |v_r|; run_until paces its steps by that limit alone, never by
+the snapshot clock.
 
 The pointwise fields of that equation (dphi, d(dtphi)/dr, d2phi, h, eta^2
 and d(dtphi)/dt) have one definition, _fields, on the stacked state
@@ -119,17 +120,10 @@ def _fields(r, y, a, eos, dr=None):
     dphi_sq, two_dphi = dphi**2, 2.0 * dphi
     h = dtphi - 0.5 * dphi_sq + a * phi
     eta_sq = eos.eta_sq(h)
-    # in place, in the order of 2 dphi ddtphi + eta^2 (d2phi + 2 dphi / r)
-    # - dphi^2 d2phi - a (dtphi - dphi^2): the same bits with fewer temporaries
-    dtt = two_dphi * ddtphi
-    two_dphi /= r
-    two_dphi += d2phi
-    two_dphi *= eta_sq
-    dtt += two_dphi
+    dtt = two_dphi * ddtphi                  # summed in place, in the equation's order
+    dtt += eta_sq * (d2phi + two_dphi / r)
     dtt -= dphi_sq * d2phi
-    np.subtract(dtphi, dphi_sq, out=dphi_sq)
-    dphi_sq *= a
-    dtt -= dphi_sq
+    dtt -= a * (dtphi - dphi_sq)
     return dphi, ddtphi, d2phi, h, eta_sq, dtt
 
 
@@ -144,13 +138,15 @@ def _rk4(f, t, y, dt, k1):
 def _time_stencil(times, t):
     """(indices, weights) of the stored snapshots that interpolate to time t.
 
-    A time within 1e-13 of a snapshot takes that snapshot alone.  Otherwise
-    the weights are 4-point Lagrange in t, linear when fewer than four
-    snapshots are stored.  Linear interpolation in t systematically smooths
-    the pulse: the relative bias is (omega*dt)^2/8 with omega ~ 1/delta,
-    which does not vanish when the snapshot cadence is scaled with delta;
-    cubic interpolation drops it to (omega*dt)^4.
+    A time within 1e-13 of a snapshot, or any time when only one is stored,
+    takes that snapshot alone.  Otherwise the weights are 4-point Lagrange in
+    t, linear when fewer than four snapshots are stored.  Linear interpolation
+    in t systematically smooths the pulse: the relative bias is (omega*dt)^2/8
+    with omega ~ 1/delta, which does not vanish when the snapshot cadence is
+    scaled with delta; cubic interpolation drops it to (omega*dt)^4.
     """
+    if len(times) == 1:
+        return [0], [1.0]
     i = min(max(bisect.bisect_left(times, t) - 1, 0), len(times) - 2)
     for k in (i, i + 1):
         if abs(t - times[k]) < 1e-13:
@@ -300,10 +296,12 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     """Evolve short-pulse data from t = -2 to t_end, storing snapshots.
 
     data: ShortPulseData providing phi_at / dtphi_at evaluators and delta.
-    Snapshots are stored every sample_dt (default delta/20) plus the first
-    and last time reached.  Breakdowns (EOS domain exit, non-finite fields)
-    terminate the run with status and message recorded; the last snapshot is
-    then the last good time.
+    Each step is (t_end - t) / ceil((t_end - t) / (cfl dr / speed)), so none
+    exceeds the CFL step and no tiny last step occurs.  A snapshot is the
+    state at the first step at or after each multiple of sample_dt (default
+    delta/20) after -2, at most one per step, from -2 to exactly t_end.
+    Breakdowns (EOS domain exit, non-finite fields) end the run after its
+    last stored snapshot, with status and message recorded.
     Each step evolves only the active window r >= r_front(t) - _MARGIN * dr
     (module docstring); the snapshots hold the whole grid.
 
@@ -337,26 +335,25 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     if sample_dt is None:
         sample_dt = delta / 20.0
     sample_times = np.arange(-2.0, t_end + 1e-12, sample_dt)
-    if sample_times[-1] < t_end - 1e-12:
-        sample_times = np.append(sample_times, t_end)
+    sample_times = np.append(sample_times[sample_times < t_end - 1e-12], t_end)
 
     times = np.empty(len(sample_times))
     snaps_p = np.empty((len(sample_times), r.size))
     snaps_q = np.empty_like(snaps_p)
     t, times[0], snaps_p[0], snaps_q[0] = -2.0, -2.0, y[0], y[1]
-    status, stored, message = "Completed", 1, ""
+    status, stored, due, message = "Completed", 1, 1, ""
     try:
         c0 = float(np.sqrt(eos.eta_sq(0.0)))
-        while t < t_end - 1e-12:
+        while t < t_end:
             j0 = max(0, int(front - c0 * (t + 2.0) / dr) - _MARGIN)
             fld = RadialField(t, r[j0:], y[0, j0:], y[1, j0:])
             speed = fld._first_stage(a, eos)[2]
-            dt = min(cfl * (r[1] - r[0]) / speed, sample_times[stored] - t)
-            fld = advance(fld, dt, a, eos)
-            t, y[0, j0:], y[1, j0:] = fld.t, fld.phi, fld.dtphi
-            if t >= sample_times[stored] - 1e-12:
+            steps = math.ceil((t_end - t) / (cfl * (r[1] - r[0]) / speed))
+            fld = advance(fld, (t_end - t) / steps, a, eos)
+            t, y[0, j0:], y[1, j0:] = t_end if steps == 1 else fld.t, fld.phi, fld.dtphi
+            if t >= sample_times[due]:
                 times[stored], snaps_p[stored], snaps_q[stored] = t, y[0], y[1]
-                stored += 1
+                stored, due = stored + 1, bisect.bisect_right(sample_times, t)
     except OutOfDomain as exc:
         status, message = "EosDomain", str(exc)
     except NonFiniteField as exc:

@@ -1,5 +1,7 @@
 """Radial solver tests: RHS oracles, propagation, convergence, breakdown."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from charshock.eos import make_chaplygin, make_custom, make_polytropic
 from charshock.errors import (CflViolation, ConfigInvalid, EosDomain, InvalidParameter,
                               NonFiniteField, OutOfDomain)
+from charshock import radial
 from charshock.foliation import trace_rays
 from charshock.radial import (
     _D1_HI,
@@ -368,19 +371,22 @@ def test_stage_trims_match_reference_bytes(eos, a, n, r0, width, amp, centre, cu
 
 
 def _reference_run(data, a, eos, r, t_end, sample_dt, cfl=0.4):
-    """Full-grid solve through the public advance, dt from the pointwise fields."""
+    """Full-grid solve through the public advance, dt from the pointwise fields:
+    each step is the remaining time over the fewest CFL steps that cover it, and
+    a step is stored when a multiple of sample_dt after -2 lies in it, or ends
+    the run."""
     fld = RadialField(-2.0, r, data.phi_at(r), data.dtphi_at(r))
-    sample_times = np.arange(-2.0, t_end + 1e-12, sample_dt)
-    if sample_times[-1] < t_end - 1e-12:
-        sample_times = np.append(sample_times, t_end)
+    multiples = np.arange(-2.0, t_end, sample_dt)
     times, phis, dtphis = [fld.t], [fld.phi], [fld.dtphi]
-    while fld.t < t_end - 1e-12:
+    t = -2.0
+    while t < t_end:
         dphi, _, _, _, eta_sq, _ = _fields(r, np.stack((fld.phi, fld.dtphi)), a, eos)
         speed = np.max(np.sqrt(eta_sq) + np.abs(dphi))
-        dt = min(cfl * (r[1] - r[0]) / speed, sample_times[len(times)] - fld.t)
-        fld = advance(fld, dt, a, eos)
-        if fld.t >= sample_times[len(times)] - 1e-12:
-            times.append(fld.t)
+        steps = math.ceil((t_end - t) / (cfl * (r[1] - r[0]) / speed))
+        fld = advance(fld, (t_end - t) / steps, a, eos)
+        t_prev, t = t, (t_end if steps == 1 else fld.t)
+        if t == t_end or np.any((multiples > t_prev) & (multiples <= t)):
+            times.append(t)
             phis.append(fld.phi)
             dtphis.append(fld.dtphi)
     return np.array(times), np.array(phis), np.array(dtphis)
@@ -403,6 +409,43 @@ def test_run_until_matches_full_grid_advance(window_data, eos, a):
     assert np.max(np.abs(hist.times - times)) <= 1e-12    # the solver's sample tolerance
     for got, want in ((hist.phi, phi), (hist.dtphi, dtphi)):
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("sample_dt, t_end", [(0.01, -1.7), (1e-4, -1.9), (0.01, -1.9995)],
+                         ids=["sparse", "below-step", "one-step"])
+def test_run_until_step_rule(window_data, monkeypatch, sample_dt, t_end):
+    """No step is longer than the CFL step, none shorter than half of it unless
+    the run is shorter than one step; a snapshot is the first step at or after
+    each multiple of sample_dt after -2, at most one per step, and the last
+    one is at t_end exactly."""
+    cfl, recorded = 0.4, []
+    step = radial.advance
+
+    def recording(fld, dt, a, eos):
+        recorded.append((fld.t, dt, fld._first_stage(a, eos)[2]))
+        return step(fld, dt, a, eos)
+
+    monkeypatch.setattr(radial, "advance", recording)
+    hist = run_until(window_data, a=0.3, eos=EOS, t_end=t_end, cfl=cfl,
+                     points_per_delta=16, r_min=1.2, sample_dt=sample_dt)
+    start, dt, speed = map(np.array, zip(*recorded))
+    limit = cfl * (hist.r_grid[1] - hist.r_grid[0]) / speed
+    end = np.append(start[1:], t_end)
+    assert hist.status == "Completed"
+    assert start[0] == -2.0 and np.array_equal(end[:-1], start[:-1] + dt[:-1])
+    assert np.all(dt <= limit)
+    if len(dt) > 1:
+        assert np.all(dt >= 0.5 * limit)
+    else:
+        assert t_end + 2.0 < limit[0]
+
+    times = hist.times
+    assert times[0] == -2.0 and times[-1] == t_end and np.all(np.diff(times) > 0.0)
+    multiples = np.arange(-2.0, t_end, sample_dt)
+    due = [b == t_end or np.any((multiples > a) & (multiples <= b)) for a, b in zip(start, end)]
+    assert np.array_equal(times[1:], end[due])
+    if sample_dt < dt.min():
+        assert len(times) == len(dt) + 1
 
 
 def test_points_ahead_of_window_stay_zero(window_data):
@@ -479,6 +522,17 @@ def test_frame_at_a_snapshot_time_is_that_snapshot(times, data):
     assert np.array_equal(fld.phi, phi[k])
     assert np.array_equal(fld.dtphi, dtphi[k])
 
+
+
+@pytest.mark.parametrize("offset", [-5e-13, 0.0, 5e-13])
+def test_frame_of_a_one_snapshot_history_is_that_snapshot(offset):
+    """A history that broke down on its first step holds one snapshot; every
+    time that frame's range check admits returns it, without a warning."""
+    phi, dtphi = np.random.default_rng(0).standard_normal((2, 1, 16))
+    hist = RunHistory(r_grid=np.linspace(1.0, 2.0, 16), times=np.array([-2.0]), phi=phi,
+                      dtphi=dtphi, a=0.0, delta=0.1, status="EosDomain")
+    fld = hist.frame(-2.0 + offset)
+    assert np.array_equal(fld.phi, phi[0]) and np.array_equal(fld.dtphi, dtphi[0])
 
 _QUARTIC = st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5)
 
