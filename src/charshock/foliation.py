@@ -52,6 +52,7 @@ __all__ = [
     "ShockPrediction",
     "trace_rays",
     "mu_from_spacing",
+    "spacing_weights",
     "a1_integral",
     "predict_mu",
     "shock_time_3d",
@@ -262,9 +263,22 @@ def _mu_rate(blk, mu):
     return mu / blk[_ETA] * blk[_M_FACTOR] + mu * blk[_E]
 
 
-def mu_from_spacing(eta, r_pos, u):
-    """mu = eta * dr/du across the bundle, central differences in u."""
-    dr_du = np.gradient(r_pos, u)
+def spacing_weights(u):
+    """np.gradient's coefficients for d/du on labels u: the (a, b, c) of its
+    non-uniform interior rows, then the spacings at both ends."""
+    du = np.diff(u)
+    d1, d2 = du[:-1], du[1:]
+    return -d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2), d1 / (d2 * (d1 + d2)), du[0], du[-1]
+
+
+def mu_from_spacing(eta, r_pos, weights):
+    """mu = eta * dr/du, weights = spacing_weights(u): np.gradient(r_pos, u) bit for
+    bit, unless u is exactly evenly spaced (numpy's uniform branch then differs by round-off)."""
+    a, b, c, du_0, du_n = weights
+    dr_du = np.empty_like(r_pos)
+    dr_du[1:-1] = a * r_pos[:-2] + b * r_pos[1:-1] + c * r_pos[2:]
+    dr_du[0] = (r_pos[1] - r_pos[0]) / du_0
+    dr_du[-1] = (r_pos[-1] - r_pos[-2]) / du_n
     if np.any(dr_du <= 0.0):
         raise ShockDetected("ray crossing detected: dr/du <= 0")
     return eta * dr_du
@@ -312,13 +326,14 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
     sampler = _FieldSampler(history, eos)
     times = history.times
     u = np.linspace(0.0, history.delta, ray_count)
+    weights = spacing_weights(u)
     r_pos = 2.0 + u
     blk = sampler.at(float(times[0]), r_pos)
     mu_tr = blk[_ETA]                            # mu = eta initially
     y = np.stack((r_pos, mu_tr))
 
     rows = np.empty((3, len(times), ray_count))     # r, mu_spacing, mu_transport
-    rows[:, 0] = r_pos, mu_from_spacing(mu_tr, r_pos, u), mu_tr
+    rows[:, 0] = r_pos, mu_from_spacing(mu_tr, r_pos, weights), mu_tr
     n = 1                                           # rows traced
     r_lo = history.r_grid[0] + 2.0 * (history.r_grid[1] - history.r_grid[0])
 
@@ -339,7 +354,7 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
             break
         blk = sampler.at(t_b, r_pos)
         try:
-            mu_sp = mu_from_spacing(blk[_ETA], r_pos, u)
+            mu_sp = mu_from_spacing(blk[_ETA], r_pos, weights)
         except ShockDetected:
             break
         rows[:, n] = r_pos, mu_sp, mu_tr

@@ -28,6 +28,7 @@ from charshock.foliation import (
     predict_mu,
     shock_region_monitor,
     shock_time_3d,
+    spacing_weights,
     trace_rays,
 )
 from charshock.radial import RunHistory, _fields, _time_stencil, run_until
@@ -176,7 +177,24 @@ def test_mu_from_spacing_detects_crossing():
     u = np.linspace(0.0, 1.0, 11)
     r = 2.0 - u                     # decreasing: crossed rays
     with pytest.raises(ShockDetected):
-        mu_from_spacing(np.ones_like(u), r, u)
+        mu_from_spacing(np.ones_like(u), r, spacing_weights(u))
+
+
+@settings(deadline=None)
+@given(width=st.floats(1e-3, 0.5), n=st.integers(3, 600), data=st.data())
+def test_mu_from_spacing_is_numpy_gradient(width, n, data):
+    """On linspace labels that are not exactly evenly spaced, the spacing mu is
+    eta * np.gradient(r, u) bit for bit; evenly spaced ones agree to round-off."""
+    u = np.linspace(0.0, width, n)
+    dr = data.draw(st.lists(st.floats(0.1, 2.0), min_size=n - 1, max_size=n - 1))
+    r = 2.0 + np.concatenate(([0.0], np.cumsum(dr))) * (width / n)
+    eta = 1.0 + 0.1 * np.sin(r)
+    got = mu_from_spacing(eta, r, spacing_weights(u))
+    want = eta * np.gradient(r, u)
+    if np.all(np.diff(u) == u[1] - u[0]):
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    else:
+        assert got.tobytes() == want.tobytes()
 
 
 def test_transport_trivial_fields_is_zero():
