@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from charshock import radial
 from charshock.eos import make_chaplygin, make_custom, make_polytropic
 from charshock.errors import (CflViolation, ConfigInvalid, EosDomain, InvalidParameter,
                               NonFiniteField, OutOfDomain)
-from charshock import radial
 from charshock.foliation import trace_rays
 from charshock.radial import (
     _D1_HI,
