@@ -135,6 +135,8 @@ def cmd_euler_radial(args):
         "message": hist.message,
         "last_good_time": hist.last_good_time,
         "n_snapshots": int(len(hist.times)),
+        "window_points": int(hist.phi.shape[1]),
+        "snapshot_bytes": int(hist.phi.nbytes + hist.dtphi.nbytes),
         "max_dphi_dr_final": max_grad,
         "eos": hist.eos_meta,
         "a": hist.a,
@@ -144,9 +146,9 @@ def cmd_euler_radial(args):
     with _out(args) as fh:
         fh.write("t,r,phi,dtphi\n")
         for i in range(0, len(hist.times), max(1, args.snapshot_stride)):
-            t = hist.times[i]
-            for j in range(0, len(hist.r_grid), max(1, args.r_stride)):
-                fh.write(f"{_f(t)},{_f(hist.r_grid[j])},"
+            t, first = hist.times[i], hist.start[i]
+            for j in range(0, hist.phi.shape[1], max(1, args.r_stride)):
+                fh.write(f"{_f(t)},{_f(hist.r_grid[first + j])},"
                          f"{_f(hist.phi[i, j])},{_f(hist.dtphi[i, j])}\n")
         fh.write(json.dumps(summary) + "\n")
     return 0

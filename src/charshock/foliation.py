@@ -205,12 +205,19 @@ class _FieldSampler:
         """(first, taps) of snapshot k for cells lo..hi-1, taps[p, q, j] being row q
         at grid point first + j + p - 1.  The block is derived, with the grid's dr,
         on the taps, _BAND_MARGIN more cells and the stencils' 2-point reach on
-        each side, which makes it the whole grid's bit for bit on the cells."""
+        each side, as far as the snapshot stores them, which makes it the stored
+        window's bit for bit on the cells.  InterpolationOutOfRange when a tap
+        lies outside the stored window."""
+        s, n = int(self.hist.start[k]), self.hist.phi.shape[1]
+        if lo - 1 < s or hi + 2 > s + n:
+            raise InterpolationOutOfRange(
+                f"ray band outside the window stored at t={self.times[k]:.6f}")
         band = self._bands.get(k)
         if band is None or not (band[0] <= lo and hi <= band[1]):
-            lo, hi, a, n = lo - _BAND_MARGIN, hi + _BAND_MARGIN, self.a, len(self.r)
-            b0, b1 = max(min(lo - 3, n - 8), 0), min(max(hi + 4, 8), n)    # 8: d2's edge rows
+            lo, hi, a = lo - _BAND_MARGIN, hi + _BAND_MARGIN, self.a
+            b0, b1 = max(min(lo - s - 3, n - 8), 0), min(max(hi - s + 4, 8), n)    # 8: d2's edge rows
             y = np.array((self.hist.phi[k, b0:b1], self.hist.dtphi[k, b0:b1]))
+            b0, b1 = b0 + s, b1 + s
             dphi, ddtphi, d2phi, h, eta_sq, dtt = _fields(self.r[b0:b1], y, a, self.eos, self.dr)
             st = self.eos.eval(h)
             eta = st.eta

@@ -26,11 +26,15 @@ shortpulse all call it.  One classical RK4 step, _rk4, serves both the
 solver and the ray tracer; the first stage of a solver step also gives the
 CFL speed.
 
-run_until evolves only an active window behind the incoming front: the
-data vanish ahead of the cone r = r_front - c0 (t + 2) through the inner
-edge of their support, c0 being the rest-state sound speed, so the grid
-points more than _MARGIN points ahead of it are held at exactly zero, as a
-moving continuation of the pinned inner boundary.
+run_until evolves and stores only an active window that moves inward at
+c0, the rest-state sound speed.  The data vanish ahead of the cone
+r = r_front - c0 (t + 2) through the inner edge of their support, so the
+points more than _MARGIN ahead of it are held at exactly zero, a moving
+continuation of the pinned inner boundary.  Nothing behind the trailing
+characteristic through the annulus' outer edge reaches the pulse (domain of
+dependence), so the points more than _TRAIL behind it keep their last
+values; the window's last two take the characteristic outflow rows.  A
+snapshot holds the window's W = annulus + _MARGIN + _TRAIL points.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ __all__ = [
 
 _N_PIN = 3  # inner grid points held at zero (deep inside the trivial region)
 _MARGIN = 64  # grid points evolved ahead of the incoming front
+_TRAIL = 256  # grid points evolved behind the trailing characteristic
 _EOS_TABLES = ("h_table", "eta_sq_table")  # custom-EOS fields kept in eos_meta
 
 
@@ -228,47 +233,56 @@ def advance(fld: RadialField, dt: float, a: float, eos: EquationOfState):
 @dataclass
 class RunHistory:
     """The snapshots of a run_until solve and how it ended; the last one is the
-    last time reached (last_good_time), eos_meta the EOS as a config record."""
+    last time reached (last_good_time), eos_meta the EOS as a config record.
+    Snapshot k holds r_grid[start[k]:start[k] + W], W = phi.shape[1]."""
 
     r_grid: np.ndarray
     times: np.ndarray                 # snapshot times, ascending
-    phi: np.ndarray                   # (n_snapshots, n_r)
+    phi: np.ndarray                   # (n_snapshots, W)
     dtphi: np.ndarray
     a: float
     delta: float
     status: str                       # 'Completed' | 'EosDomain' | 'NonFinite'
     eos_meta: dict = field(default_factory=dict)
     message: str = ""                 # why the run broke down; "" when Completed
+    start: np.ndarray = None          # (n_snapshots,) ints; None: all 0 (whole grid)
+
+    def __post_init__(self):
+        if self.start is None:
+            self.start = np.zeros(len(self.times), dtype=int)
 
     @property
     def last_good_time(self):
         return float(self.times[-1])
 
     def frame(self, t):
-        """Fields at time t, interpolated in time by _time_stencil."""
+        """Fields at time t, interpolated in time by _time_stencil, on the grid
+        points that every snapshot it combines stores."""
         times = self.times
         if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
             raise IndexError(f"time {t} outside stored range "
                              f"[{times[0]}, {times[-1]}]")
         snaps, weights = _time_stencil(times, t)
-        phi = np.tensordot(weights, self.phi[snaps], axes=1)
-        dtphi = np.tensordot(weights, self.dtphi[snaps], axes=1)
-        return RadialField(t, self.r_grid, phi, dtphi)
+        lo, hi = max(self.start[snaps]), min(self.start[snaps]) + self.phi.shape[1]
+        cols = [slice(lo - self.start[k], hi - self.start[k]) for k in snaps]
+        phi = np.tensordot(weights, [self.phi[k, c] for k, c in zip(snaps, cols)], axes=1)
+        dtphi = np.tensordot(weights, [self.dtphi[k, c] for k, c in zip(snaps, cols)], axes=1)
+        return RadialField(t, self.r_grid[lo:hi], phi, dtphi)
 
     def save(self, path):
         tables = {f"eos_{k}": np.asarray(self.eos_meta[k])
                   for k in _EOS_TABLES if k in self.eos_meta}
         np.savez_compressed(
             path, r_grid=self.r_grid, times=self.times, phi=self.phi,
-            dtphi=self.dtphi, a=self.a, delta=self.delta,
+            dtphi=self.dtphi, start=self.start, a=self.a, delta=self.delta,
             status=self.status, message=self.message,
             eos_family=self.eos_meta.get("family", ""),
             eos_gamma=self.eos_meta.get("gamma", np.nan), **tables)
 
     @classmethod
     def load(cls, path):
-        """Read a history written by save; older files load with message "",
-        and the last_good_time key they hold is ignored."""
+        """Read a history written by save; older files load with message "" and,
+        holding the whole grid, start 0; the last_good_time key they hold is ignored."""
         try:
             with np.load(path) as z:
                 f = {k: z[k] for k in z.files}
@@ -278,7 +292,7 @@ class RunHistory:
             meta.update({k: f[f"eos_{k}"].tolist() for k in _EOS_TABLES if f"eos_{k}" in f})
             return cls(r_grid=f["r_grid"], times=f["times"], phi=f["phi"], dtphi=f["dtphi"],
                        a=float(f["a"]), delta=float(f["delta"]), status=str(f["status"]),
-                       eos_meta=meta, message=str(f.get("message", "")))
+                       eos_meta=meta, message=str(f.get("message", "")), start=f.get("start"))
         except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as exc:
             raise ConfigInvalid(f"{path} is not a run history .npz: {exc}") from None
 
@@ -300,10 +314,12 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     exceeds the CFL step and no tiny last step occurs.  A snapshot is the
     state at the first step at or after each multiple of sample_dt (default
     delta/20) after -2, at most one per step, from -2 to exactly t_end.
-    Breakdowns (EOS domain exit, non-finite fields) end the run after its
-    last stored snapshot, with status and message recorded.
-    Each step evolves only the active window r >= r_front(t) - _MARGIN * dr
-    (module docstring); the snapshots hold the whole grid.
+    Breakdowns (EOS domain exit, non-finite fields) end the run with status
+    and message recorded; the last snapshot is then the last state reached.
+    Each step evolves only the active window, from _MARGIN points ahead of
+    the cone c0 (t + 2) inside the data's inner edge to _TRAIL points behind
+    the one inside the annulus' outer edge (module docstring); a snapshot
+    stores the window's W points, from start[k], or the grid's last W.
 
     Inputs are checked on entry: CflViolation for cfl outside (0, 0.9];
     InvalidParameter for a non-finite a, t_end outside (-2, 0),
@@ -330,7 +346,9 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     r = r_min + dr * np.arange(n + 1)
     y = np.stack((data.phi_at(r), data.dtphi_at(r)))
     live = np.flatnonzero(np.any(y != 0.0, axis=0))
-    front = live[0] if live.size else r.size
+    back = int(np.searchsorted(r, data.r_grid[-1]))
+    front = live[0] if live.size else back
+    width = min(r.size, back - front + _MARGIN + _TRAIL)
 
     if sample_dt is None:
         sample_dt = delta / 20.0
@@ -338,31 +356,42 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     sample_times = np.append(sample_times[sample_times < t_end - 1e-12], t_end)
 
     times = np.empty(len(sample_times))
-    snaps_p = np.empty((len(sample_times), r.size))
-    snaps_q = np.empty_like(snaps_p)
-    t, times[0], snaps_p[0], snaps_q[0] = -2.0, -2.0, y[0], y[1]
-    status, stored, due, message = "Completed", 1, 1, ""
+    start = np.empty(len(sample_times), dtype=int)
+    snaps = np.empty((2, len(sample_times), width))
+
+    def keep(t, j1):
+        nonlocal stored
+        times[stored], start[stored], snaps[:, stored] = t, j1 - width, y[:, j1 - width:j1]
+        stored += 1
+
+    t, stored, due, status, message = -2.0, 0, 1, "Completed", ""
+    j0 = max(0, front - _MARGIN)
+    j1 = min(j0 + width, r.size)
+    keep(t, j1)
     try:
         c0 = float(np.sqrt(eos.eta_sq(0.0)))
         while t < t_end:
-            j0 = max(0, int(front - c0 * (t + 2.0) / dr) - _MARGIN)
-            fld = RadialField(t, r[j0:], y[0, j0:], y[1, j0:])
+            fld = RadialField(t, r[j0:j1], y[0, j0:j1], y[1, j0:j1])
             speed = fld._first_stage(a, eos)[2]
             steps = math.ceil((t_end - t) / (cfl * (r[1] - r[0]) / speed))
             fld = advance(fld, (t_end - t) / steps, a, eos)
-            t, y[0, j0:], y[1, j0:] = t_end if steps == 1 else fld.t, fld.phi, fld.dtphi
+            t, y[0, j0:j1], y[1, j0:j1] = t_end if steps == 1 else fld.t, fld.phi, fld.dtphi
+            j0 = max(0, int(front - c0 * (t + 2.0) / dr) - _MARGIN)
+            j1 = min(j0 + width, r.size)
             if t >= sample_times[due]:
-                times[stored], snaps_p[stored], snaps_q[stored] = t, y[0], y[1]
-                stored, due = stored + 1, bisect.bisect_right(sample_times, t)
+                keep(t, j1)
+                due = bisect.bisect_right(sample_times, t)
     except OutOfDomain as exc:
         status, message = "EosDomain", str(exc)
     except NonFiniteField as exc:
         status, message = "NonFinite", str(exc)
+    if t > times[stored - 1]:       # a breakdown after the last snapshot; t_end's row is free
+        keep(t, j1)
 
     # the EOS as the config record eos_from_config reads back
     meta = {k: v.tolist() if isinstance(v, np.ndarray) else v
             for k, v in vars(eos).items() if v is not None}
     return RunHistory(
-        r_grid=r, times=times[:stored], phi=snaps_p[:stored],
-        dtphi=snaps_q[:stored], a=a, delta=delta, status=status,
-        eos_meta=meta, message=message)
+        r_grid=r, times=times[:stored], phi=snaps[0, :stored],
+        dtphi=snaps[1, :stored], a=a, delta=delta, status=status,
+        eos_meta=meta, message=message, start=start[:stored])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from charshock.cli import main
+from charshock.foliation import trace_rays
 from charshock.radial import RunHistory
 
 
@@ -66,6 +67,32 @@ def test_euler_and_foliate_round_trip(tmp_path):
     last = lines[-1].split(",")
     mu_spacing, mu_transport = float(last[3]), float(last[4])
     assert abs(mu_spacing - mu_transport) <= 0.02 * mu_spacing
+
+
+def test_foliate_reads_a_windowed_history(tmp_path):
+    """euler-radial stores, writes and reports only the window that follows the
+    pulse; foliate traces the bundle from that file."""
+    hist_path, out = tmp_path / "run.npz", tmp_path / "run.csv"
+    assert main(["euler-radial", "--delta", "0.1", "--c", "1.0", "--t-end", "-1.2",
+                 "--r-min", "0.5", "--points-per-delta", "16", "--r-stride", "1",
+                 "--history", str(hist_path), "--out", str(out)]) == 0
+    lines = out.read_text().strip().split("\n")
+    summary = json.loads(lines[-1])
+    hist = RunHistory.load(hist_path)
+    width = summary["window_points"]
+    assert width == hist.phi.shape[1] < hist.r_grid.size
+    assert summary["snapshot_bytes"] == 2 * 8 * width * summary["n_snapshots"]
+    first = [float(row.split(",")[1]) for row in lines[1:width + 1]]
+    assert first == pytest.approx(hist.r_grid[hist.start[0]:hist.start[0] + width].tolist())
+
+    fol = tmp_path / "fol.csv"
+    assert main(["foliate", "--history", str(hist_path), "--rays", "33",
+                 "--out", str(fol)]) == 0
+    rows = fol.read_text().strip().split("\n")[1:]
+    assert len(rows) == 33 * len(trace_rays(hist, ray_count=33).times)
+    last = rows[-1].split(",")
+    assert float(last[0]) == hist.times[-1]
+    assert abs(float(last[3]) - float(last[4])) <= 0.02 * float(last[3])
 
 
 def test_sweep_exit_codes(tmp_path):

@@ -258,7 +258,8 @@ def test_chaplygin_mu_stays_near_one():
 
 class _FullGridSampler:
     """Reference for _FieldSampler.at: each snapshot's block derived on the
-    whole grid, and each snapshot of the time stencil interpolated apart."""
+    whole stored window (NaN elsewhere on the grid), and each snapshot of the
+    time stencil interpolated apart."""
 
     def __init__(self, history, eos=None):
         self.hist = history
@@ -268,15 +269,18 @@ class _FullGridSampler:
 
     def block(self, k):
         a, y = self.hist.a, np.stack((self.hist.phi[k], self.hist.dtphi[k]))
-        dphi, ddtphi, d2phi, h, eta_sq, dtt = _fields(self.r, y, a, self.eos)
+        window = slice(self.hist.start[k], self.hist.start[k] + y.shape[1])
+        dphi, ddtphi, d2phi, h, eta_sq, dtt = _fields(self.r[window], y, a, self.eos, self.dr)
         st_ = self.eos.eval(h)
         eta = st_.eta
         dh = ddtphi - dphi * d2phi + a * dphi
         dth = dtt - dphi * ddtphi + a * y[1]
         rdot = -(eta + dphi)
-        return np.stack((eta, rdot, 0.5 * st_.dH_dh * dh + a * dphi,
-                         (st_.deta_sq_dh / (2.0 * eta_sq) * (dth + rdot * dh)
-                          + (ddtphi + rdot * d2phi) / eta)))
+        out = np.full((4, len(self.r)), np.nan)
+        out[:, window] = (eta, rdot, 0.5 * st_.dH_dh * dh + a * dphi,
+                          (st_.deta_sq_dh / (2.0 * eta_sq) * (dth + rdot * dh)
+                           + (ddtphi + rdot * d2phi) / eta))
+        return out
 
     def cubic(self, arr, r_pos):
         r, dr = self.r, self.dr
@@ -353,6 +357,25 @@ def test_field_sampler_matches_full_grid_reference(case, eos, margin):
             assert np.array_equal(sampler.at(t, r_pos), reference.at(t, r_pos))
     finally:
         foliation._BAND_MARGIN = kept
+
+
+def test_field_sampler_reads_only_the_stored_window():
+    """On a windowed history the sampler gives the stored windows' block bit for
+    bit (the reference holds NaN off the windows), and a ray whose taps leave
+    a window raises InterpolationOutOfRange instead of reading off it."""
+    rng = np.random.default_rng(3)
+    r, times = 1.0 + 0.01 * np.arange(200), -1.9 + 0.01 * np.arange(5)
+    phi, dtphi = 1e-4 * rng.standard_normal((2, 5, 60))
+    hist = RunHistory(r_grid=r, times=times, phi=phi, dtphi=dtphi, a=0.2, delta=0.1,
+                      status="Completed", start=np.array([100, 99, 98, 97, 96]))
+    sampler, reference = _FieldSampler(hist, EOS), _FullGridSampler(hist, EOS)
+    inside = np.linspace(r[101] + 0.001, r[150], 7)     # windows move in at speed 1
+    for t in (times[0], times[2], times[2] + 0.004, times[-1]):
+        pos = inside - (t - times[0])
+        assert np.array_equal(sampler.at(t, pos), reference.at(t, pos))
+    for pos in (r[96] - 0.004, r[156] + 0.004):
+        with pytest.raises(InterpolationOutOfRange):
+            _FieldSampler(hist, EOS).at(times[-1], np.array([r[120], pos]))
 
 
 def test_trace_rays_and_lmu_match_full_grid_reference(pulse_bundle, monkeypatch):

@@ -18,6 +18,7 @@ from charshock.radial import (
     _D2_LO,
     _MARGIN,
     _N_PIN,
+    _TRAIL,
     _fields,
     _stage,
     _time_stencil,
@@ -210,8 +211,33 @@ def test_run_until_keeps_snapshots_up_to_breakdown():
                      r_min=1.5)
     assert hist.status == "EosDomain"
     assert -2.0 < hist.last_good_time == hist.times[-1] < -1.5
-    assert hist.phi.shape == hist.dtphi.shape == (len(hist.times), hist.r_grid.size)
+    assert hist.phi.shape == hist.dtphi.shape
+    assert hist.phi.shape[:1] == hist.start.shape == hist.times.shape
     assert np.all(np.isfinite(hist.phi)) and np.all(np.isfinite(hist.dtphi))
+
+
+def test_breakdown_keeps_the_last_state_reached(monkeypatch):
+    """A run that breaks down between snapshots stores the state after its last
+    good step, so last_good_time is the time reached, not the snapshot before."""
+    reached, step = [], radial.advance
+
+    def recording(fld, dt, a, eos):
+        out = step(fld, dt, a, eos)
+        reached.append((out.t, out.r_grid, out.phi))
+        return out
+
+    monkeypatch.setattr(radial, "advance", recording)
+    data = build_annulus_data(bump_seeds(c=-20.0, delta=0.2), r_grid_n=256)
+    hist = run_until(data, a=0.0, eos=EOS, t_end=-1.5, points_per_delta=16,
+                     r_min=1.5)
+    t, r_step, phi = reached[-1]
+    assert hist.status == "EosDomain"
+    assert hist.times[-2] < hist.last_good_time == t
+    assert hist.last_good_time == pytest.approx(-1.91681, abs=1e-5)
+    # the last snapshot is that step's state where both hold the grid point
+    g0, s, w = np.searchsorted(hist.r_grid, r_step[0]), hist.start[-1], hist.phi.shape[1]
+    lo, hi = max(g0, s), min(g0 + r_step.size, s + w)
+    assert hi > lo and np.array_equal(hist.phi[-1, lo - s:hi - s], phi[lo - g0:hi - g0])
 
 
 def test_front_speed(pulse_run):
@@ -220,7 +246,7 @@ def test_front_speed(pulse_run):
     dr = hist.r_grid[1] - hist.r_grid[0]
     fld = hist.frame(hist.times[-1])
     idx = np.where(np.abs(fld.dtphi) > 1e-8)[0]
-    front = hist.r_grid[idx[0]]
+    front = fld.r_grid[idx[0]]
     # the inner support edge of the seed sits at 2 + 0.1 delta
     edge = 2.0 + 0.1 * hist.delta - (fld.t + 2.0)
     assert edge - 8.0 * dr <= front <= edge + dr
@@ -232,7 +258,8 @@ def test_domain_of_dependence(pulse_run):
     dr = hist.r_grid[1] - hist.r_grid[0]
     for t in hist.times[:: len(hist.times) // 8]:
         fld = hist.frame(float(t))
-        mask = hist.r_grid < 2.0 - (t + 2.0) - 3.0 * dr
+        mask = fld.r_grid < 2.0 - (t + 2.0) - 3.0 * dr
+        assert np.any(mask)
         assert np.max(np.abs(fld.phi[mask])) <= 1e-10
 
 
@@ -278,12 +305,13 @@ def test_self_convergence():
         hist = run_until(data, a=0.0, eos=EOS, t_end=-1.8,
                          points_per_delta=ppd, r_min=1.6)
         fld = hist.frame(-1.8)
-        sols[ppd] = (hist.r_grid, fld.phi)
+        sols[ppd] = (fld.r_grid, fld.phi)
     r_fine, phi_fine = sols[64]
     errs = []
     for ppd in (16, 32):
         r, phi = sols[ppd]
-        errs.append(np.max(np.abs(phi - np.interp(r, r_fine, phi_fine))))
+        inside = (r >= r_fine[0]) & (r <= r_fine[-1])     # the fine run's stored window
+        errs.append(np.max(np.abs(phi - np.interp(r, r_fine, phi_fine))[inside]))
     assert errs[0] / errs[1] >= 8.0
 
 
@@ -407,8 +435,10 @@ def test_run_until_matches_full_grid_advance(window_data, eos, a):
     assert hist.status == "Completed"
     assert hist.times.shape == times.shape
     assert np.max(np.abs(hist.times - times)) <= 1e-12    # the solver's sample tolerance
+    cols = hist.start[:, None] + np.arange(hist.phi.shape[1])     # the stored windows
     for got, want in ((hist.phi, phi), (hist.dtphi, dtphi)):
-        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+        assert np.max(np.abs(got - np.take_along_axis(want, cols, axis=1))) <= (
+            1e-9 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("sample_dt, t_end", [(0.01, -1.7), (1e-4, -1.9), (0.01, -1.9995)],
@@ -449,16 +479,23 @@ def test_run_until_step_rule(window_data, monkeypatch, sample_dt, t_end):
 
 
 def test_points_ahead_of_window_stay_zero(window_data):
+    """The stored window reaches from _MARGIN points ahead of the incoming front,
+    every stored point ahead of that being exactly zero, to _TRAIL points
+    behind the trailing characteristic or the grid's end."""
     hist = run_until(window_data, a=0.3, eos=EOS, t_end=-1.7, points_per_delta=16,
                      r_min=1.2, sample_dt=0.01)
     r = hist.r_grid
     dr = r[1] - r[0]
     live = (window_data.phi_at(r) != 0.0) | (window_data.dtphi_at(r) != 0.0)
-    front = np.flatnonzero(live)[0]
-    for t, phi, dtphi in zip(hist.times, hist.phi, hist.dtphi):
+    front, back = np.flatnonzero(live)[0], np.searchsorted(r, window_data.r_grid[-1])
+    width = hist.phi.shape[1]
+    assert width == back - front + _MARGIN + _TRAIL < r.size
+    for t, first, phi, dtphi in zip(hist.times, hist.start, hist.phi, hist.dtphi):
         # the front moves inward at the rest-state sound speed 1
-        ahead = np.arange(r.size) < front - (t + 2.0) / dr - _MARGIN
-        assert np.any(ahead)
+        shift = (t + 2.0) / dr
+        assert first <= front - shift - _MARGIN
+        assert first + width >= min(r.size, back - shift + _TRAIL - 1)
+        ahead = first + np.arange(width) < front - shift - _MARGIN
         assert np.all(phi[ahead] == 0.0) and np.all(dtphi[ahead] == 0.0)
 
 
@@ -488,6 +525,71 @@ def test_history_save_load_round_trip(tmp_path, eos):
     reference = trace_rays(hist, ray_count=33, eos=eos)
     assert len(bundle.times) == len(hist.times)
     assert np.array_equal(bundle.mu_transport, reference.mu_transport)
+
+
+_BUNDLE_FIELDS = ("times", "r", "mu_spacing", "mu_transport")
+
+
+def _same_bundle(one, other):
+    return all(np.array_equal(getattr(one, k), getattr(other, k)) for k in _BUNDLE_FIELDS)
+
+
+def _uncut(run, *args, **kwargs):
+    """run(*args, **kwargs) with the trailing cut past the grid's end: the
+    whole grid is evolved and stored, start 0, as before the cut."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radial, "_TRAIL", 10**9)
+        return run(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "eos", [EOS, make_chaplygin(), make_custom(_TABLE_H, 1.0 + _TABLE_H)],
+    ids=["polytropic", "chaplygin", "custom"])
+def test_windowed_history_round_trip(tmp_path, eos):
+    """A history that stores only the window saves and loads back, start
+    included, and traces the same bundle as before saving."""
+    data = build_annulus_data(bump_seeds(c=1.0, delta=0.1), r_grid_n=256)
+    hist = run_until(data, a=0.2, eos=eos, t_end=-1.2, points_per_delta=16, r_min=0.5)
+    assert hist.phi.shape[1] < hist.r_grid.size and len(set(hist.start)) > 1
+    hist.save(tmp_path / "run.npz")
+    loaded = RunHistory.load(tmp_path / "run.npz")
+    for name in ("r_grid", "times", "phi", "dtphi", "start"):
+        assert np.array_equal(getattr(loaded, name), getattr(hist, name)), name
+    assert loaded.eos_meta == hist.eos_meta
+    assert _same_bundle(trace_rays(loaded, ray_count=33), trace_rays(hist, ray_count=33, eos=eos))
+
+
+def test_whole_grid_history_file_loads_with_start_zero(tmp_path):
+    """A history file in the whole-grid layout, with no start key, loads with
+    start 0 and traces the bundle of the windowed solve bit for bit."""
+    data = build_annulus_data(bump_seeds(c=1.0, delta=0.1), r_grid_n=256)
+    args = dict(a=0.2, eos=EOS, t_end=-1.2, points_per_delta=16, r_min=0.5)
+    full, windowed = _uncut(run_until, data, **args), run_until(data, **args)
+    assert full.phi.shape[1] == full.r_grid.size > windowed.phi.shape[1]
+    full.save(tmp_path / "full.npz")
+    with np.load(tmp_path / "full.npz") as z:
+        older = {k: z[k] for k in z.files if k != "start"}
+    np.savez(tmp_path / "older.npz", **older)
+    loaded = RunHistory.load(tmp_path / "older.npz")
+    assert np.array_equal(loaded.start, np.zeros(len(loaded.times), dtype=int))
+    assert np.array_equal(loaded.phi, full.phi)
+    assert _same_bundle(trace_rays(loaded, ray_count=33), trace_rays(windowed, ray_count=33))
+
+
+@settings(deadline=None, max_examples=8)
+@given(eos=st.one_of(st.floats(1.2, 5.0).map(make_polytropic), st.just(make_chaplygin())),
+       a=st.floats(-0.25, 0.5), c=st.floats(-1.0, 1.0).filter(lambda c: c != 0.0))
+def test_cut_solve_traces_the_uncut_bundle(eos, a, c):
+    """Behind the trailing characteristic nothing reaches the rays: the solve cut
+    _TRAIL points behind it traces the uncut solve's bundle bit for bit."""
+    data = build_annulus_data(bump_seeds(c=c, delta=0.1), r_grid_n=256)
+    args = dict(a=a, eos=eos, t_end=-0.6, points_per_delta=16, r_min=0.2, sample_dt=0.01)
+    cut = run_until(data, **args)
+    full = _uncut(run_until, data, **args)
+    assert cut.start[-1] + cut.phi.shape[1] < cut.r_grid.size     # the cut bites
+    assert cut.status == full.status
+    assert _same_bundle(trace_rays(cut, ray_count=33, eos=eos),
+                        trace_rays(full, ray_count=33, eos=eos))
 
 
 @st.composite
