@@ -217,8 +217,8 @@ class _FieldSampler:
             lo, hi, a = lo - _BAND_MARGIN, hi + _BAND_MARGIN, self.a
             b0, b1 = max(min(lo - s - 3, n - 8), 0), min(max(hi - s + 4, 8), n)    # 8: d2's edge rows
             y = np.array((self.hist.phi[k, b0:b1], self.hist.dtphi[k, b0:b1]))
-            b0, b1 = b0 + s, b1 + s
-            dphi, ddtphi, d2phi, h, eta_sq, dtt = _fields(self.r[b0:b1], y, a, self.eos, self.dr)
+            dphi, ddtphi, d2phi, h, eta_sq, dtt = _fields(self.r[s + b0:s + b1], y, a, self.eos,
+                                                          self.dr)
             st = self.eos.eval(h)
             eta = st.eta
             dh = ddtphi - dphi * d2phi + a * dphi          # dh/dr
@@ -233,7 +233,7 @@ class _FieldSampler:
             ))
             if len(self._bands) > 8:
                 self._bands.pop(next(iter(self._bands)))
-            band = self._bands[k] = (lo, hi, b0 + 1, np.array(
+            band = self._bands[k] = (lo, hi, s + b0 + 1, np.array(
                 [block[:, p:p + b1 - b0 - 3] for p in range(4)]))
         return band[2:]
 
@@ -272,18 +272,23 @@ def _mu_rate(blk, mu):
 
 def spacing_weights(u):
     """np.gradient's coefficients for d/du on labels u: the (a, b, c) of its
-    non-uniform interior rows, then the spacings at both ends."""
+    non-uniform interior rows (None for exactly even labels, where numpy
+    takes its uniform branch), then the spacings at both ends."""
     du = np.diff(u)
+    if np.all(du == du[0]):
+        return None, None, None, du[0], du[0]
     d1, d2 = du[:-1], du[1:]
     return -d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2), d1 / (d2 * (d1 + d2)), du[0], du[-1]
 
 
 def mu_from_spacing(eta, r_pos, weights):
-    """mu = eta * dr/du, weights = spacing_weights(u): np.gradient(r_pos, u) bit for
-    bit, unless u is exactly evenly spaced (numpy's uniform branch then differs by round-off)."""
+    """mu = eta * dr/du, weights = spacing_weights(u): np.gradient(r_pos, u) bit for bit."""
     a, b, c, du_0, du_n = weights
     dr_du = np.empty_like(r_pos)
-    dr_du[1:-1] = a * r_pos[:-2] + b * r_pos[1:-1] + c * r_pos[2:]
+    if a is None:
+        dr_du[1:-1] = (r_pos[2:] - r_pos[:-2]) / (2.0 * du_0)
+    else:
+        dr_du[1:-1] = a * r_pos[:-2] + b * r_pos[1:-1] + c * r_pos[2:]
     dr_du[0] = (r_pos[1] - r_pos[0]) / du_0
     dr_du[-1] = (r_pos[-1] - r_pos[-2]) / du_n
     if np.any(dr_du <= 0.0):
