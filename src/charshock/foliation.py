@@ -33,9 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import expi
 
 from .eos import EquationOfState, eos_from_config
 from .errors import (
@@ -90,6 +87,8 @@ def a1_integral(t, a):
         raise SingularEndpoint(f"lower limit is -2; got t={t}")
     if a == 0.0:
         return float(np.log(2.0 / -t)) if -t >= _TINY else math.log(2.0) - math.log(-t)
+    from scipy.integrate import quad
+    from scipy.special import expi
     if abs(a) > _EI_A_MAX:
         val, _ = quad(lambda tau: np.exp(-a * (tau + 2.0)) / (-tau), -2.0, t,
                       epsabs=1e-12, epsrel=1e-12, limit=200)
@@ -124,6 +123,7 @@ def shock_time_3d(c, a, sigma=-0.1, coefficient=4.0):
     if f(sigma) < 0.0:
         raise NoRootBeforeSigma(
             f"coefficient*c*A1(sigma) = {coefficient * c * a1_integral(sigma, a):.6f} < 1")
+    from scipy.optimize import brentq
     t_star = brentq(f, t_lo, sigma, xtol=1e-13, rtol=8.9e-16)
     assert abs(f(t_star)) <= 1e-10 * max(1.0, coefficient * c)
     return float(t_star)

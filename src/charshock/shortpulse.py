@@ -17,13 +17,12 @@ instead of the naive O(1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.interpolate import CubicSpline
 
 from .errors import GridTooCoarse, InvalidParameter, InvalidWidth
 from .eos import EquationOfState, make_polytropic
@@ -43,6 +42,8 @@ __all__ = [
 _GL_X, _GL_W = legendre.leggauss(8)
 _GL_X = 0.5 * (_GL_X + 1.0)
 _GL_W = 0.5 * _GL_W
+
+_SEED_CELLS = 8192   # cells of the seed-ODE grid on s in [0, 1]
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,21 @@ def solve_seed_ode(seeds: SeedProfiles, s_grid_n=1024):
     return s, phi0, dphi0
 
 
+def _hermite(s, s_grid, f, df):
+    """Piecewise cubic Hermite interpolant of (f, df) on s_grid, at s."""
+    k = np.clip(np.searchsorted(s_grid, s, side="right") - 1, 0, len(s_grid) - 2)
+    h = s_grid[k + 1] - s_grid[k]
+    t = (s - s_grid[k]) / h
+    t2, t3 = t * t, t * t * t
+    return ((2.0 * t3 - 3.0 * t2 + 1.0) * f[k] + (t3 - 2.0 * t2 + t) * h * df[k]
+            + (3.0 * t2 - 2.0 * t3) * f[k + 1] + (t3 - t2) * h * df[k + 1])
+
+
 @dataclass(frozen=True)
 class ShortPulseData:
+    """Fields at t = -2 on r_grid, and phi0 with its exact slope on s_grid;
+    phi_at is the cubic Hermite interpolant on (phi0_profile, dphi0_profile)."""
+
     r_grid: np.ndarray
     phi_at_minus2: np.ndarray
     dtphi_at_minus2: np.ndarray
@@ -89,7 +103,6 @@ class ShortPulseData:
     phi0_profile: np.ndarray
     dphi0_profile: np.ndarray
     seeds: SeedProfiles
-    _phi0_spline: CubicSpline = field(repr=False, default=None)
 
     def _s(self, r):
         return (np.asarray(r, dtype=float) - 2.0) / self.delta
@@ -99,7 +112,8 @@ class ShortPulseData:
         s = self._s(r)
         inside = (s > 0.0) & (s < self.s_grid[-1])
         out = np.zeros_like(s)
-        out[inside] = self.delta**2 * self._phi0_spline(s[inside])
+        out[inside] = self.delta**2 * _hermite(
+            s[inside], self.s_grid, self.phi0_profile, self.dphi0_profile)
         # constant continuation past the outer edge of the support
         out[s >= self.s_grid[-1]] = self.delta**2 * self.phi0_profile[-1]
         return out
@@ -120,7 +134,9 @@ def build_annulus_data(seeds: SeedProfiles, r_grid_n=512,
     width_mode 'delta' takes w = delta (the full support of the data);
     'delta_squared' takes w = delta^2 (the inner restriction), which only
     makes sense for delta < 1.  r_grid_n must be at least 1
-    (InvalidParameter otherwise).
+    (InvalidParameter otherwise).  The seed ODE is solved on _SEED_CELLS
+    cells whatever r_grid_n, and phi0 is sampled through the cubic Hermite
+    interpolant on its exact slope dphi0.
     """
     if r_grid_n < 1:
         raise InvalidParameter(f"r_grid_n must be >= 1, got {r_grid_n}")
@@ -134,23 +150,21 @@ def build_annulus_data(seeds: SeedProfiles, r_grid_n=512,
     else:
         raise InvalidWidth(f"unknown width_mode {width_mode!r}")
 
-    s_fine, phi0, dphi0 = solve_seed_ode(seeds, s_grid_n=max(4096, 4 * r_grid_n))
+    s_fine, phi0, dphi0 = solve_seed_ode(seeds, s_grid_n=_SEED_CELLS)
     keep = s_fine <= s_max + 1e-14
     s_fine, phi0, dphi0 = s_fine[keep], phi0[keep], dphi0[keep]
-    spline = CubicSpline(s_fine, phi0)
 
     r_grid = 2.0 + delta * np.linspace(0.0, s_max, r_grid_n + 1)
     s = (r_grid - 2.0) / delta
     return ShortPulseData(
         r_grid=r_grid,
-        phi_at_minus2=delta**2 * spline(s),
+        phi_at_minus2=delta**2 * _hermite(s, s_fine, phi0, dphi0),
         dtphi_at_minus2=delta * np.asarray(seeds.phi1(s)),
         delta=delta,
         s_grid=s_fine,
         phi0_profile=phi0,
         dphi0_profile=dphi0,
         seeds=seeds,
-        _phi0_spline=spline,
     )
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from charshock.errors import InvalidWidth
 from charshock.shortpulse import (
@@ -126,3 +128,73 @@ def test_bump_support():
     s = np.array([0.0, 0.05, 0.1, 0.95, 1.0])
     assert np.all(bump(s) == 0.0)
     assert bump(0.5) > 0.0
+
+
+def _spline_phi(data, r):
+    """phi(-2, r) through a not-a-knot cubic spline of phi0 on s_grid."""
+    s = (np.asarray(r, dtype=float) - 2.0) / data.delta
+    out = np.zeros_like(s)
+    inside = (s > 0.0) & (s < data.s_grid[-1])
+    out[inside] = data.delta**2 * CubicSpline(data.s_grid, data.phi0_profile)(s[inside])
+    out[s >= data.s_grid[-1]] = data.delta**2 * data.phi0_profile[-1]
+    return out
+
+
+_SLOPES = st.floats(1e-3, 60.0).flatmap(lambda c: st.sampled_from([c, -c]))
+_POWER_OF_TWO_DELTAS = st.sampled_from([2.0**-k for k in range(1, 7)])
+
+
+@settings(deadline=None, max_examples=25)
+@given(c=_SLOPES, delta=st.floats(0.011, 0.89),
+       width_mode=st.sampled_from(["delta", "delta_squared"]))
+def test_hermite_phi_at_matches_a_cubic_spline(c, delta, width_mode):
+    """On the full support phi_at agrees with a spline of phi0 to round-off.
+    The Hermite interpolant is local, so a delta^2 window is that same data
+    cut at its edge bit for bit; a spline fitted to the cut profile is not
+    (its end condition sits on the bump's exp(-1/s) foot for delta up to
+    about 0.45, where the two differ by their discretization error)."""
+    full = build_annulus_data(bump_seeds(c, delta))
+    r = 2.0 + delta * np.linspace(-0.1, 1.2, 4001)
+    assert (np.max(np.abs(full.phi_at(r) - _spline_phi(full, r)))
+            <= 2e-15 * np.max(np.abs(full.phi_at_minus2)))
+    if width_mode == "delta_squared":
+        data = build_annulus_data(bump_seeds(c, delta), width_mode=width_mode)
+        inside = r < 2.0 + delta * data.s_grid[-1]
+        assert data.phi_at(r[inside]).tobytes() == full.phi_at(r[inside]).tobytes()
+
+
+@settings(deadline=None, max_examples=20)
+@given(c=_SLOPES, delta=_POWER_OF_TWO_DELTAS,
+       width_mode=st.sampled_from(["delta", "delta_squared"]))
+def test_hermite_phi_at_is_the_profile_at_the_nodes(c, delta, width_mode):
+    """At r = 2 + delta s_k (exact for a power-of-two delta) phi_at returns
+    delta^2 phi0_profile[k] bit for bit, and so do the built samples where
+    the sample grid meets the seed grid."""
+    data = build_annulus_data(bump_seeds(c, delta), r_grid_n=512, width_mode=width_mode)
+    expect = delta**2 * data.phi0_profile
+    assert data.phi_at(2.0 + delta * data.s_grid).tobytes() == expect.tobytes()
+    if width_mode == "delta":
+        assert data.phi_at_minus2.tobytes() == expect[::16].tobytes()
+
+
+def test_hermite_phi_at_reproduces_a_cubic_profile():
+    """phi1 = 3s^2 - 2s with phi2 = 6 gives phi0 = s^3 + (3 delta - 1) s^2."""
+    delta = 0.3
+    seeds = SeedProfiles(phi1=lambda s: 3.0 * s**2 - 2.0 * s,
+                         phi2=lambda s: np.full_like(np.asarray(s, dtype=float), 6.0),
+                         delta=delta)
+    data = build_annulus_data(seeds, r_grid_n=64)
+    s = np.linspace(0.0, 1.0, 7919)[1:-1]
+    exact = delta**2 * (s**3 + (3.0 * delta - 1.0) * s**2)
+    assert np.max(np.abs(data.phi_at(2.0 + delta * s) - exact)) <= 1e-15
+
+
+@settings(deadline=None, max_examples=20)
+@given(c=_SLOPES, delta=st.floats(0.011, 0.89),
+       width_mode=st.sampled_from(["delta", "delta_squared"]))
+def test_phi_at_is_zero_inside_and_constant_past_the_support(c, delta, width_mode):
+    data = build_annulus_data(bump_seeds(c, delta), r_grid_n=64, width_mode=width_mode)
+    assert np.all(data.phi_at(np.array([0.0, 1.0, 1.9, 2.0 - 1e-12, 2.0])) == 0.0)
+    edge = 2.0 + delta * data.s_grid[-1]
+    beyond = edge + np.array([1e-12, delta, 3.0])
+    assert np.all(data.phi_at(beyond) == delta**2 * data.phi0_profile[-1])
