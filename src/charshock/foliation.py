@@ -87,7 +87,7 @@ def a1_integral(t, a):
         raise SingularEndpoint(f"lower limit is -2; got t={t}")
     if a == 0.0:
         return float(np.log(2.0 / -t)) if -t >= _TINY else math.log(2.0) - math.log(-t)
-    from scipy.integrate import quad
+    from scipy.integrate import quad    # loaded here so a = 0 runs never load scipy
     from scipy.special import expi
     if abs(a) > _EI_A_MAX:
         val, _ = quad(lambda tau: np.exp(-a * (tau + 2.0)) / (-tau), -2.0, t,

@@ -174,7 +174,8 @@ def test_hermite_phi_at_is_the_profile_at_the_nodes(c, delta, width_mode):
     expect = delta**2 * data.phi0_profile
     assert data.phi_at(2.0 + delta * data.s_grid).tobytes() == expect.tobytes()
     if width_mode == "delta":
-        assert data.phi_at_minus2.tobytes() == expect[::16].tobytes()
+        step = (len(data.s_grid) - 1) // 512
+        assert data.phi_at_minus2.tobytes() == expect[::step].tobytes()
 
 
 def test_hermite_phi_at_reproduces_a_cubic_profile():
@@ -193,8 +194,19 @@ def test_hermite_phi_at_reproduces_a_cubic_profile():
 @given(c=_SLOPES, delta=st.floats(0.011, 0.89),
        width_mode=st.sampled_from(["delta", "delta_squared"]))
 def test_phi_at_is_zero_inside_and_constant_past_the_support(c, delta, width_mode):
+    """phi(-2, r) vanishes for r <= 2 and keeps its edge value past the support."""
     data = build_annulus_data(bump_seeds(c, delta), r_grid_n=64, width_mode=width_mode)
     assert np.all(data.phi_at(np.array([0.0, 1.0, 1.9, 2.0 - 1e-12, 2.0])) == 0.0)
     edge = 2.0 + delta * data.s_grid[-1]
     beyond = edge + np.array([1e-12, delta, 3.0])
     assert np.all(data.phi_at(beyond) == delta**2 * data.phi0_profile[-1])
+
+
+def test_seed_resolution_does_not_follow_the_sample_grid():
+    """The seed ODE has one resolution, so r_grid_n sets the samples only."""
+    seeds = bump_seeds(c=1.0, delta=0.05)
+    coarse, fine = (build_annulus_data(seeds, r_grid_n=n) for n in (64, 4096))
+    assert np.array_equal(coarse.s_grid, fine.s_grid)
+    r = 2.0 + 0.05 * np.linspace(-0.1, 1.1, 3001)
+    assert coarse.phi_at(r).tobytes() == fine.phi_at(r).tobytes()
+    assert coarse.r_grid[-1] == fine.r_grid[-1]
