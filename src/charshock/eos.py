@@ -70,14 +70,20 @@ class EquationOfState:
         return (-1.0 / k, np.inf) if k > 0.0 else (-np.inf, -1.0 / k)
 
     def eta_sq(self, h):
-        """eta^2(h); OutOfDomain unless eta^2 > 0 (linear law) or h lies inside the table."""
+        """eta^2(h); OutOfDomain unless eta^2 > 0 (linear law) or h lies inside the table.
+
+        NaN entries are ignored, as a non-finite state is not a domain exit: the
+        extremes are NaN-skipping reductions (fmin, fmax), not min and max, which
+        return NaN when any entry is NaN.
+        """
         k = self._k
         if k is None:
             eta_sq = np.interp(h, self.h_table, self.eta_sq_table)
-            bad = (h <= self.h_table[0]).any() or (h >= self.h_table[-1]).any()
+            bad = (np.fmin.reduce(h, axis=None, initial=np.inf) <= self.h_table[0]
+                   or np.fmax.reduce(h, axis=None, initial=-np.inf) >= self.h_table[-1])
         else:
             eta_sq = 1.0 + k * np.asarray(h, dtype=float)
-            bad = (eta_sq <= 0.0).any()
+            bad = np.fmin.reduce(eta_sq, axis=None, initial=np.inf) <= 0.0
         if bad:
             lo, hi = self.h_bounds()
             raise OutOfDomain(

@@ -24,7 +24,12 @@ and d(dtphi)/dt) have one definition, _fields, on the stacked state
 The solver stage, the ray sampler in foliation and the seed diagnostic in
 shortpulse all call it.  One classical RK4 step, _rk4, serves both the
 solver and the ray tracer; the first stage of a solver step also gives the
-CFL speed.
+CFL speed.  On the ~400-point window a stage costs numpy call overhead,
+not arithmetic, so _fields and _rk4 compute their temporaries in place,
+and the stage has _fields write d(dtphi)/dt straight into its right-hand
+side and skip d2's one-sided rows, which only feed rows the stage
+overwrites.  Each operation keeps its operands and their order, so the
+results are the same bytes as the plain expressions'.
 
 run_until evolves and stores only an active window that moves inward at
 c0, the rest-state sound speed.  The data vanish ahead of the cone
@@ -111,33 +116,70 @@ def d2(f, dx):
     return out
 
 
-def _fields(r, y, a, eos, dr=None):
+def _fields(r, y, a, eos, dr=None, out=None):
     """(dphi, d(dtphi)/dr, d2phi, h, eta^2, d(dtphi)/dt) of the stacked state
     y = (phi, dtphi) on the grid r, from the equation in the module docstring.
 
     The edge rows are the one-sided stencils'; no boundary condition is applied.
     dr defaults to r[1] - r[0], which on a slice can differ from the grid's.
+    With out (the solver stage's right-hand-side row), d(dtphi)/dt is written
+    there and d2phi's one-sided rows are skipped, so the first two and last two
+    rows of d2phi and d(dtphi)/dt are left unspecified: the stage overwrites
+    those rows of the right-hand side with the pin and the outflow rows.
     """
     dr = r[1] - r[0] if dr is None else dr
     phi, dtphi = y
     dphi, ddtphi = d1(y, dr)
-    d2phi = d2(phi, dr)
+    if out is None:
+        d2phi = d2(phi, dr)
+    else:
+        d2phi = _central(phi, _D2_CENTRAL)
+        d2phi /= 12 * dr**2
     dphi_sq, two_dphi = dphi**2, 2.0 * dphi
-    h = dtphi - 0.5 * dphi_sq + a * phi
+    h = 0.5 * dphi_sq
+    np.subtract(dtphi, h, out=h)
+    dtt = np.multiply(a, phi, out=out)       # a*phi, until dtt is formed
+    h += dtt
     eta_sq = eos.eta_sq(h)
-    dtt = two_dphi * ddtphi                  # summed in place, in the equation's order
-    dtt += eta_sq * (d2phi + two_dphi / r)
-    dtt -= dphi_sq * d2phi
-    dtt -= a * (dtphi - dphi_sq)
+    # summed in place, in the equation's order; two_dphi turns into scratch
+    np.multiply(two_dphi, ddtphi, out=dtt)
+    tmp = two_dphi
+    tmp /= r
+    tmp += d2phi
+    tmp *= eta_sq
+    dtt += tmp
+    np.multiply(dphi_sq, d2phi, out=tmp)
+    dtt -= tmp
+    np.subtract(dtphi, dphi_sq, out=tmp)
+    tmp *= a
+    dtt -= tmp
     return dphi, ddtphi, d2phi, h, eta_sq, dtt
 
 
 def _rk4(f, t, y, dt, k1):
-    """One classical RK4 step of dy/dt = f(t, y), given the stage k1 = f(t, y)."""
-    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    """One classical RK4 step of dy/dt = f(t, y), given the stage k1 = f(t, y).
+
+    f must return a new array and keep no reference to its argument: the
+    stage arguments share one array, and the stages are summed in place into
+    k2's, as y + dt/6 (((k1 + 2 k2) + 2 k3) + k4).  k1 is left as it is.
+    """
+    ys = np.multiply(0.5 * dt, k1)
+    ys += y
+    k2 = f(t + 0.5 * dt, ys)
+    np.multiply(0.5 * dt, k2, out=ys)
+    ys += y
+    k3 = f(t + 0.5 * dt, ys)
+    np.multiply(dt, k3, out=ys)
+    ys += y
+    k4 = f(t + dt, ys)
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += y
+    return k2
 
 
 def _time_stencil(times, t):
@@ -192,23 +234,25 @@ def _stage(t, r, y, a, eos):
     """d/dt of the stacked state y = (phi, dtphi) on the grid r.
 
     Returns it with eta^2 and dphi/dr, from which the CFL speed follows.
+    _fields writes d(dtphi)/dt into the returned array's second row; the
+    rows it leaves unspecified there are the pinned and the outflow ones,
+    which are set here.  The two outflow rows are computed in Python floats.
     """
+    rhs = np.empty_like(y)
     try:
-        dphi, ddtphi, _, _, eta_sq, dtt = _fields(r, y, a, eos)
+        dphi, ddtphi, _, _, eta_sq, _ = _fields(r, y, a, eos, out=rhs[1])
     except OutOfDomain as exc:
         raise EosDomain(f"{exc} at t={t:.6f}") from None
-
-    rhs = np.empty_like(y)
     rhs[0] = y[1]
-    rhs[1] = dtt
 
     # inner boundary: pinned to zero, deep inside the trivial region
     rhs[:, :_N_PIN] = 0.0
 
     # outer boundary: characteristic outflow for the outgoing spherical wave,
     # (dt + lam * (dr + 1/r)) dtphi = 0 with lam = eta + v_r
-    lam = np.sqrt(eta_sq[-2:]) - dphi[-2:]
-    rhs[1, -2:] = -lam * (ddtphi[-2:] + y[1, -2:] / r[-2:])
+    for j in (-2, -1):
+        lam = math.sqrt(eta_sq.item(j)) - dphi.item(j)
+        rhs[1, j] = -lam * (ddtphi.item(j) + y.item(1, j) / r.item(j))
 
     if not np.isfinite(rhs).all():
         raise NonFiniteField(f"non-finite right-hand side at t={t:.6f}")
@@ -216,7 +260,16 @@ def _stage(t, r, y, a, eos):
 
 
 def advance(fld: RadialField, dt: float, a: float, eos: EquationOfState):
-    """One classical RK4 step; enforces the CFL precondition."""
+    """One classical RK4 step; enforces the CFL precondition.
+
+    InvalidParameter for a dt that is not positive and finite, and for a
+    field of fewer than the stencils' 8 grid points.
+    """
+    if not 0.0 < dt < math.inf:
+        raise InvalidParameter(f"dt must be positive and finite, got {dt}")
+    if len(fld.r_grid) < 8:
+        raise InvalidParameter(
+            f"field of {len(fld.r_grid)} grid points; the stencils need at least 8")
     y, k1, speed = fld._first_stage(a, eos)
     r, t = fld.r_grid, fld.t
     dr = r[1] - r[0]
