@@ -148,3 +148,26 @@ def test_linear_law_domain(eos, h, at_bound):
             eos.eta_sq(h)
     else:
         assert eos.eta_sq(h) == 1.0 + k * h
+
+
+_TABLE = make_custom(np.linspace(-0.5, 0.5, 41), np.exp(np.linspace(-0.5, 0.5, 41)))
+
+
+@pytest.mark.parametrize("eos, bad", [(make_polytropic(2.0), -2.0), (make_chaplygin(), 0.6),
+                                      (_TABLE, 0.7), (_TABLE, -0.7)],
+                         ids=["polytropic", "chaplygin", "table-above", "table-below"])
+def test_domain_check_skips_nan(eos, bad):
+    """A NaN next to an inadmissible enthalpy still raises OutOfDomain, with the
+    message the inadmissible value alone gives; an all-NaN array is no domain
+    exit (a non-finite state is reported as such further on), and a scalar h
+    is accepted."""
+    with pytest.raises(OutOfDomain) as alone:
+        eos.eta_sq(np.array([bad]))
+    for h in ([np.nan, bad], [bad, np.nan], [[0.0, np.nan], [np.nan, bad]]):
+        with pytest.raises(OutOfDomain) as exc:
+            eos.eta_sq(np.array(h))
+        assert str(exc.value) == str(alone.value)
+    assert np.isnan(eos.eta_sq(np.full(3, np.nan))).all()
+    assert eos.eta_sq(0.0) == 1.0
+    with pytest.raises(OutOfDomain):
+        eos.eta_sq(bad)

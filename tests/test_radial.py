@@ -149,6 +149,17 @@ def test_cfl_violation():
         advance(fld, dt=0.5, a=0.0, eos=EOS)
 
 
+
+@pytest.mark.parametrize("dt, n", [(-1e-3, 200), (0.0, 200), (float("nan"), 200),
+                                   (float("inf"), 200), (1e-4, 7), (1e-4, 6)],
+                         ids=["negative", "zero", "nan", "inf", "7-points", "6-points"])
+def test_advance_rejects_bad_inputs(dt, n):
+    """advance needs a positive finite dt and the stencils' 8 grid points, as run_until."""
+    r = np.linspace(1.0, 3.0, n)
+    fld = RadialField(t=-2.0, r_grid=r, phi=np.zeros_like(r), dtphi=np.zeros_like(r))
+    with pytest.raises(InvalidParameter):
+        advance(fld, dt=dt, a=0.0, eos=EOS)
+
 _BAD_INPUTS = [
     ({"cfl": 0.0}, CflViolation),
     ({"cfl": -1.0}, CflViolation),
@@ -396,6 +407,56 @@ def test_stage_trims_match_reference_bytes(eos, a, n, r0, width, amp, centre, cu
     dr = width / n if own_dr else None
     assert _outcome(_fields, r, y, a, eos, dr) == _outcome(_ref_fields, r, y, a, eos, dr)
     assert _outcome(_stage, -1.5, r, y, a, eos) == _outcome(_ref_stage, -1.5, r, y, a, eos)
+
+
+def _ref_step(r, y, t, dt, a, eos):
+    """One RK4 step from the reference stage, with its stages combined as
+    y + dt/6 (k1 + 2 k2 + 2 k3 + k4) in fresh arrays."""
+    def f(ts, ys):
+        return _ref_stage(ts, r, ys, a, eos)[0]
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = f(t + dt, y + dt * k3)
+    y_new = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    if not np.isfinite(y_new).all():
+        raise NonFiniteField(f"non-finite field after step to t={t + dt:.6f}")
+    return t + dt, y_new[0], y_new[1]
+
+
+def _step_outcome(step, *args):
+    try:
+        return [np.asarray(x).tobytes() for x in step(*args)]
+    except (OutOfDomain, NonFiniteField) as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=200)
+@given(eos=st.sampled_from(_STAGE_EOS), a=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+       n=st.integers(8, 160), r0=st.floats(0.05, 2.0), width=st.floats(0.1, 3.0),
+       amp=st.lists(st.floats(-0.2, 0.2), min_size=2, max_size=2),
+       centre=st.floats(0.0, 1.0), cut=st.floats(0.0, 1.0), frac=st.floats(0.05, 1.0))
+def test_advance_matches_reference_step_bytes(eos, a, n, r0, width, amp, centre, cut, frac):
+    """advance gives the bytes of an RK4 step built from the reference stage and
+    the plain stage combination, sign of zero included, or raises the same
+    breakdown; dt is a fraction of the CFL limit, on cut states as above."""
+    r = r0 + width / n * np.arange(n)
+    s = (r - r0) / width
+    bump = np.exp(-((s - centre) / 0.3) ** 2) * (s >= cut)
+    y = np.stack((amp[0] * bump * s, amp[1] * bump * np.cos(5.0 * s)))
+    try:
+        dphi, _, _, _, eta_sq, _ = _ref_fields(r, y, a, eos)
+        dt = frac * 0.9 * (r[1] - r[0]) / np.max(np.sqrt(eta_sq) + np.abs(dphi))
+    except OutOfDomain:
+        dt = 1e-4       # the first stage breaks down on both sides
+    fld = RadialField(-1.5, r, y[0].copy(), y[1].copy())
+
+    def step(*_):
+        new = advance(fld, dt, a, eos)
+        return new.t, new.phi, new.dtphi
+
+    assert _step_outcome(step) == _step_outcome(_ref_step, r, y, -1.5, dt, a, eos)
+    assert np.array_equal(fld.phi, y[0]) and np.array_equal(fld.dtphi, y[1])
 
 
 def _reference_run(data, a, eos, r, t_end, sample_dt, cfl=0.4):
