@@ -24,12 +24,12 @@ and d(dtphi)/dt) have one definition, _fields, on the stacked state
 The solver stage, the ray sampler in foliation and the seed diagnostic in
 shortpulse all call it.  One classical RK4 step, _rk4, serves both the
 solver and the ray tracer; the first stage of a solver step also gives the
-CFL speed.  On the ~400-point window a stage costs numpy call overhead,
-not arithmetic, so _fields and _rk4 compute their temporaries in place,
-and the stage has _fields write d(dtphi)/dt straight into its right-hand
-side and skip d2's one-sided rows, which only feed rows the stage
-overwrites.  Each operation keeps its operands and their order, so the
-results are the same bytes as the plain expressions'.
+CFL speed.  On a window of a few hundred points a stage costs numpy call
+overhead, not arithmetic, so _fields and _rk4 compute their temporaries
+in place, and the stage has _fields write d(dtphi)/dt straight into its
+right-hand side and skip d2's one-sided rows, which only feed rows the
+stage overwrites.  Each operation keeps its operands and their order, so
+the results are the same bytes as the plain expressions'.
 
 run_until evolves and stores only an active window that moves inward at
 c0, the rest-state sound speed.  The data vanish ahead of the cone
