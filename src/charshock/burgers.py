@@ -60,7 +60,6 @@ _FIT_FLOOR = 0.3    # estimate_blowup_time fits only r <= (1 - this) * r(start)
 class ShockReport:
     classification: str                 # "Global" or "Shock"
     t_star: Optional[float] = None
-    x_star: Optional[float] = None
 
 
 @dataclass
@@ -104,7 +103,7 @@ def burgers_shock_time(a: float, c: float) -> ShockReport:
     if a >= c and a > 0.0:
         return ShockReport(classification="Global")
     t_star = -1.0 + 1.0 / c if a == 0.0 else -math.log1p(-a / c) / a - 1.0
-    return ShockReport(classification="Shock", t_star=t_star, x_star=0.0)
+    return ShockReport(classification="Shock", t_star=t_star)
 
 
 def burgers_mu(x, t, problem: BurgersProblem):
@@ -138,7 +137,6 @@ class BurgersHistory:
     max_neg_slope: np.ndarray
     x: np.ndarray
     phi: np.ndarray                     # field at last_good_time (the last finite one)
-    u_label: Optional[np.ndarray] = None  # advected eikonal label, if tracked
     status: str = "ok"
 
     @property
@@ -147,39 +145,22 @@ class BurgersHistory:
         return float(self.times[-1])
 
 
-def _limited_slope(ue):
-    """Minmod slope of each interior cell of the padded row ue: the median of
-    its left difference, its right difference and 0."""
-    d = ue[1:] - ue[:-1]                 # np.diff without its call overhead
-    a, b = d[:-1], d[1:]
-    return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), 0.0))
-
-
 def _muscl_rhs(u, dx):
     """Second-order MUSCL divergence of the Burgers flux with outflow edges.
 
     The Godunov flux of the convex f(u) = u^2/2 at a face with states
     (ul, ur) is max(f(max(ul, 0)), f(min(ur, 0))), the exact Riemann flux
-    of every shock and rarefaction case.
+    of every shock and rarefaction case.  A cell's slope is minmod: the
+    median of its left difference, its right difference and 0.
     """
     ue = np.concatenate(([u[0], u[0]], u, [u[-1], u[-1]]))
-    half = 0.5 * _limited_slope(ue)
+    d = ue[1:] - ue[:-1]                 # np.diff without its call overhead
+    lo, hi = d[:-1], d[1:]
+    half = 0.5 * np.maximum(np.minimum(lo, hi), np.minimum(np.maximum(lo, hi), 0.0))
     ul = np.maximum(ue[1:-2] + half[:-1], 0.0)   # left state at face i+1/2, clipped at 0
     ur = np.minimum(ue[2:-1] - half[1:], 0.0)    # right state at face i+1/2, clipped at 0
     flux = np.maximum(0.5 * ul * ul, 0.5 * ur * ur)
     return -(flux[1:] - flux[:-1]) / dx
-
-
-def _label_rhs(u_lab, phi, dx):
-    """Limited-upwind advection of the passive eikonal label: u_t + phi u_x = 0."""
-    ue = np.concatenate(([2.0 * u_lab[0] - u_lab[1]] * 2, u_lab,
-                         [2.0 * u_lab[-1] - u_lab[-2]] * 2))
-    slope = _limited_slope(ue)           # per extended cell
-    uL = ue[1:-1] + 0.5 * slope          # reconstructed value at right face
-    dif_up = (uL[1:-1] - uL[:-2]) / dx   # upwind for phi > 0
-    uR = ue[1:-1] - 0.5 * slope          # reconstructed value at left face
-    dif_dn = (uR[2:] - uR[1:-1]) / dx    # upwind for phi < 0
-    return -phi * np.where(phi > 0.0, dif_up, dif_dn)
 
 
 def burgers_direct_solve(
@@ -187,7 +168,6 @@ def burgers_direct_solve(
     grid_n: int = 2048,
     t_end: float = 2.0,
     cfl: float = 0.5,
-    track_eikonal: bool = False,
 ) -> BurgersHistory:
     """Conservative MUSCL/SSP-RK2 solve with Strang-split damping source from
     t = -1 to t_end, or to the last step before a non-finite field (status
@@ -205,7 +185,6 @@ def burgers_direct_solve(
     dx = (x_hi - x_lo) / grid_n
     x = x_lo + dx * (np.arange(grid_n) + 0.5)
     phi = problem.profile(x).astype(float)
-    u_lab = x.copy() if track_eikonal else None
 
     t = -1.0
     times, slopes = [t], [max(0.0, float(np.max(phi[:-1] - phi[1:])) / dx)]
@@ -217,18 +196,12 @@ def burgers_direct_solve(
 
         phi0 = phi * decay
         phi1 = phi0 + dt * _muscl_rhs(phi0, dx)
-        phi_new = 0.5 * (phi0 + phi1 + dt * _muscl_rhs(phi1, dx))
-        phi_next = phi_new * decay
+        phi_next = 0.5 * (phi0 + phi1 + dt * _muscl_rhs(phi1, dx)) * decay
 
         speed = float(np.max(np.abs(phi_next)))  # the next CFL speed; NaN/inf propagate
         if not math.isfinite(speed):
-            status = "NonFiniteField"     # phi and u_lab stay at last_good_time
+            status = "NonFiniteField"     # phi stays at last_good_time
             break
-        if u_lab is not None:
-            mid = 0.5 * (phi_next + phi_new)  # phi during the advective stage
-            k1 = _label_rhs(u_lab, mid, dx)
-            k2 = _label_rhs(u_lab + dt * k1, mid, dx)
-            u_lab = u_lab + 0.5 * dt * (k1 + k2)
         phi = phi_next
         t += dt
         times.append(t)
@@ -239,7 +212,6 @@ def burgers_direct_solve(
         max_neg_slope=np.asarray(slopes),
         x=x,
         phi=phi,
-        u_label=u_lab,
         status=status,
     )
 

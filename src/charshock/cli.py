@@ -29,14 +29,8 @@ from .burgers import (
     sine_profile,
 )
 from .eos import _is_number, make_chaplygin, make_polytropic
-from .errors import CharshockError, ConfigInvalid, NoBlowupTrend, NoRootBeforeSigma
-from .foliation import (
-    classify_largeness,
-    lmu_initial,
-    predict_mu,
-    shock_time_3d,
-    trace_rays,
-)
+from .errors import CharshockError, ConfigInvalid, InvalidParameter, NoBlowupTrend
+from .foliation import classify_largeness, lmu_initial, predict_mu, trace_rays
 from .harness import SweepConfig, emit_outputs, run_sweep
 from .radial import RunHistory, run_until
 from .shortpulse import build_annulus_data, bump_seeds
@@ -121,6 +115,10 @@ def cmd_seed_data(args):
 
 
 def cmd_euler_radial(args):
+    if min(args.snapshot_stride, args.r_stride) < 1:
+        raise InvalidParameter(
+            f"strides must be at least 1, got --snapshot-stride {args.snapshot_stride}"
+            f" and --r-stride {args.r_stride}")
     eos = _eos_from_args(args)
     data = build_annulus_data(bump_seeds(c=args.c, delta=args.delta))
     hist = run_until(data, a=args.a, eos=eos, t_end=args.t_end, cfl=args.cfl,
@@ -145,9 +143,9 @@ def cmd_euler_radial(args):
     }
     with _out(args) as fh:
         fh.write("t,r,phi,dtphi\n")
-        for i in range(0, len(hist.times), max(1, args.snapshot_stride)):
+        for i in range(0, len(hist.times), args.snapshot_stride):
             t, first = hist.times[i], hist.start[i]
-            for j in range(0, hist.phi.shape[1], max(1, args.r_stride)):
+            for j in range(0, hist.phi.shape[1], args.r_stride):
                 fh.write(f"{_f(t)},{_f(hist.r_grid[first + j])},"
                          f"{_f(hist.phi[i, j])},{_f(hist.dtphi[i, j])}\n")
         fh.write(json.dumps(summary) + "\n")
@@ -156,13 +154,6 @@ def cmd_euler_radial(args):
 
 def cmd_predict(args):
     pred = asdict(classify_largeness(args.c, args.a, sigma=args.sigma))
-    # alternative single-c normalization of the shock-time integral
-    try:
-        pred["t_star_single_c"] = shock_time_3d(args.c, args.a,
-                                                sigma=args.sigma,
-                                                coefficient=1.0)
-    except NoRootBeforeSigma:
-        pred["t_star_single_c"] = None
     with _out(args) as fh:
         fh.write(json.dumps(pred, indent=2) + "\n")
     return 0

@@ -1,15 +1,13 @@
 """Equation-of-state families for the isentropic potential flow.
 
 Every family is normalised so that at the reference enthalpy h = 0 the
-density and sound speed are both 1.  The defining thermodynamic relation
-is d(rho)/dh = rho / eta^2, which fixes rho(h) once eta^2(h) is chosen.
-The polytropic and Chaplygin families are one linear law,
+sound speed is 1.  The polytropic and Chaplygin families are one linear law,
 
     eta^2 = 1 + k h,   k = gamma - 1 (polytropic, gamma > 1) or k = -2 (Chaplygin),
 
-so d eta^2/dh = k, rho = (eta^2)^(1/k), and a state is admissible iff
-eta^2 > 0.  The custom family interpolates a table of eta^2(h) and admits
-h strictly inside the table.
+so d eta^2/dh = k, and a state is admissible iff eta^2 > 0.  The custom
+family interpolates a table of eta^2(h) and admits h strictly inside the
+table.
 
 The genuine-nonlinearity coefficient is H = -2 h - eta^2; its derivative
 dH/dh = -2 - d eta^2/dh is the constant -(gamma + 1) for polytropic gases
@@ -40,10 +38,8 @@ __all__ = [
 class EosState:
     """Pointwise thermodynamic state derived from the enthalpy."""
 
-    rho: Any
     eta: Any
     eta_sq: Any
-    H: Any
     dH_dh: Any
     deta_sq_dh: Any
 
@@ -91,21 +87,16 @@ class EquationOfState:
         return eta_sq
 
     def eval(self, h):
-        """Return rho, eta, eta^2, H = -2h - eta^2 and dH/dh at h."""
+        """Return eta, eta^2, dH/dh and d eta^2/dh at h."""
         h = np.asarray(h, dtype=float)
         eta_sq = self.eta_sq(h)
         k = self._k
-        if k is None:  # tabulated: rho = exp(int dh / eta^2) on the table grid
-            ht, et = self.h_table, self.eta_sq_table
-            log_rho = np.concatenate(([0.0], np.cumsum(np.diff(ht) * 0.5 * (1.0 / et[1:] + 1.0 / et[:-1]))))
-            log_rho -= np.interp(0.0, ht, log_rho)
-            rho = np.exp(np.interp(h, ht, log_rho))
-            deta_sq = np.interp(h, ht, np.gradient(et, ht))
+        if k is None:
+            deta_sq = np.interp(h, self.h_table, np.gradient(self.eta_sq_table, self.h_table))
         else:
-            rho = np.exp(np.log1p(k * h) / k)   # (eta^2)^(1/k), accurate as k -> 0
             deta_sq = np.full_like(h, k)
-        return EosState(rho=rho, eta=np.sqrt(eta_sq), eta_sq=eta_sq, H=-2.0 * h - eta_sq,
-                        dH_dh=-2.0 - deta_sq, deta_sq_dh=deta_sq)
+        return EosState(eta=np.sqrt(eta_sq), eta_sq=eta_sq, dH_dh=-2.0 - deta_sq,
+                        deta_sq_dh=deta_sq)
 
 
 def make_polytropic(gamma: float) -> EquationOfState:

@@ -66,6 +66,7 @@ _SHOCK_REGION_MU = 0.1      # shock_region_monitor watches {mu <= this}
 # closed-form predictor
 # ---------------------------------------------------------------------------
 
+_SHOCK_COEFFICIENT = 4.0        # -2 Lmu(-2) / c, the coefficient of c A1 in the predictor
 _EI_A_MAX = 354.0               # beyond this |a|, e^{-2a} or Ei(2a) overflow
 _TINY = np.finfo(float).tiny    # smallest normal double
 
@@ -103,13 +104,14 @@ def predict_mu(t, lmu_init, a):
     return 1.0 + 2.0 * a1_integral(t, a) * lmu_init
 
 
-def shock_time_3d(c, a, sigma=-0.1, coefficient=4.0):
-    """Root t* of coefficient * c * A1(t*) = 1 in (-2, sigma].
+def shock_time_3d(c, a, sigma=-0.1):
+    """Root t* of 4 c A1(t*) = 1 in [-2, sigma].
 
-    The default coefficient 4 comes from integrating the mu transport
-    equation with mu(-2) = 1 and Lmu(-2) = -2c; coefficient=1 gives the
-    alternative single-c normalization for comparison.  InvalidParameter
-    for a non-finite c.
+    The coefficient 4 (_SHOCK_COEFFICIENT) comes from integrating the mu
+    transport equation with mu(-2) = 1 and Lmu(-2) = -2c.  The bracket starts
+    at -2, where A1 = 0 for every a, and c (4 A1) cannot overflow, so every
+    finite c > 0 has its root; above c of about 2e15 it rounds to -2.
+    InvalidParameter for a non-finite c.
     """
     if not math.isfinite(c):
         raise InvalidParameter(f"c must be finite, got {c}")
@@ -117,15 +119,14 @@ def shock_time_3d(c, a, sigma=-0.1, coefficient=4.0):
         raise NoRootBeforeSigma(f"no shock for non-positive slope c={c}")
 
     def f(t):
-        return coefficient * c * a1_integral(t, a) - 1.0
+        return c * (_SHOCK_COEFFICIENT * a1_integral(t, a)) - 1.0
 
-    t_lo = -2.0 + 1e-13
     if f(sigma) < 0.0:
         raise NoRootBeforeSigma(
-            f"coefficient*c*A1(sigma) = {coefficient * c * a1_integral(sigma, a):.6f} < 1")
+            f"4 c A1(sigma) = {c * (_SHOCK_COEFFICIENT * a1_integral(sigma, a)):.6f} < 1")
     from scipy.optimize import brentq
-    t_star = brentq(f, t_lo, sigma, xtol=1e-13, rtol=8.9e-16)
-    assert abs(f(t_star)) <= 1e-10 * max(1.0, coefficient * c)
+    t_star = brentq(f, -2.0, sigma, xtol=1e-13, rtol=8.9e-16)
+    assert abs(f(t_star)) <= 1e-10 * max(1.0, _SHOCK_COEFFICIENT * c)
     return float(t_star)
 
 
@@ -151,8 +152,7 @@ def classify_largeness(c, a, sigma=-0.1):
     """
     if not math.isfinite(c):
         raise InvalidParameter(f"c must be finite, got {c}")
-    a1_sigma = a1_integral(sigma, a)
-    a_star = -4.0 * a1_sigma
+    a_star = -_SHOCK_COEFFICIENT * a1_integral(sigma, a)
     c_shock = -2.0 / a_star
     c_global = -1.0 / a_star
     if c >= c_shock:

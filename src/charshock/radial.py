@@ -308,20 +308,6 @@ class RunHistory:
     def last_good_time(self):
         return float(self.times[-1])
 
-    def frame(self, t):
-        """Fields at time t, interpolated in time by _time_stencil, on the grid
-        points that every snapshot it combines stores."""
-        times = self.times
-        if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
-            raise IndexError(f"time {t} outside stored range "
-                             f"[{times[0]}, {times[-1]}]")
-        snaps, weights = _time_stencil(times, t)
-        lo, hi = max(self.start[snaps]), min(self.start[snaps]) + self.phi.shape[1]
-        cols = [slice(lo - self.start[k], hi - self.start[k]) for k in snaps]
-        phi = np.tensordot(weights, [self.phi[k, c] for k, c in zip(snaps, cols)], axes=1)
-        dtphi = np.tensordot(weights, [self.dtphi[k, c] for k, c in zip(snaps, cols)], axes=1)
-        return RadialField(t, self.r_grid[lo:hi], phi, dtphi)
-
     def save(self, path):
         tables = {f"eos_{k}": np.asarray(self.eos_meta[k])
                   for k in _EOS_TABLES if k in self.eos_meta}

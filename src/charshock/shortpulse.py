@@ -71,13 +71,19 @@ def solve_seed_ode(seeds: SeedProfiles, s_grid_n=1024):
     Returns (s_grid, phi0, dphi0) where dphi0 is the first derivative.
     """
     s = np.linspace(0.0, 1.0, s_grid_n + 1)
+    return (s, *_seed_profile(seeds, s))
+
+
+def _seed_profile(seeds, s):
+    """(phi0, dphi0) on the nodes s from 0; the quadrature runs cell by
+    cell, so a node's values do not depend on the nodes after it."""
     int_phi1 = _cumulative_integral(seeds.phi1, s)
     int_phi2 = _cumulative_integral(seeds.phi2, s)
     int_sphi2 = _cumulative_integral(lambda x: x * np.asarray(seeds.phi2(x)), s)
     # int_0^s int_0^sigma phi2 = s*int_0^s phi2 - int_0^s sigma*phi2(sigma)
     phi0 = int_phi1 + seeds.delta * (s * int_phi2 - int_sphi2)
     dphi0 = np.asarray(seeds.phi1(s)) + seeds.delta * int_phi2
-    return s, phi0, dphi0
+    return phi0, dphi0
 
 
 def _hermite(s, s_grid, f, df):
@@ -134,9 +140,10 @@ def build_annulus_data(seeds: SeedProfiles, r_grid_n=512,
     width_mode 'delta' takes w = delta (the full support of the data);
     'delta_squared' takes w = delta^2 (the inner restriction), which only
     makes sense for delta < 1.  r_grid_n must be at least 1
-    (InvalidParameter otherwise).  The seed ODE is solved on _SEED_CELLS
-    cells whatever r_grid_n, and phi0 is sampled through the cubic Hermite
-    interpolant on its exact slope dphi0.
+    (InvalidParameter otherwise).  The seed ODE is solved on the nodes of
+    _SEED_CELLS cells of [0, 1] up to the annulus' edge s = w / delta, and
+    on the edge itself, whatever r_grid_n; the samples are phi_at on r_grid,
+    the cubic Hermite interpolant of phi0 on its exact slope dphi0.
     """
     if r_grid_n < 1:
         raise InvalidParameter(f"r_grid_n must be >= 1, got {r_grid_n}")
@@ -150,15 +157,18 @@ def build_annulus_data(seeds: SeedProfiles, r_grid_n=512,
     else:
         raise InvalidWidth(f"unknown width_mode {width_mode!r}")
 
-    s_fine, phi0, dphi0 = solve_seed_ode(seeds, s_grid_n=_SEED_CELLS)
-    keep = s_fine <= s_max + 1e-14
-    s_fine, phi0, dphi0 = s_fine[keep], phi0[keep], dphi0[keep]
+    s_fine = np.linspace(0.0, 1.0, _SEED_CELLS + 1)
+    s_fine = s_fine[s_fine <= s_max + 1e-14]
+    if s_fine[-1] < s_max:          # the window's edge, a node of its own
+        s_fine = np.append(s_fine, s_max)
+    phi0, dphi0 = _seed_profile(seeds, s_fine)
 
     r_grid = 2.0 + delta * np.linspace(0.0, s_max, r_grid_n + 1)
     s = (r_grid - 2.0) / delta
+    s_in = np.minimum(s, s_fine[-1])    # the edge's s can round past the last node
     return ShortPulseData(
         r_grid=r_grid,
-        phi_at_minus2=delta**2 * _hermite(s, s_fine, phi0, dphi0),
+        phi_at_minus2=delta**2 * _hermite(s_in, s_fine, phi0, dphi0),
         dtphi_at_minus2=delta * np.asarray(seeds.phi1(s)),
         delta=delta,
         s_grid=s_fine,

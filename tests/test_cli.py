@@ -17,8 +17,7 @@ def test_burgers_command(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,max_neg_slope,r_of_t,min_mu_closed_form"
     report = json.loads(lines[-1])
-    assert set(report) == {"classification", "t_star", "x_star", "t_star_direct",
-                           "confidence_window"}
+    assert set(report) == {"classification", "t_star", "t_star_direct", "confidence_window"}
     assert report["t_star"] == pytest.approx(0.0, abs=1e-12)
     slopes = [float(row.split(",")[1]) for row in lines[1:-1]]
     assert slopes == sorted(slopes)          # steepening toward the shock
@@ -45,7 +44,7 @@ def test_predict_command(tmp_path):
     pred = json.loads(out.read_text())
     assert pred["classification"] == "ShockBefore"
     assert pred["t_star"] == pytest.approx(-2.0 * np.exp(-1.25), abs=1e-8)
-    assert pred["t_star_single_c"] is None   # c too small without the factor
+    assert main(["predict", "--c", "1e13"]) == 0     # a root even where t* is near -2
 
 
 def test_euler_and_foliate_round_trip(tmp_path):
@@ -159,6 +158,8 @@ def test_charshock_error_maps_to_exit_1(tmp_path, capsys):
                        (["predict", "--c", "1", "--a", "nan"], "InvalidParameter"),
                        (["euler-radial", "--c", "nan"], "InvalidParameter"),
                        (["euler-radial", "--a", "nan"], "InvalidParameter"),
+                       (["euler-radial", "--snapshot-stride", "-3"], "InvalidParameter"),
+                       (["euler-radial", "--r-stride", "0"], "InvalidParameter"),
                        (["seed-data", "--grid", "-5"], "InvalidParameter")):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {kind}: ")

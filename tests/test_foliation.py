@@ -1,6 +1,7 @@
 """Foliation diagnostics: closed-form predictor, ray tracing, dual mu."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -121,6 +122,17 @@ def test_shock_time_3d_monotone_in_damping():
 def test_shock_time_3d_immediate_blowup_limit():
     assert shock_time_3d(1e6, 0.0) == pytest.approx(-2.0, abs=1e-3)
     assert shock_time_3d(1e6, 0.0) > -2.0
+
+
+@pytest.mark.parametrize("a", [-0.5, 0.0, 0.5])
+@pytest.mark.parametrize("c", [1e13, 1e16, 1e300, sys.float_info.max])
+def test_shock_time_3d_answers_for_large_c(c, a):
+    """Every finite c > 0 has its root in [-2, sigma]: the bracket starts at -2,
+    where A1 = 0, and c (4 A1) does not overflow.  At a = 0 it is -2 e^{-1/(4c)}."""
+    t_star = shock_time_3d(c, a)
+    assert -2.0 <= t_star <= -0.1
+    if a == 0.0:
+        assert abs(t_star + 2.0 * math.exp(-0.25 / c)) <= 1e-15
 
 
 def test_shock_time_3d_no_root():

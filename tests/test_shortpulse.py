@@ -150,16 +150,17 @@ _POWER_OF_TWO_DELTAS = st.sampled_from([2.0**-k for k in range(1, 7)])
 def test_hermite_phi_at_matches_a_cubic_spline(c, delta, width_mode):
     """On the full support phi_at agrees with a spline of phi0 to round-off.
     The Hermite interpolant is local, so a delta^2 window is that same data
-    cut at its edge bit for bit; a spline fitted to the cut profile is not
-    (its end condition sits on the bump's exp(-1/s) foot for delta up to
-    about 0.45, where the two differ by their discretization error)."""
+    cut at its edge bit for bit, up to its last full seed cell (the partial
+    one ends at the edge); a spline fitted to the cut profile is not (its end
+    condition sits on the bump's exp(-1/s) foot for delta up to about 0.45,
+    where the two differ by their discretization error)."""
     full = build_annulus_data(bump_seeds(c, delta))
     r = 2.0 + delta * np.linspace(-0.1, 1.2, 4001)
     assert (np.max(np.abs(full.phi_at(r) - _spline_phi(full, r)))
             <= 2e-15 * np.max(np.abs(full.phi_at_minus2)))
     if width_mode == "delta_squared":
         data = build_annulus_data(bump_seeds(c, delta), width_mode=width_mode)
-        inside = r < 2.0 + delta * data.s_grid[-1]
+        inside = r < 2.0 + delta * data.s_grid[-2]
         assert data.phi_at(r[inside]).tobytes() == full.phi_at(r[inside]).tobytes()
 
 
@@ -176,6 +177,16 @@ def test_hermite_phi_at_is_the_profile_at_the_nodes(c, delta, width_mode):
     if width_mode == "delta":
         step = (len(data.s_grid) - 1) // 512
         assert data.phi_at_minus2.tobytes() == expect[::step].tobytes()
+
+
+@settings(deadline=None, max_examples=20)
+@given(c=_SLOPES, delta=st.floats(0.011, 0.89),
+       width_mode=st.sampled_from(["delta", "delta_squared"]))
+def test_samples_are_phi_at_on_the_annulus(c, delta, width_mode):
+    """The built samples are phi_at on the annulus, its outer edge included:
+    the seed grid ends at the edge in both width modes."""
+    data = build_annulus_data(bump_seeds(c, delta), r_grid_n=512, width_mode=width_mode)
+    assert np.array_equal(data.phi_at(data.r_grid), data.phi_at_minus2)
 
 
 def test_hermite_phi_at_reproduces_a_cubic_profile():

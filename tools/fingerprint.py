@@ -1,0 +1,114 @@
+"""Print one "name sha256" line per artefact that charshock computes, so that
+two source trees can be compared for bit identity.
+
+    python tools/fingerprint.py [--src DIR] [--save DIR]
+
+--src is the tree's src/ directory (default: the one next to this file);
+run the script once against each tree and diff the two outputs.  --save also
+writes each artefact's bytes to DIR/<name>, to see how far a value moved.
+
+The artefacts:
+  * focus.*, reach_sigma.*: run_until's arrays, the trace_rays bundle and
+    lmu_initial on the pulse inputs of the benchmark's focus and
+    reach_sigma workloads, with c exact;
+  * burgers.a*_c*: the six Burgers cells of the calibrate workload, their
+    solve and fitted blow-up time;
+  * predict.t_star: classify_largeness's t* over a 41 x 60 (a, c) grid;
+  * cli.*: the stdout of small burgers, predict and euler-radial runs.
+
+It takes about 10 s on a 2-core machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+import numpy as np
+
+PULSES = {
+    "focus": dict(eos={"family": "polytropic", "gamma": 2.0}, c=1.0, delta=0.02,
+                  points_per_delta=64, r_min=1.2, t_end=-1.48, samples_per_delta=40,
+                  rays=257),
+    "reach_sigma": dict(eos={"family": "chaplygin"}, c=0.2, delta=0.04,
+                        points_per_delta=32, r_min=0.05, t_end=-0.1,
+                        samples_per_delta=10, rays=65),
+}
+CLI_RUNS = {
+    "burgers": ["burgers", "--a", "0.25", "--grid", "512", "--t-end", "0.5"],
+    "predict": ["predict", "--c", "0.5", "--a", "0.25"],
+    "predict_below": ["predict", "--c", "0.1"],
+    "euler_radial": ["euler-radial", "--delta", "0.1", "--c", "1.0", "--t-end", "-1.8",
+                     "--r-min", "1.6", "--points-per-delta", "16", "--r-stride", "4"],
+}
+
+
+def _blob(*arrays):
+    """The bytes of the arrays, each with its dtype and shape."""
+    out = io.BytesIO()
+    for x in map(np.asarray, arrays):
+        out.write(f"{x.dtype.str}{x.shape}".encode())
+        out.write(np.ascontiguousarray(x).tobytes())
+    return out.getvalue()
+
+
+def artefacts():
+    """Yield (name, bytes) for every artefact, in a fixed order."""
+    from charshock import burgers, cli, eos, foliation, radial, shortpulse
+
+    for name, p in PULSES.items():
+        law = eos.eos_from_config(p["eos"])
+        data = shortpulse.build_annulus_data(
+            shortpulse.bump_seeds(c=p["c"], delta=p["delta"]), r_grid_n=2048)
+        hist = radial.run_until(data, a=0.0, eos=law, t_end=p["t_end"],
+                                points_per_delta=p["points_per_delta"], r_min=p["r_min"],
+                                pad=0.3, sample_dt=p["delta"] / p["samples_per_delta"])
+        bundle = foliation.trace_rays(hist, ray_count=p["rays"], eos=law)
+        yield f"{name}.run_until", _blob(hist.r_grid, hist.times, hist.phi, hist.dtphi,
+                                         hist.start) + f"{hist.status}:{hist.message}".encode()
+        yield f"{name}.trace_rays", _blob(bundle.u, bundle.times, bundle.r,
+                                          bundle.mu_spacing, bundle.mu_transport)
+        yield f"{name}.lmu_initial", _blob(foliation.lmu_initial(hist, bundle.u, law))
+
+    for a in (0.0, 0.25, 0.5):
+        for c in (1.0, 1.5):
+            f, df = burgers.sine_profile(c)
+            hist = burgers.burgers_direct_solve(
+                burgers.BurgersProblem(profile=f, a=a, slope=df), grid_n=4096, t_end=0.6)
+            est = burgers.estimate_blowup_time(hist.times, hist.max_neg_slope, a)
+            yield f"burgers.a{a}_c{c}", _blob(hist.times, hist.max_neg_slope, hist.phi,
+                                              est.t_star_estimate, est.confidence_window)
+
+    t_star = [[foliation.classify_largeness(c, a).t_star for c in np.geomspace(0.05, 1e4, 60)]
+              for a in np.linspace(-0.5, 0.5, 41)]
+    yield "predict.t_star", _blob(np.array(t_star))
+
+    for name, argv in CLI_RUNS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        yield f"cli.{name}", f"exit {code}\n{out.getvalue()}".encode()
+
+
+def main(argv=None):
+    root = Path(__file__).resolve().parents[1]
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--src", default=str(root / "src"), help="the src/ directory to import")
+    p.add_argument("--save", help="also write each artefact's bytes to this directory")
+    args = p.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    if args.save:
+        Path(args.save).mkdir(parents=True, exist_ok=True)
+    for name, blob in artefacts():
+        print(name, hashlib.sha256(blob).hexdigest(), flush=True)
+        if args.save:
+            (Path(args.save) / name).write_bytes(blob)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
