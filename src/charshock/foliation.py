@@ -12,13 +12,14 @@ foliation density mu is computed two independent ways:
 
     and Lf = df/dt + (dr/dt) df/dr the derivative along the ray.
 
-The fields come from the stored snapshots through _FieldSampler: one
-four-row block (eta, dr/dt, m_factor, e) per sample, from one vectorised
-pass over the sample's snapshots, each derived only on a band of the grid
-around the bundle; trace_rays samples each snapshot time once.  _mu_rate
-is the one transport law, for trace_rays and lmu_initial alike.
-trace_rays returns the rows up to the last time at which the whole bundle
-was traced; why it stopped there is not recorded.
+The fields come from the stored snapshots alone, through _FieldSampler:
+one four-row block (eta, dr/dt, m_factor, e) per snapshot, derived once on
+its stored window and interpolated by a cubic in r.  trace_rays steps the
+rays once per snapshot interval by the trapezoidal rule, so it samples the
+fields only at stored times and never interpolates them in t.  _mu_rate is
+the one transport law, for trace_rays and lmu_initial alike.  trace_rays
+returns the rows up to the last time at which the whole bundle was traced;
+why it stopped there is not recorded.
 
 The semi-analytic predictor is mu_hat(t) = 1 + 2 A1(t) Lmu(-2, u) with
 A1(t) = int_{-2}^t d tau / (e^{a(tau+2)} (-tau)) = e^{-2a} (Ei(2a) - Ei(-a t))
@@ -42,7 +43,7 @@ from .errors import (
     ShockDetected,
     SingularEndpoint,
 )
-from .radial import RunHistory, _fields, _rk4, _time_stencil
+from .radial import RunHistory, _fields
 
 __all__ = [
     "RayBundle",
@@ -173,23 +174,19 @@ def classify_largeness(c, a, sigma=-0.1):
 # rows of a sampled block; the cubic stencil's taps as offsets from the cell, tap
 # j's weight at x being v[a] * v[b] * v[c] / d_j, v = x - _TAPS, in this order
 _ETA, _RDOT, _M_FACTOR, _E = range(4)
-_TAPS = np.arange(-1.0, 3.0)[:, None, None]
+_TAPS = np.arange(-1, 3)[:, None]
 _TAP_FACTORS = np.array([[1, 0, 0, 0], [2, 2, 1, 1], [3, 3, 3, 2]])    # (a, b, c) of each j
-_TAP_DENOMS = np.array([-6.0, 2.0, -2.0, 6.0])[:, None, None]
-_BAND_MARGIN = 8    # cells derived beyond the taps, so that one band serves later samples
+_TAP_DENOMS = np.array([-6.0, 2.0, -2.0, 6.0])[:, None]
 
 
 class _FieldSampler:
-    """Derived-field samples at arbitrary (t, r) along the ray bundle.
+    """Derived-field samples along the ray bundle at the stored snapshot times.
 
-    Interpolation between stored snapshots is done along the incoming
-    characteristic: the value at (t, r) combines the snapshots at shifted
-    positions r + (t - t_k), where the pulse profile varies slowly.
-    Interpolating at fixed r instead would smooth the pulse by a relative
-    (omega*dt)^2..4 with omega ~ 1/(mu*delta), an error that neither
-    shrinks with delta nor with the grid and that grows as the rays
-    compress.  Spatial interpolation is 4-point cubic on the solver grid.
-    eos=None reads the equation of state from the history's eos_meta.
+    Snapshot k's block (eta, dr/dt, m_factor, e) is derived once, on its
+    whole stored window and with the grid's dr; at(k, r_pos) interpolates it
+    by a 4-point cubic in r.  The last block derived is kept, so that the
+    samples of one snapshot share it.  eos=None reads the equation of state
+    from the history's eos_meta.
     """
 
     def __init__(self, history: RunHistory, eos: EquationOfState = None):
@@ -197,72 +194,47 @@ class _FieldSampler:
         self.eos = eos if eos is not None else eos_from_config(history.eos_meta)
         self.r = history.r_grid
         self.dr = self.r[1] - self.r[0]
-        self.a = history.a
-        self.times = history.times.tolist()
-        self._bands = {}    # snapshot index -> (valid cells lo, hi, first, taps)
+        self._last = None, None     # (k, block) of the last snapshot derived
 
-    def _band(self, k, lo, hi):
-        """(first, taps) of snapshot k for cells lo..hi-1, taps[p, q, j] being row q
-        at grid point first + j + p - 1.  The block is derived, with the grid's dr,
-        on the taps, _BAND_MARGIN more cells and the stencils' 2-point reach on
-        each side, as far as the snapshot stores them, which makes it the stored
-        window's bit for bit on the cells.  InterpolationOutOfRange when a tap
-        lies outside the stored window."""
-        s, n = int(self.hist.start[k]), self.hist.phi.shape[1]
-        if lo - 1 < s or hi + 2 > s + n:
-            raise InterpolationOutOfRange(
-                f"ray band outside the window stored at t={self.times[k]:.6f}")
-        band = self._bands.get(k)
-        if band is None or not (band[0] <= lo and hi <= band[1]):
-            lo, hi, a = lo - _BAND_MARGIN, hi + _BAND_MARGIN, self.a
-            b0, b1 = max(min(lo - s - 3, n - 8), 0), min(max(hi - s + 4, 8), n)    # 8: d2's edge rows
-            y = np.array((self.hist.phi[k, b0:b1], self.hist.dtphi[k, b0:b1]))
-            dphi, ddtphi, d2phi, h, eta_sq, dtt = _fields(self.r[s + b0:s + b1], y, a, self.eos,
-                                                          self.dr)
+    def _block(self, k):
+        """Snapshot k's block on its stored window r_grid[start[k]:start[k] + W]."""
+        if self._last[0] != k:
+            s, a = int(self.hist.start[k]), self.hist.a
+            y = np.array((self.hist.phi[k], self.hist.dtphi[k]))
+            dphi, ddtphi, d2phi, h, eta_sq, dtt = _fields(self.r[s:s + y.shape[1]], y, a,
+                                                          self.eos, self.dr)
             st = self.eos.eval(h)
             eta = st.eta
             dh = ddtphi - dphi * d2phi + a * dphi          # dh/dr
             dth = dtt - dphi * ddtphi + a * y[1]           # dh/dt
             rdot = -(eta + dphi)
-            block = np.array((
+            self._last = k, np.array((
                 eta, rdot,
                 # m = (mu/eta) * m_factor
                 0.5 * st.dH_dh * dh + a * dphi,
                 (st.deta_sq_dh / (2.0 * eta_sq) * (dth + rdot * dh)
                  + (ddtphi + rdot * d2phi) / eta),
             ))
-            if len(self._bands) > 8:
-                self._bands.pop(next(iter(self._bands)))
-            band = self._bands[k] = (lo, hi, s + b0 + 1, np.array(
-                [block[:, p:p + b1 - b0 - 3] for p in range(4)]))
-        return band[2:]
+        return self._last[1]
 
-    def at(self, t, r_pos):
-        """The block (eta, rdot = dr/dt, m_factor, e) at time t and positions r_pos."""
-        r, dr = self.r, self.dr
+    def at(self, k, r_pos):
+        """The block (eta, rdot = dr/dt, m_factor, e) of snapshot k at positions r_pos.
+
+        InterpolationOutOfRange when a position lies outside the grid or a
+        cubic tap outside the snapshot's stored window.
+        """
+        r, dr, t = self.r, self.dr, float(self.hist.times[k])
         r_pos = np.asarray(r_pos, dtype=float)
         if r_pos.min() < r[0] or r_pos.max() > r[-1]:
-            raise InterpolationOutOfRange(
-                f"ray position outside stored grid at t={t:.6f}")
-        snaps, weights = _time_stencil(self.times, t)
-        # per (snapshot, ray): the position shifted along the incoming
-        # characteristic at unit speed and clamped to the grid, its cell i
-        # and the taps' weights w[tap, snapshot, ray] at the position in the cell
-        shifted = np.minimum(np.maximum(
-            r_pos + np.array([t - self.times[k] for k in snaps])[:, None], r[0]), r[-1])
-        i = np.minimum(np.maximum(((shifted - r[0]) / dr).astype(int), 1), len(r) - 3)
-        f = ((shifted - r[i]) / dr - _TAPS).take(_TAP_FACTORS, axis=0)
+            raise InterpolationOutOfRange(f"ray position outside stored grid at t={t:.6f}")
+        i = np.minimum(np.maximum(((r_pos - r[0]) / dr).astype(int), 1), len(r) - 3)
+        cell = i - int(self.hist.start[k])     # i's index in the stored window
+        if cell.min() < 1 or cell.max() + 3 > self.hist.phi.shape[1]:
+            raise InterpolationOutOfRange(f"ray band outside the window stored at t={t:.6f}")
+        f = ((r_pos - r[i]) / dr - _TAPS).take(_TAP_FACTORS, axis=0)
         w = f[0] * f[1] * f[2] / _TAP_DENOMS
-        # one gather g[tap, row, snapshot, ray] from the bands laid end to end,
-        # then sums over taps and over snapshots, each in a fixed order
-        bands = [self._band(k, lo, hi + 1) for k, lo, hi in
-                 zip(snaps, i.min(axis=1).tolist(), i.max(axis=1).tolist())]
-        end = 0     # where each band starts in the concatenation, less its first cell
-        starts = [(end := end + taps.shape[2]) - taps.shape[2] - first for first, taps in bands]
-        g = np.concatenate([taps for _, taps in bands], axis=2).take(
-            i + np.array(starts)[:, None], axis=2)
-        cubic = np.add.reduce(np.multiply(w[:, None], g, out=g), axis=0)
-        return np.add.reduce(cubic * np.array(weights)[:, None], axis=1, initial=0.0)
+        g = self._block(k)[:, cell + _TAPS]     # g[row, tap, ray]
+        return np.add.reduce(np.multiply(w, g, out=g), axis=1)
 
 
 def _mu_rate(blk, mu):
@@ -299,7 +271,7 @@ def mu_from_spacing(eta, r_pos, weights):
 def lmu_initial(history: RunHistory, u, eos: EquationOfState = None):
     """Lmu(-2, u) from the initial data (mu = eta on the first slice)."""
     r_pos = 2.0 + np.asarray(u, dtype=float)
-    blk = _FieldSampler(history, eos).at(float(history.times[0]), r_pos)
+    blk = _FieldSampler(history, eos).at(0, r_pos)
     return _mu_rate(blk, blk[_ETA])
 
 
@@ -323,15 +295,17 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
     """Integrate the incoming null rays and both mu discretizations.
 
     Rays are seeded at equally spaced u in [0, w] at the first stored time
-    (w = annulus width = delta).  Integration is RK4 (radial._rk4) on the
-    stacked state (r, mu) through time-interpolated fields, one step per
-    stored snapshot interval; eos=None reads the history's eos_meta.  The
-    block sampled at each snapshot time gives both the spacing mu there and
-    the next step's first stage, so a step takes four samples.  The whole
-    bundle stops at the first row in which any ray reaches mu <= _MU_STOP
-    (that row is kept), or at the first step in which rays cross or a ray
-    leaves the stored grid (that step's row is dropped).  ray_count must be
-    at least 33 (InvalidParameter otherwise).
+    (w = annulus width = delta).  The stacked state y = (r, mu) takes one
+    trapezoidal predictor-corrector (Heun) step per stored snapshot
+    interval [t_i, t_i+1], y* = y + dt k(t_i, y) and
+    y' = y + dt/2 (k(t_i, y) + k(t_i+1, y*)), so every sample falls at a
+    stored time and no field is interpolated in t; eos=None reads the
+    history's eos_meta.  The block sampled at y' gives both the spacing mu
+    at t_i+1 and the next step's k(t_i+1, y'), so a step takes two samples.
+    The whole bundle stops at the first row in which any ray reaches
+    mu <= _MU_STOP (that row is kept), or at the first step in which rays
+    cross or a ray leaves the grid or the stored window (that step's row is
+    dropped).  ray_count must be at least 33 (InvalidParameter otherwise).
     """
     if ray_count < 33:
         raise InvalidParameter(f"ray_count must be >= 33, got {ray_count}")
@@ -340,7 +314,7 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
     u = np.linspace(0.0, history.delta, ray_count)
     weights = spacing_weights(u)
     r_pos = 2.0 + u
-    blk = sampler.at(float(times[0]), r_pos)
+    blk = sampler.at(0, r_pos)
     mu_tr = blk[_ETA]                            # mu = eta initially
     y = np.stack((r_pos, mu_tr))
 
@@ -349,22 +323,21 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
     n = 1                                           # rows traced
     r_lo = history.r_grid[0] + 2.0 * (history.r_grid[1] - history.r_grid[0])
 
-    def rate(blk, mu):
-        return np.array((blk[_RDOT], _mu_rate(blk, mu)))
+    def rate(blk, y):
+        return np.array((blk[_RDOT], _mu_rate(blk, y[1])))
 
-    def rhs(t, y):
-        return rate(sampler.at(t, y[0]), y[1])
-
-    for i in range(len(times) - 1):
-        t, t_b = float(times[i]), float(times[i + 1])
+    for k in range(1, len(times)):
+        dt = float(times[k]) - float(times[k - 1])
+        k_a = rate(blk, y)
         try:
-            y = _rk4(rhs, t, y, t_b - t, rate(blk, y[1]))
+            y_b = y + dt * k_a
+            y = y + 0.5 * dt * (k_a + rate(sampler.at(k, y_b[0]), y_b))
+            blk = sampler.at(k, y[0])
         except InterpolationOutOfRange:
             break
         r_pos, mu_tr = y
         if np.min(r_pos) < r_lo:
             break
-        blk = sampler.at(t_b, r_pos)
         try:
             mu_sp = mu_from_spacing(blk[_ETA], r_pos, weights)
         except ShockDetected:

@@ -22,9 +22,8 @@ The pointwise fields of that equation (dphi, d(dtphi)/dr, d2phi, h, eta^2
 and d(dtphi)/dt) have one definition, _fields, on the stacked state
 (phi, dtphi): one d1 call for both rows, one d2 call, one EOS evaluation.
 The solver stage, the ray sampler in foliation and the seed diagnostic in
-shortpulse all call it.  One classical RK4 step, _rk4, serves both the
-solver and the ray tracer; the first stage of a solver step also gives the
-CFL speed.  On a window of a few hundred points a stage costs numpy call
+shortpulse all call it.  One classical RK4 step, _rk4, advances the solver;
+the first stage of a step also gives the CFL speed.  On a window of a few hundred points a stage costs numpy call
 overhead, not arithmetic, so _fields and _rk4 compute their temporaries
 in place, and the stage has _fields write d(dtphi)/dt straight into its
 right-hand side and skip d2's one-sided rows, which only feed rows the
@@ -161,7 +160,8 @@ def _rk4(f, t, y, dt, k1):
 
     f must return a new array and keep no reference to its argument: the
     stage arguments share one array, and the stages are summed in place into
-    k2's, as y + dt/6 (((k1 + 2 k2) + 2 k3) + k4).  k1 is left as it is.
+    k2's, as y + dt/6 (((k1 + 2 k2) + 2 k3) + k4).  k1, which RadialField
+    caches, is left as it is.
     """
     ys = np.multiply(0.5 * dt, k1)
     ys += y
@@ -182,34 +182,11 @@ def _rk4(f, t, y, dt, k1):
     return k2
 
 
-def _time_stencil(times, t):
-    """(indices, weights) of the stored snapshots that interpolate to time t.
-
-    A time within 1e-13 of a snapshot, or any time when only one is stored,
-    takes that snapshot alone.  Otherwise the weights are 4-point Lagrange in
-    t, linear when fewer than four snapshots are stored.  Linear interpolation
-    in t systematically smooths the pulse: the relative bias is (omega*dt)^2/8
-    with omega ~ 1/delta, which does not vanish when the snapshot cadence is
-    scaled with delta; cubic interpolation drops it to (omega*dt)^4.
-    """
-    if len(times) == 1:
-        return [0], [1.0]
-    i = min(max(bisect.bisect_left(times, t) - 1, 0), len(times) - 2)
-    for k in (i, i + 1):
-        if abs(t - times[k]) < 1e-13:
-            return [k], [1.0]
-    if len(times) < 4:
-        w = (t - times[i]) / (times[i + 1] - times[i])
-        return [i, i + 1], [1.0 - w, w]
-    lo = min(max(i - 1, 0), len(times) - 4)
-    ts = [float(s) for s in times[lo:lo + 4]]
-    weights = [math.prod((t - ts[j]) / (ts[k] - ts[j]) for j in range(4) if j != k)
-               for k in range(4)]
-    return list(range(lo, lo + 4)), weights
-
-
 @dataclass
 class RadialField:
+    """The state (phi, dtphi) at time t on r_grid, with its RK4 first stage
+    cached for the step that advance takes from it."""
+
     t: float
     r_grid: np.ndarray
     phi: np.ndarray

@@ -32,7 +32,7 @@ from charshock.foliation import (
     spacing_weights,
     trace_rays,
 )
-from charshock.radial import RunHistory, _fields, _time_stencil, run_until
+from charshock.radial import RunHistory, _fields, run_until
 from charshock.shortpulse import build_annulus_data, bump_seeds
 
 EOS = make_polytropic(2.0)
@@ -209,7 +209,7 @@ def test_mu_from_spacing_is_numpy_gradient(width, n, data):
 def test_transport_trivial_fields_is_zero():
     hist = trivial_history()
     sampler = _FieldSampler(hist, EOS)
-    dmu = _mu_rate(sampler.at(-1.8, np.array([2.0, 2.05])), np.array([1.0, 1.0]))
+    dmu = _mu_rate(sampler.at(10, np.array([2.0, 2.05])), np.array([1.0, 1.0]))
     assert np.max(np.abs(dmu)) <= 1e-12
 
 
@@ -224,7 +224,7 @@ def pulse_bundle():
 def test_initial_mu_equals_eta(pulse_bundle):
     hist, bundle = pulse_bundle
     sampler = _FieldSampler(hist, EOS)
-    eta = sampler.at(-2.0, bundle.r[0])[0]
+    eta = sampler.at(0, bundle.r[0])[0]
     assert np.max(np.abs(bundle.mu_spacing[0] - eta)) <= 1e-8
 
 
@@ -267,8 +267,8 @@ def test_chaplygin_mu_stays_near_one():
 
 class _FullGridSampler:
     """Reference for _FieldSampler.at: each snapshot's block derived on the
-    whole stored window (NaN elsewhere on the grid), and each snapshot of the
-    time stencil interpolated apart."""
+    whole stored window (NaN elsewhere on the grid) and interpolated by the
+    cubic's weights written out."""
 
     def __init__(self, history, eos=None):
         self.hist = history
@@ -291,27 +291,19 @@ class _FullGridSampler:
                            + (ddtphi + rdot * d2phi) / eta))
         return out
 
-    def cubic(self, arr, r_pos):
+    def at(self, k, r_pos):
         r, dr = self.r, self.dr
+        r_pos = np.asarray(r_pos, dtype=float)
+        if np.min(r_pos) < r[0] or np.max(r_pos) > r[-1]:
+            raise InterpolationOutOfRange(f"outside the grid at snapshot {k}")
         i = np.clip(((r_pos - r[0]) / dr).astype(int), 1, len(r) - 3)
         x = (r_pos - r[i]) / dr
         w0 = -x * (x - 1.0) * (x - 2.0) / 6.0
         w1 = (x + 1.0) * (x - 1.0) * (x - 2.0) / 2.0
         w2 = -(x + 1.0) * x * (x - 2.0) / 2.0
         w3 = (x + 1.0) * x * (x - 1.0) / 6.0
-        g = arr[:, i + np.arange(-1, 3)[:, None]]
+        g = self.block(k)[:, i + np.arange(-1, 3)[:, None]]
         return w0 * g[:, 0] + w1 * g[:, 1] + w2 * g[:, 2] + w3 * g[:, 3]
-
-    def at(self, t, r_pos):
-        r, times = self.r, self.hist.times
-        r_pos = np.asarray(r_pos, dtype=float)
-        if np.min(r_pos) < r[0] or np.max(r_pos) > r[-1]:
-            raise InterpolationOutOfRange(f"outside the grid at t={t}")
-        out = 0.0
-        for k, w in zip(*_time_stencil(times, t)):
-            shifted = np.clip(r_pos + (t - times[k]), r[0], r[-1])
-            out = out + w * self.cubic(self.block(k), shifted)
-        return out
 
 
 _SAMPLER_EOS = (EOS, make_polytropic(1.4), make_chaplygin(),
@@ -322,9 +314,9 @@ _SAMPLER_EOS = (EOS, make_polytropic(1.4), make_chaplygin(),
 @st.composite
 def _sampled_histories(draw):
     """A random history (2 to 7 snapshots, 12 to 120 grid points, small noisy
-    fields) and a few (t, positions) to sample it at: exact snapshot times,
-    times within 1e-13 of one and times in between; positions in a window of
-    the grid, which may end at either end of the grid."""
+    fields) and a few (snapshot, positions) to sample it at, the snapshots in
+    any order and repeated; positions in a window of the grid, which may end
+    at either end of the grid."""
     n_r, n_t = draw(st.integers(12, 120)), draw(st.integers(2, 7))
     dr = draw(st.floats(0.002, 0.05))
     r = draw(st.floats(0.5, 2.0)) + dr * np.arange(n_r)
@@ -337,35 +329,25 @@ def _sampled_histories(draw):
                       a=draw(st.floats(-0.5, 0.5)), delta=0.1, status="Completed")
     samples = []
     for _ in range(draw(st.integers(1, 4))):
-        k = draw(st.integers(0, n_t - 1))
-        t = draw(st.sampled_from([times[k], times[k] + 5e-14, times[k] - 5e-14,
-                                  draw(st.floats(times[0], times[-1]))]))
         # a window of the grid, often one that ends at r[0] or r[-1]
         lo, hi = sorted(draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
                         for _ in range(2))
         fracs = lo + (hi - lo) * np.array(draw(st.lists(
             st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=12)))
-        samples.append((float(min(max(t, times[0]), times[-1])),
+        samples.append((draw(st.integers(0, n_t - 1)),
                         np.minimum(r[0] + fracs * (r[-1] - r[0]), r[-1])))
     return hist, samples
 
 
 @settings(deadline=None, max_examples=200)
-@given(case=_sampled_histories(), eos=st.sampled_from(_SAMPLER_EOS),
-       margin=st.sampled_from([0, 1, foliation._BAND_MARGIN]))
-def test_field_sampler_matches_full_grid_reference(case, eos, margin):
-    """Band-limited derivation and the one-pass interpolation give the full
-    grid's block bit for bit, whichever bands the samples need.  The band
-    margin only decides how often a band is derived; at 0 the taps use every
-    point a band claims to hold."""
+@given(case=_sampled_histories(), eos=st.sampled_from(_SAMPLER_EOS))
+def test_field_sampler_matches_full_grid_reference(case, eos):
+    """The sampler's cubic on a snapshot's window gives the full grid's block
+    bit for bit, in whatever order the snapshots are sampled."""
     hist, samples = case
     sampler, reference = _FieldSampler(hist, eos), _FullGridSampler(hist, eos)
-    kept, foliation._BAND_MARGIN = foliation._BAND_MARGIN, margin
-    try:
-        for t, r_pos in samples:
-            assert np.array_equal(sampler.at(t, r_pos), reference.at(t, r_pos))
-    finally:
-        foliation._BAND_MARGIN = kept
+    for k, r_pos in samples:
+        assert np.array_equal(sampler.at(k, r_pos), reference.at(k, r_pos))
 
 
 def test_field_sampler_reads_only_the_stored_window():
@@ -379,12 +361,12 @@ def test_field_sampler_reads_only_the_stored_window():
                       status="Completed", start=np.array([100, 99, 98, 97, 96]))
     sampler, reference = _FieldSampler(hist, EOS), _FullGridSampler(hist, EOS)
     inside = np.linspace(r[101] + 0.001, r[150], 7)     # windows move in at speed 1
-    for t in (times[0], times[2], times[2] + 0.004, times[-1]):
-        pos = inside - (t - times[0])
-        assert np.array_equal(sampler.at(t, pos), reference.at(t, pos))
+    for k in (0, 2, 3, 4):
+        pos = inside - (times[k] - times[0])
+        assert np.array_equal(sampler.at(k, pos), reference.at(k, pos))
     for pos in (r[96] - 0.004, r[156] + 0.004):
         with pytest.raises(InterpolationOutOfRange):
-            _FieldSampler(hist, EOS).at(times[-1], np.array([r[120], pos]))
+            _FieldSampler(hist, EOS).at(4, np.array([r[120], pos]))
 
 
 def test_trace_rays_and_lmu_match_full_grid_reference(pulse_bundle, monkeypatch):
@@ -395,6 +377,53 @@ def test_trace_rays_and_lmu_match_full_grid_reference(pulse_bundle, monkeypatch)
     for name in ("times", "r", "mu_spacing", "mu_transport"):
         assert np.array_equal(getattr(bundle, name), getattr(reference, name)), name
     assert np.array_equal(lmu, lmu_initial(hist, bundle.u))
+
+
+def test_trace_rays_is_a_trapezoidal_loop_over_the_reference(pulse_bundle):
+    """trace_rays is Heun's rule over the snapshot intervals, written out here on
+    the reference sampler: r' = rdot, mu' = mu/eta m_factor + mu e, every field
+    read at a stored time; equal bit for bit, every row."""
+    hist, bundle = pulse_bundle
+    ref = _FullGridSampler(hist, EOS)
+    u = np.linspace(0.0, hist.delta, 65)
+
+    def rate(k, r, mu):
+        eta, rdot, m_factor, e = ref.at(k, r)
+        return rdot, mu / eta * m_factor + mu * e
+
+    r = 2.0 + u
+    mu = ref.at(0, r)[0]
+    rows = [(r, mu)]
+    for k in range(1, len(hist.times)):
+        dt = hist.times[k] - hist.times[k - 1]
+        r_rate, mu_rate = rate(k - 1, r, mu)
+        r_p, mu_p = r + dt * r_rate, mu + dt * mu_rate
+        r_rate_p, mu_rate_p = rate(k, r_p, mu_p)
+        r, mu = r + 0.5 * dt * (r_rate + r_rate_p), mu + 0.5 * dt * (mu_rate + mu_rate_p)
+        rows.append((r, mu))
+    r_rows, mu_rows = map(np.array, zip(*rows))
+    assert len(bundle.times) == len(hist.times)         # the bundle reaches t_end
+    assert np.array_equal(bundle.r, r_rows)
+    assert np.array_equal(bundle.mu_transport, mu_rows)
+    eta = np.array([ref.at(k, r_k)[0] for k, r_k in enumerate(r_rows)])
+    assert np.array_equal(bundle.mu_spacing, eta * np.gradient(r_rows, u, axis=1))
+
+
+def test_snapshot_spacing_moves_the_trace_little(pulse_bundle):
+    """The trace at delta/20 snapshots stays within 1e-3 of one on every solver
+    step's snapshot, at the shared snapshot times: the run's steps do not
+    depend on its snapshot clock, so the delta/20 times are dense ones."""
+    hist, bundle = pulse_bundle
+    sample_dt = hist.delta / 400
+    data = build_annulus_data(bump_seeds(c=1.0, delta=hist.delta), r_grid_n=512)
+    dense = run_until(data, a=0.0, eos=EOS, t_end=-1.7, r_min=1.35, sample_dt=sample_dt)
+    assert np.min(np.diff(dense.times)) > sample_dt      # every step stored
+    reference = trace_rays(dense, ray_count=65)
+    assert len(reference.times) == len(dense.times)
+    rows = np.searchsorted(reference.times, bundle.times)
+    assert np.array_equal(reference.times[rows], bundle.times)
+    for name in ("r", "mu_spacing", "mu_transport"):
+        assert np.max(np.abs(getattr(bundle, name) - getattr(reference, name)[rows])) <= 1e-3
 
 
 def test_shock_region_monitor_empty_when_mu_large(pulse_bundle):

@@ -21,7 +21,6 @@ from charshock.radial import (
     _TRAIL,
     _fields,
     _stage,
-    _time_stencil,
     RadialField,
     RunHistory,
     advance,
@@ -658,33 +657,6 @@ def test_cut_solve_traces_the_uncut_bundle(eos, a, c):
     assert cut.status == full.status
     assert _same_bundle(trace_rays(cut, ray_count=33, eos=eos),
                         trace_rays(full, ray_count=33, eos=eos))
-
-
-@st.composite
-def _snapshot_times(draw):
-    """1 to 12 ascending snapshot times starting in [-2, -1]."""
-    steps = draw(st.lists(st.floats(0.05, 0.5), max_size=11))
-    return draw(st.floats(-2.0, -1.0)) + np.concatenate(([0.0], np.cumsum(steps)))
-
-
-@settings(deadline=None)
-@given(times=_snapshot_times(), frac=st.floats(0.0, 1.0),
-       offset=st.sampled_from([-5e-13, 0.0, 5e-13]),
-       coef=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
-def test_time_stencil_reproduces_cubics(times, frac, offset, coef):
-    """Weights sum to 1 and interpolate cubics exactly (lines below 4 snapshots,
-    constants at one); one snapshot is taken alone, also off its time by more
-    than the 1e-13 that picks a snapshot among several, as in a history that
-    broke down on its first step."""
-    t = times[0] + frac * (times[-1] - times[0]) + offset
-    snaps, weights = _time_stencil(times, t)
-    assert abs(sum(weights) - 1.0) <= 1e-12
-    if len(times) == 1:
-        assert (snaps, weights) == ([0], [1.0])
-    p = np.polynomial.Polynomial(coef[:4 if len(times) >= 4 else min(len(times), 2)])
-    values = p(times[snaps])
-    scale = max(1.0, float(np.max(np.abs(values))))
-    assert abs(np.dot(weights, values) - p(t)) <= 1e-12 * scale
 
 
 _QUARTIC = st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5)

@@ -1,11 +1,16 @@
 """Print one "name sha256" line per artefact that charshock computes, so that
 two source trees can be compared for bit identity.
 
-    python tools/fingerprint.py [--src DIR] [--save DIR]
+    python tools/fingerprint.py [--src DIR] [--save DIR] [--against DIR]
 
 --src is the tree's src/ directory (default: the one next to this file);
 run the script once against each tree and diff the two outputs.  --save also
-writes each artefact's bytes to DIR/<name>, to see how far a value moved.
+writes each artefact's bytes to DIR/<name>.  --against reads the artefacts
+that another run saved in DIR and, under each artefact whose sha256 differs,
+prints how far each of its arrays moved: the largest absolute difference and
+the largest relative one (over the entries that are nonzero in DIR's), on
+the leading rows both hold when their row counts differ.  A text artefact
+reports how many of its lines differ.
 
 The artefacts:
   * focus.*, reach_sigma.*: run_until's arrays, the trace_rays bundle and
@@ -25,6 +30,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -54,6 +60,46 @@ def _blob(*arrays):
         out.write(f"{x.dtype.str}{x.shape}".encode())
         out.write(np.ascontiguousarray(x).tobytes())
     return out.getvalue()
+
+
+_HEADER = re.compile(rb"([<>|=][a-zA-Z]\d+)\(([\d, ]*)\)")
+
+
+def _unblob(blob):
+    """(arrays, text): the arrays _blob wrote, in order, and the bytes after them."""
+    arrays, pos = [], 0
+    while m := _HEADER.match(blob, pos):
+        dtype = np.dtype(m[1].decode())
+        shape = tuple(int(n) for n in m[2].split(b",") if n.strip())
+        size = dtype.itemsize * int(np.prod(shape))
+        arrays.append(np.frombuffer(blob, dtype, int(np.prod(shape)), m.end()).reshape(shape))
+        pos = m.end() + size
+    return arrays, blob[pos:]
+
+
+def _moved(new, old):
+    """Lines saying how far each array of the blob new moved from the blob old."""
+    (a_new, t_new), (a_old, t_old) = _unblob(new), _unblob(old)
+    out = []
+    for j, (x, y) in enumerate(zip(a_new, a_old)):
+        note = "" if x.shape == y.shape else f" (shape {y.shape} -> {x.shape})"
+        if x.shape[1:] != y.shape[1:] or x.dtype.kind not in "fiu":
+            out.append(f"  array {j}: not comparable{note}")
+            continue
+        rows = min(len(x), len(y)) if x.ndim else None
+        x, y = (np.asarray(v[:rows], dtype=float) for v in (x, y))
+        diff = np.abs(x - y)
+        nonzero = y != 0.0
+        rel = np.max(diff[nonzero] / np.abs(y[nonzero]), initial=0.0)
+        out.append(f"  array {j}: max abs {np.max(diff, initial=0.0):.3g}, "
+                   f"max rel {rel:.3g}{note}")
+    if len(a_new) != len(a_old):
+        out.append(f"  {len(a_old)} arrays -> {len(a_new)}")
+    if t_new != t_old:
+        l_new, l_old = t_new.splitlines(), t_old.splitlines()
+        changed = sum(p != q for p, q in zip(l_new, l_old)) + abs(len(l_new) - len(l_old))
+        out.append(f"  text: {changed} of {len(l_old)} lines differ")
+    return out
 
 
 def artefacts():
@@ -99,6 +145,7 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", default=str(root / "src"), help="the src/ directory to import")
     p.add_argument("--save", help="also write each artefact's bytes to this directory")
+    p.add_argument("--against", help="a --save directory to report the differences from")
     args = p.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
     if args.save:
@@ -107,6 +154,12 @@ def main(argv=None):
         print(name, hashlib.sha256(blob).hexdigest(), flush=True)
         if args.save:
             (Path(args.save) / name).write_bytes(blob)
+        if args.against:
+            old = Path(args.against) / name
+            if not old.exists():
+                print(f"  not in {args.against}")
+            elif old.read_bytes() != blob:
+                print("\n".join(_moved(blob, old.read_bytes())), flush=True)
     return 0
 
 
