@@ -157,6 +157,9 @@ def _cell_euler(cell):
     eos = eos_from_config(cell["eos"])
     data = build_annulus_data(bump_seeds(c=cell["c"], delta=cell["delta"]))
     hist = run_until(data, a=cell["a"], eos=eos, t_end=cell["sigma"], **entries)
+    row["run_status"], row["error"] = hist.status, hist.message  # why the run stopped
+    if len(hist.times) < 2:     # broke down at its first step: no ray to trace
+        return row
     bundle = trace_rays(hist, eos=eos, **rays)
     min_mu = np.min(bundle.mu_spacing, axis=1)
     if bundle.times[-1] >= cell["sigma"] - 1e-12:    # else the bundle stopped short of sigma
@@ -170,7 +173,6 @@ def _cell_euler(cell):
             row["t_star_simulated"] = float(t0 + (m0 - 0.1) / (m0 - m1) * (t1 - t0))
         else:
             row["t_star_simulated"] = float(bundle.times[i])
-    row["run_status"], row["error"] = hist.status, hist.message  # why the run stopped
     return row
 
 

@@ -125,11 +125,12 @@ class ShortPulseData:
         return out
 
     def dtphi_at(self, r):
-        """dtphi(-2, r), extended by zero outside the annulus."""
-        s = self._s(r)
-        inside = (s > 0.0) & (s < self.s_grid[-1])
-        out = np.zeros_like(s)
-        out[inside] = self.delta * np.asarray(self.seeds.phi1(s[inside]))
+        """dtphi(-2, r), extended by zero outside the annulus r_grid[0] <= r <= r_grid[-1];
+        its edges are inside, so on r_grid it gives dtphi_at_minus2 bit for bit."""
+        r = np.asarray(r, dtype=float)
+        inside = (r >= self.r_grid[0]) & (r <= self.r_grid[-1])
+        out = np.zeros_like(r)
+        out[inside] = self.delta * np.asarray(self.seeds.phi1(self._s(r[inside])))
         return out
 
 

@@ -299,6 +299,19 @@ def test_sweep_csv_shows_why_an_euler_run_stopped(tmp_path):
     assert row["error"].startswith("enthalpy outside")
 
 
+def test_euler_run_that_breaks_down_at_its_first_step_leaves_the_cell_ok():
+    """Data outside the EOS domain at t = -2 end the run at its first step, with
+    one snapshot and so no interval to trace rays over: the row still says why
+    the run stopped, and the cell is ok."""
+    cfg = SweepConfig(a_values=(0.0,), c_values=(-60.0,), mode="euler",
+                      delta_values=(0.1,), sigma=-1.5)
+    row = run_sweep(cfg).rows[0]
+    assert row["status"] == "ok"
+    assert row["run_status"] == "EosDomain"
+    assert row["error"].endswith("at t=-2.000000")
+    assert math.isnan(row["min_mu_at_sigma"]) and math.isnan(row["t_star_simulated"])
+
+
 def test_emit_outputs_rejects_empty(tmp_path):
     cfg = SweepConfig(a_values=(0.0,), c_values=(1.0,), mode="predict")
     result = run_sweep(cfg)

@@ -68,12 +68,14 @@ def test_delta_halving_scaling_law():
 
 
 def test_data_vanish_beyond_a_delta_squared_annulus():
-    """Both fields stop at the annulus's outer edge 2 + delta^2, not at 2 + delta."""
+    """Both fields stop at the annulus's outer edge 2 + delta^2, not at 2 + delta;
+    the edge itself is on the annulus, where dtphi is the last sample."""
     data = build_annulus_data(bump_seeds(c=1.0, delta=0.5), width_mode="delta_squared")
     assert data.r_grid[-1] == 2.25
-    beyond = np.array([2.25, 2.3, 2.35, 2.5])
+    beyond = np.array([np.nextafter(2.25, 3.0), 2.3, 2.35, 2.5])
     assert np.all(data.dtphi_at(beyond) == 0.0)
     assert np.all(data.phi_at(beyond) == data.phi_at(2.25))
+    assert data.dtphi_at(2.25) == data.dtphi_at_minus2[-1] > 0.0
     assert data.dtphi_at(2.2) > 0.0
 
 
@@ -177,6 +179,22 @@ def test_hermite_phi_at_is_the_profile_at_the_nodes(c, delta, width_mode):
     if width_mode == "delta":
         step = (len(data.s_grid) - 1) // 512
         assert data.phi_at_minus2.tobytes() == expect[::step].tobytes()
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0])
+@pytest.mark.parametrize("delta", [0.3, 0.5, 0.77])
+@pytest.mark.parametrize("width_mode", ["delta", "delta_squared"])
+def test_samples_are_dtphi_at_on_the_annulus(c, delta, width_mode):
+    """dtphi_at on r_grid gives the built samples bit for bit, both edges
+    included: in a delta^2 window the outer edge sits inside the bump (at
+    delta = 0.5 it holds the field's maximum), and at delta = 0.77 its s
+    rounds past the seed grid's last node."""
+    data = build_annulus_data(bump_seeds(c, delta), r_grid_n=512, width_mode=width_mode)
+    assert data.dtphi_at(data.r_grid).tobytes() == data.dtphi_at_minus2.tobytes()
+    if width_mode == "delta_squared" and delta == 0.5:
+        assert data.dtphi_at(data.r_grid[-1:])[0] == data.dtphi_at_minus2[-1] != 0.0
+    outside = data.r_grid[[0, -1]] + np.array([-1e-12, 1e-12])
+    assert np.all(data.dtphi_at(outside) == 0.0)
 
 
 @settings(deadline=None, max_examples=20)
