@@ -54,11 +54,15 @@ class SeedProfiles:
 
 
 def _cumulative_integral(f, s_grid):
-    """Cumulative integral of f from s_grid[0], Gauss-Legendre per cell."""
+    """Cumulative integral of f from s_grid[0], Gauss-Legendre per cell.
+
+    Each cell's sum is taken along its own row, so its rounding does not
+    depend on how many cells the grid holds (a mat-vec product's does).
+    """
     ds = np.diff(s_grid)
     # quadrature nodes for every cell at once: shape (n_cells, 8)
     nodes = s_grid[:-1, None] + ds[:, None] * _GL_X[None, :]
-    cell = ds * (np.asarray(f(nodes.ravel())).reshape(nodes.shape) @ _GL_W)
+    cell = ds * (np.asarray(f(nodes.ravel())).reshape(nodes.shape) * _GL_W).sum(axis=1)
     out = np.empty_like(s_grid)
     out[0] = 0.0
     np.cumsum(cell, out=out[1:])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from charshock.errors import InvalidWidth
@@ -149,6 +149,7 @@ _POWER_OF_TWO_DELTAS = st.sampled_from([2.0**-k for k in range(1, 7)])
 @settings(deadline=None, max_examples=25)
 @given(c=_SLOPES, delta=st.floats(0.011, 0.89),
        width_mode=st.sampled_from(["delta", "delta_squared"]))
+@example(c=58.5, delta=0.1136121899959893, width_mode="delta_squared")
 def test_hermite_phi_at_matches_a_cubic_spline(c, delta, width_mode):
     """On the full support phi_at agrees with a spline of phi0 to round-off.
     The Hermite interpolant is local, so a delta^2 window is that same data
