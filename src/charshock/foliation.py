@@ -328,10 +328,10 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
 
     for k in range(1, len(times)):
         dt = float(times[k]) - float(times[k - 1])
-        k_a = rate(blk, y)
+        rate_a = rate(blk, y)
+        y_pred = y + dt * rate_a                 # y*
         try:
-            y_b = y + dt * k_a
-            y = y + 0.5 * dt * (k_a + rate(sampler.at(k, y_b[0]), y_b))
+            y = y + 0.5 * dt * (rate_a + rate(sampler.at(k, y_pred[0]), y_pred))
             blk = sampler.at(k, y[0])
         except InterpolationOutOfRange:
             break

@@ -22,13 +22,14 @@ The pointwise fields of that equation (dphi, d(dtphi)/dr, d2phi, h, eta^2
 and d(dtphi)/dt) have one definition, _fields, on the stacked state
 (phi, dtphi): one d1 call for both rows, one d2 call, one EOS evaluation.
 The solver stage, the ray sampler in foliation and the seed diagnostic in
-shortpulse all call it.  One classical RK4 step, _rk4, advances the solver;
-the first stage of a step also gives the CFL speed.  On a window of a few hundred points a stage costs numpy call
-overhead, not arithmetic, so _fields and _rk4 compute their temporaries
-in place, and the stage has _fields write d(dtphi)/dt straight into its
-right-hand side and skip d2's one-sided rows, which only feed rows the
-stage overwrites.  Each operation keeps its operands and their order, so
-the results are the same bytes as the plain expressions'.
+shortpulse all call it.  One classical RK4 step, _rk4, advances the
+solver; the first stage of a step also gives the CFL speed.  On a window of
+a few hundred points a stage costs numpy call overhead, not arithmetic, so
+_fields and _rk4 compute their temporaries in place, and the stage has
+_fields write d(dtphi)/dt straight into its right-hand side and skip d2's
+one-sided rows, which only feed rows the stage overwrites.  Each operation
+keeps its operands and their order, so the results are the same bytes as
+the plain expressions'.
 
 run_until evolves and stores only an active window that moves inward at
 c0, the rest-state sound speed.  The data vanish ahead of the cone
