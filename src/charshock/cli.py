@@ -239,7 +239,7 @@ def build_parser():
     w = sub.add_parser("sweep", help="parameter sweep")
     w.add_argument("--config", required=True)
     w.add_argument("--out", required=True)
-    w.add_argument("--workers", type=int, default=None)
+    w.add_argument("--workers", type=int, default=1)
     w.set_defaults(func=cmd_sweep)
     return p
 

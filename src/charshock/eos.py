@@ -9,39 +9,29 @@ so d eta^2/dh = k, and a state is admissible iff eta^2 > 0.  The custom
 family interpolates a table of eta^2(h) and admits h strictly inside the
 table.
 
-The genuine-nonlinearity coefficient is H = -2 h - eta^2; its derivative
-dH/dh = -2 - d eta^2/dh is the constant -(gamma + 1) for polytropic gases
-and identically 0 for the Chaplygin gas.
+An equation of state gives eta^2(h), with the domain check, and the slope
+d eta^2/dh.  The genuine-nonlinearity coefficient is H = -2 h - eta^2; its
+derivative dH/dh = -2 - d eta^2/dh, which the ray sampler in foliation forms,
+is the constant -(gamma + 1) for polytropic gases and identically 0 for the
+Chaplygin gas.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
 from .errors import InvalidParameter, OutOfDomain
 
 __all__ = [
-    "EosState",
     "EquationOfState",
     "make_polytropic",
     "make_chaplygin",
     "make_custom",
     "eos_from_config",
 ]
-
-
-@dataclass(frozen=True)
-class EosState:
-    """Pointwise thermodynamic state derived from the enthalpy."""
-
-    eta: Any
-    eta_sq: Any
-    dH_dh: Any
-    deta_sq_dh: Any
 
 
 @dataclass(frozen=True)
@@ -86,17 +76,15 @@ class EquationOfState:
                 f"enthalpy outside admissible interval ({lo}, {hi}) for {self.family} EOS")
         return eta_sq
 
-    def eval(self, h):
-        """Return eta, eta^2, dH/dh and d eta^2/dh at h."""
-        h = np.asarray(h, dtype=float)
-        eta_sq = self.eta_sq(h)
+    def deta_sq_dh(self, h):
+        """d eta^2/dh at h: the linear law's k, or the table's interpolated slope.
+
+        The domain is not checked here; eta_sq checks it.
+        """
         k = self._k
         if k is None:
-            deta_sq = np.interp(h, self.h_table, np.gradient(self.eta_sq_table, self.h_table))
-        else:
-            deta_sq = np.full_like(h, k)
-        return EosState(eta=np.sqrt(eta_sq), eta_sq=eta_sq, dH_dh=-2.0 - deta_sq,
-                        deta_sq_dh=deta_sq)
+            return np.interp(h, self.h_table, np.gradient(self.eta_sq_table, self.h_table))
+        return k
 
 
 def make_polytropic(gamma: float) -> EquationOfState:

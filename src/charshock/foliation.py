@@ -77,8 +77,11 @@ def a1_integral(t, a):
 
     The closed form (s = -tau) holds to round-off, log(2/-t) at a = 0.  Where
     -a t is subnormal, Ei(-a t) = gamma + ln|a| + ln(-t) to round-off (and
-    log 2 - log(-t) at a = 0, where 2/-t would overflow); where e^{-2a} or
-    Ei(2a) overflows, quadrature answers (absolute tol 1e-12).
+    log 2 - log(-t) at a = 0, where 2/-t would overflow).  Where e^{-2a} or
+    Ei(2a) overflows, quadrature answers: above a = 354 in s = a (tau + 2),
+    as int_0^{a(t+2)} e^{-s} / (2a - s) ds (relative tol 1e-12), so that the
+    1/a-wide spike at tau = -2 is not missed; below a = -354 in tau (absolute
+    tol 1e-12), with InvalidParameter where the integrand overflows a double.
     InvalidParameter for a non-finite t or a.
     """
     if not (math.isfinite(t) and math.isfinite(a)):
@@ -91,9 +94,18 @@ def a1_integral(t, a):
         return float(np.log(2.0 / -t)) if -t >= _TINY else math.log(2.0) - math.log(-t)
     from scipy.integrate import quad    # loaded here so a = 0 runs never load scipy
     from scipy.special import expi
-    if abs(a) > _EI_A_MAX:
-        val, _ = quad(lambda tau: np.exp(-a * (tau + 2.0)) / (-tau), -2.0, t,
-                      epsabs=1e-12, epsrel=1e-12, limit=200)
+    if a > _EI_A_MAX:
+        # e^{-s} is below round-off past s = 700, and 700 < 2a keeps 2 - s/a > 0
+        val, _ = quad(lambda s: math.exp(-s) / (2.0 - s / a), 0.0, min(a * (t + 2.0), 700.0),
+                      epsabs=0.0, epsrel=1e-12, limit=200)
+        return val / a
+    if a < -_EI_A_MAX:
+        try:
+            with np.errstate(over="raise"):
+                val, _ = quad(lambda tau: np.exp(-a * (tau + 2.0)) / (-tau), -2.0, t,
+                              epsabs=1e-12, epsrel=1e-12, limit=200)
+        except FloatingPointError:
+            raise InvalidParameter(f"A1 overflows a double at t={t}, a={a}") from None
         return float(val)
     ei_at = expi(-a * t) if abs(a * t) >= _TINY else (
         np.euler_gamma + math.log(abs(a)) + math.log(-t))
@@ -203,16 +215,15 @@ class _FieldSampler:
             y = np.array((self.hist.phi[k], self.hist.dtphi[k]))
             dphi, ddtphi, d2phi, h, eta_sq, dtt = _fields(self.r[s:s + y.shape[1]], y, a,
                                                           self.eos, self.dr)
-            st = self.eos.eval(h)
-            eta = st.eta
+            eta, deta_sq = np.sqrt(eta_sq), self.eos.deta_sq_dh(h)
             dh = ddtphi - dphi * d2phi + a * dphi          # dh/dr
             dth = dtt - dphi * ddtphi + a * y[1]           # dh/dt
             rdot = -(eta + dphi)
             self._last = k, np.array((
                 eta, rdot,
-                # m = (mu/eta) * m_factor
-                0.5 * st.dH_dh * dh + a * dphi,
-                (st.deta_sq_dh / (2.0 * eta_sq) * (dth + rdot * dh)
+                # m = (mu/eta) * m_factor, dH/dh = -2 - d eta^2/dh
+                0.5 * (-2.0 - deta_sq) * dh + a * dphi,
+                (deta_sq / (2.0 * eta_sq) * (dth + rdot * dh)
                  + (ddtphi + rdot * d2phi) / eta),
             ))
         return self._last[1]

@@ -203,32 +203,22 @@ def _run_cell(cell):
     return base
 
 
-def _worker_count(workers=None):
-    """CHARSHOCK_WORKERS if set, else workers, else 1; ConfigInvalid below 1."""
-    source, env = "workers", os.environ.get("CHARSHOCK_WORKERS")
-    if env is not None:
-        source = "CHARSHOCK_WORKERS"
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ConfigInvalid(f"{source} must be an integer, got {env!r}") from None
-    if workers is None:
-        return 1
-    if workers < 1:
-        raise ConfigInvalid(f"{source} must be at least 1, got {workers}")
-    return workers
+def run_sweep(config: SweepConfig, workers=1) -> SweepResult:
+    """Evaluate every cell of the sweep; failed cells become status rows.
 
-
-def run_sweep(config: SweepConfig, workers=None) -> SweepResult:
-    """Evaluate every cell of the sweep; failed cells become status rows."""
+    The cells run in at most workers processes, in the calling process when
+    one suffices; ConfigInvalid for fewer than 1 worker.
+    """
     config.validate()
+    if workers < 1:
+        raise ConfigInvalid(f"workers must be at least 1, got {workers}")
     cells = [
         {"a": a, "c": c, "delta": d, "eos": e, "mode": config.mode,
          "sigma": config.sigma, "solver": dict(config.solver)}
         for a in config.a_values for c in config.c_values
         for d in config.delta_values for e in config.eos_values
     ]
-    n_workers = min(_worker_count(workers), len(cells))  # the pool forks all up front
+    n_workers = min(workers, len(cells))  # the pool forks all up front
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             rows = list(pool.map(_run_cell, cells))

@@ -23,13 +23,13 @@ and d(dtphi)/dt) have one definition, _fields, on the stacked state
 (phi, dtphi): one d1 call for both rows, one d2 call, one EOS evaluation.
 The solver stage, the ray sampler in foliation and the seed diagnostic in
 shortpulse all call it.  One classical RK4 step, _rk4, advances the
-solver; the first stage of a step also gives the CFL speed.  On a window of
-a few hundred points a stage costs numpy call overhead, not arithmetic, so
-_fields and _rk4 compute their temporaries in place, and the stage has
-_fields write d(dtphi)/dt straight into its right-hand side and skip d2's
-one-sided rows, which only feed rows the stage overwrites.  Each operation
-keeps its operands and their order, so the results are the same bytes as
-the plain expressions'.
+solver; advance evaluates the first stage once and takes both the CFL speed
+and the step's k1 from it.  On a window of a few hundred points a stage
+costs numpy call overhead, not arithmetic, so _fields and _rk4 compute their
+temporaries in place, and the stage has _fields write d(dtphi)/dt straight
+into its right-hand side and skip d2's one-sided rows, which only feed rows
+the stage overwrites.  Each operation keeps its operands and their order, so
+the results are the same bytes as the plain expressions'.
 
 run_until evolves and stores only an active window that moves inward at
 c0, the rest-state sound speed.  The data vanish ahead of the cone
@@ -161,8 +161,7 @@ def _rk4(f, t, y, dt, k1):
 
     f must return a new array and keep no reference to its argument: the
     stage arguments share one array, and the stages are summed in place into
-    k2's, as y + dt/6 (((k1 + 2 k2) + 2 k3) + k4).  k1, which RadialField
-    caches, is left as it is.
+    k2's, as y + dt/6 (((k1 + 2 k2) + 2 k3) + k4).  k1 is left as it is.
     """
     ys = np.multiply(0.5 * dt, k1)
     ys += y
@@ -185,27 +184,12 @@ def _rk4(f, t, y, dt, k1):
 
 @dataclass
 class RadialField:
-    """The state (phi, dtphi) at time t on r_grid, with its RK4 first stage
-    cached for the step that advance takes from it."""
+    """The state (phi, dtphi) at time t on r_grid."""
 
     t: float
     r_grid: np.ndarray
     phi: np.ndarray
     dtphi: np.ndarray
-    _k1: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def _first_stage(self, a, eos):
-        """(stacked state, RK4 stage k1, CFL speed max(eta + |v_r|)).
-
-        Evaluated once per field, so the time step run_until picks from the
-        speed and the step advance takes from k1 share one evaluation.
-        """
-        if self._k1 is None or self._k1[0] != a or self._k1[1] is not eos:
-            y = np.stack((self.phi, self.dtphi))
-            k1, eta_sq, dphi = _stage(self.t, self.r_grid, y, a, eos)
-            speed = float(np.max(np.sqrt(eta_sq) + np.abs(dphi)))
-            self._k1 = (a, eos, y, k1, speed)
-        return self._k1[2:]
 
 
 def _stage(t, r, y, a, eos):
@@ -237,28 +221,35 @@ def _stage(t, r, y, a, eos):
     return rhs, eta_sq, dphi
 
 
-def advance(fld: RadialField, dt: float, a: float, eos: EquationOfState):
-    """One classical RK4 step; enforces the CFL precondition.
+def advance(fld: RadialField, a: float, eos: EquationOfState, t_end: float, cfl: float):
+    """One classical RK4 step from fld toward t_end under the CFL limit.
 
-    InvalidParameter for a dt that is not positive and finite, and for a
-    field of fewer than the stencils' 8 grid points.
+    The first stage k1 also gives the CFL speed max(eta + |v_r|).  The step is
+    dt = (t_end - t) / ceil((t_end - t) / (cfl dr / speed)), so none exceeds
+    the CFL step and no tiny last step occurs; a step that reaches t_end
+    returns the field at t_end exactly.
+
+    CflViolation for cfl outside (0, 0.9]; InvalidParameter for a t_end that
+    is not finite or not after fld.t, and for a field of fewer than the
+    stencils' 8 grid points.
     """
-    if not 0.0 < dt < math.inf:
-        raise InvalidParameter(f"dt must be positive and finite, got {dt}")
-    if len(fld.r_grid) < 8:
-        raise InvalidParameter(
-            f"field of {len(fld.r_grid)} grid points; the stencils need at least 8")
-    y, k1, speed = fld._first_stage(a, eos)
+    if not 0.0 < cfl <= 0.9:
+        raise CflViolation(f"cfl must lie in (0, 0.9], got {cfl}")
     r, t = fld.r_grid, fld.t
-    dr = r[1] - r[0]
-    if dt > 0.9 * dr / speed + 1e-15:
-        raise CflViolation(
-            f"dt={dt:.3e} exceeds CFL limit {0.9 * dr / speed:.3e}")
-
+    if not t < t_end < math.inf:
+        raise InvalidParameter(f"t_end must be finite and after t={t}, got {t_end}")
+    if len(r) < 8:
+        raise InvalidParameter(
+            f"field of {len(r)} grid points; the stencils need at least 8")
+    y = np.stack((fld.phi, fld.dtphi))
+    k1, eta_sq, dphi = _stage(t, r, y, a, eos)
+    speed = float(np.max(np.sqrt(eta_sq) + np.abs(dphi)))
+    steps = math.ceil((t_end - t) / (cfl * (r[1] - r[0]) / speed))
+    dt = (t_end - t) / steps
     y_new = _rk4(lambda ts, ys: _stage(ts, r, ys, a, eos)[0], t, y, dt, k1)
     if not np.isfinite(y_new).all():
         raise NonFiniteField(f"non-finite field after step to t={t + dt:.6f}")
-    return RadialField(t + dt, r, y_new[0], y_new[1])
+    return RadialField(t_end if steps == 1 else t + dt, r, y_new[0], y_new[1])
 
 
 @dataclass
@@ -327,10 +318,10 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     """Evolve short-pulse data from t = -2 to t_end, storing snapshots.
 
     data: ShortPulseData providing phi_at / dtphi_at evaluators and delta.
-    Each step is (t_end - t) / ceil((t_end - t) / (cfl dr / speed)), so none
-    exceeds the CFL step and no tiny last step occurs.  A snapshot is the
-    state at the first step at or after each multiple of sample_dt (default
-    delta/20) after -2, at most one per step, from -2 to exactly t_end.
+    Each step is one advance toward t_end, which picks its own CFL step.  A
+    snapshot is the state at the first step at or after each multiple of
+    sample_dt (default delta/20) after -2, at most one per step, from -2 to
+    exactly t_end.
     Breakdowns (EOS domain exit, non-finite fields) end the run with status
     and message recorded; the last snapshot is then the last state reached.
     Each step evolves only the active window, from _MARGIN points ahead of
@@ -388,11 +379,8 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     try:
         c0 = float(np.sqrt(eos.eta_sq(0.0)))
         while t < t_end:
-            fld = RadialField(t, r[j0:j1], y[0, j0:j1], y[1, j0:j1])
-            speed = fld._first_stage(a, eos)[2]
-            steps = math.ceil((t_end - t) / (cfl * (r[1] - r[0]) / speed))
-            fld = advance(fld, (t_end - t) / steps, a, eos)
-            t, y[0, j0:j1], y[1, j0:j1] = t_end if steps == 1 else fld.t, fld.phi, fld.dtphi
+            fld = advance(RadialField(t, r[j0:j1], y[0, j0:j1], y[1, j0:j1]), a, eos, t_end, cfl)
+            t, y[0, j0:j1], y[1, j0:j1] = fld.t, fld.phi, fld.dtphi
             j0 = max(0, int(front - c0 * (t + 2.0) / dr) - _MARGIN)
             j1 = min(j0 + width, r.size)
             if t >= sample_times[due]:

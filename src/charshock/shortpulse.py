@@ -31,7 +31,6 @@ from .radial import _fields, d1
 __all__ = [
     "SeedProfiles",
     "ShortPulseData",
-    "solve_seed_ode",
     "build_annulus_data",
     "null_derivative_ratio",
     "bump",
@@ -67,15 +66,6 @@ def _cumulative_integral(f, s_grid):
     out[0] = 0.0
     np.cumsum(cell, out=out[1:])
     return out
-
-
-def solve_seed_ode(seeds: SeedProfiles, s_grid_n=1024):
-    """Solve for phi0 on s in [0, 1] by exact double integration.
-
-    Returns (s_grid, phi0, dphi0) where dphi0 is the first derivative.
-    """
-    s = np.linspace(0.0, 1.0, s_grid_n + 1)
-    return (s, *_seed_profile(seeds, s))
 
 
 def _seed_profile(seeds, s):

@@ -47,6 +47,18 @@ def test_predict_command(tmp_path):
     assert main(["predict", "--c", "1e13"]) == 0     # a root even where t* is near -2
 
 
+@pytest.mark.parametrize("a", ["400", "1e4", "1e5", "1e300", "-400", "-1e4", "-1e5", "-1e300"])
+def test_predict_at_huge_damping(a, capsys):
+    """predict answers, with a nonzero threshold a*, or names its error in one
+    line: no traceback and no quadrature warning for huge |a|."""
+    code = main(["predict", "--c", "1", f"--a={a}"])
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert json.loads(out)["a_star"] < 0.0 and err == ""
+    else:
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_euler_and_foliate_round_trip(tmp_path):
     hist_path = tmp_path / "run.npz"
     out = tmp_path / "run.csv"

@@ -15,9 +15,8 @@ from charshock.errors import InvalidParameter, OutOfDomain
 
 def test_polytropic_reference_state():
     eos = make_polytropic(2.0)
-    st = eos.eval(0.0)
-    assert st.eta == pytest.approx(1.0, abs=1e-15)
-    assert st.dH_dh == pytest.approx(-3.0, abs=1e-15)
+    assert np.sqrt(eos.eta_sq(0.0)) == pytest.approx(1.0, abs=1e-15)
+    assert -2.0 - eos.deta_sq_dh(0.0) == pytest.approx(-3.0, abs=1e-15)     # dH/dh
 
 
 def test_polytropic_sound_speed():
@@ -27,17 +26,15 @@ def test_polytropic_sound_speed():
 
 def test_polytropic_gamma3_density():
     eos = make_polytropic(3.0)
-    st = eos.eval(0.12)
-    assert st.eta_sq == pytest.approx(1.24, abs=1e-15)
-    assert st.dH_dh == pytest.approx(-4.0, abs=1e-15)
+    assert eos.eta_sq(0.12) == pytest.approx(1.24, abs=1e-15)
+    assert -2.0 - eos.deta_sq_dh(0.12) == pytest.approx(-4.0, abs=1e-15)
 
 
 def test_chaplygin_no_genuine_nonlinearity():
     eos = make_chaplygin()
     hh = np.linspace(-1.0, 0.4, 50)
-    st = eos.eval(hh)
-    assert np.all(st.dH_dh == 0.0)
-    assert st.eta_sq[0] == pytest.approx(1.0 - 2 * hh[0], abs=1e-15)
+    assert np.all(-2.0 - eos.deta_sq_dh(hh) == 0.0)
+    assert eos.eta_sq(hh)[0] == pytest.approx(1.0 - 2 * hh[0], abs=1e-15)
 
 
 def test_admissibility_boundaries():
@@ -64,9 +61,8 @@ def test_custom_table_matches_polytropic():
     eos_tab = make_custom(h, 1.0 + h)
     eos_ref = make_polytropic(2.0)
     hh = np.linspace(-0.4, 0.4, 17)
-    st_t, st_r = eos_tab.eval(hh), eos_ref.eval(hh)
-    assert np.max(np.abs(st_t.eta_sq - st_r.eta_sq)) <= 1e-12
-    assert np.max(np.abs(st_t.dH_dh - st_r.dH_dh)) <= 1e-6
+    assert np.max(np.abs(eos_tab.eta_sq(hh) - eos_ref.eta_sq(hh))) <= 1e-12
+    assert np.max(np.abs(eos_tab.deta_sq_dh(hh) - eos_ref.deta_sq_dh(hh))) <= 1e-6
 
 
 def test_custom_table_validation():
@@ -106,12 +102,11 @@ def _slope(eos):
 @settings(deadline=None, max_examples=300)
 @given(eos=_LINEAR_LAWS, h=st.floats(-5.0, 5.0))
 def test_linear_law_thermodynamics(eos, h):
-    """d eta^2/dh = k and dH/dh = -2 - d eta^2/dh."""
+    """d eta^2/dh = k, the slope of eta^2 between h and h + 0.01."""
     k = _slope(eos)
-    assume(1.0 + k * h >= 0.05)
-    st_ = eos.eval(h)
-    assert st_.deta_sq_dh == k
-    assert st_.dH_dh == -2.0 - st_.deta_sq_dh
+    assume(1.0 + k * h >= 0.05 and 1.0 + k * (h + 0.01) >= 0.05)
+    assert eos.deta_sq_dh(h) == k
+    assert (eos.eta_sq(h + 0.01) - eos.eta_sq(h)) / 0.01 == pytest.approx(k, abs=1e-9)
 
 
 @settings(deadline=None, max_examples=300)

@@ -95,6 +95,16 @@ def test_a1_integral_falls_back_to_quadrature(t, a):
     assert a1_integral(t, a) == pytest.approx(_a1_quad(t, a), rel=1e-12)
 
 
+@settings(deadline=None, max_examples=100)
+@given(log_a=st.floats(math.log10(354.0), 300.0))
+def test_a1_integral_meets_the_large_a_asymptote(log_a):
+    """A1(-0.1) = 1/(2a) (1 + 1/(2a) + ...) for a from 354 to 1e300, to
+    round-off: the quadrature sees the 1/a-wide spike of the integrand at
+    tau = -2."""
+    a = 10.0 ** log_a
+    assert abs(2.0 * a * a1_integral(-0.1, a) - 1.0) <= 1.0 / a + 1e-15
+
+
 @pytest.mark.parametrize("t, a, expected", [
     (-5e-324, 0.0, 745.1332191019412),       # log 2 - log(-t); 2/-t overflows
     (-1e-310, 1e-5, 714.4802562607919),      # -a t subnormal: Ei(x) = gamma + ln|x|
@@ -280,14 +290,14 @@ class _FullGridSampler:
         a, y = self.hist.a, np.stack((self.hist.phi[k], self.hist.dtphi[k]))
         window = slice(self.hist.start[k], self.hist.start[k] + y.shape[1])
         dphi, ddtphi, d2phi, h, eta_sq, dtt = _fields(self.r[window], y, a, self.eos, self.dr)
-        st_ = self.eos.eval(h)
-        eta = st_.eta
+        eta, deta_sq_dh = np.sqrt(self.eos.eta_sq(h)), self.eos.deta_sq_dh(h)
+        dH_dh = -2.0 - deta_sq_dh
         dh = ddtphi - dphi * d2phi + a * dphi
         dth = dtt - dphi * ddtphi + a * y[1]
         rdot = -(eta + dphi)
         out = np.full((4, len(self.r)), np.nan)
-        out[:, window] = (eta, rdot, 0.5 * st_.dH_dh * dh + a * dphi,
-                          (st_.deta_sq_dh / (2.0 * eta_sq) * (dth + rdot * dh)
+        out[:, window] = (eta, rdot, 0.5 * dH_dh * dh + a * dphi,
+                          (deta_sq_dh / (2.0 * eta_sq) * (dth + rdot * dh)
                            + (ddtphi + rdot * d2phi) / eta))
         return out
 

@@ -175,25 +175,16 @@ def test_rows_sorted_by_axes():
     assert keys == sorted(keys)
 
 
-def test_workers_env_override(monkeypatch):
-    monkeypatch.setenv("CHARSHOCK_WORKERS", "2")
+def test_two_workers_run_the_cells():
     cfg = SweepConfig(a_values=(0.0, 0.25), c_values=(1.0,), mode="burgers")
-    rows = run_sweep(cfg).rows
+    rows = run_sweep(cfg, workers=2).rows
     assert [r["status"] for r in rows] == ["ok", "ok"]
 
 
-def test_workers_env_must_be_an_integer(monkeypatch):
-    monkeypatch.setenv("CHARSHOCK_WORKERS", "x")
-    with pytest.raises(ConfigInvalid):
-        run_sweep(PREDICT_CFG)
-
-
-def test_worker_count_below_one_is_rejected(monkeypatch):
-    with pytest.raises(ConfigInvalid, match="workers must be at least 1"):
-        run_sweep(PREDICT_CFG, workers=0)
-    monkeypatch.setenv("CHARSHOCK_WORKERS", "-2")
-    with pytest.raises(ConfigInvalid, match="CHARSHOCK_WORKERS must be at least 1"):
-        run_sweep(PREDICT_CFG, workers=4)
+def test_worker_count_below_one_is_rejected():
+    for workers in (0, -2):
+        with pytest.raises(ConfigInvalid, match="workers must be at least 1"):
+            run_sweep(PREDICT_CFG, workers=workers)
 
 
 class _InProcessPool:
@@ -219,9 +210,7 @@ def test_pool_is_capped_at_the_cell_count(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     two = SweepConfig(a_values=(0.0, 0.25), c_values=(1.0,), mode="predict")
-    monkeypatch.setenv("CHARSHOCK_WORKERS", "500")
-    assert [r["status"] for r in run_sweep(two).rows] == ["ok", "ok"]
-    monkeypatch.delenv("CHARSHOCK_WORKERS")
+    assert [r["status"] for r in run_sweep(two, workers=500).rows] == ["ok", "ok"]
     assert len(run_sweep(two, workers=3).rows) == 2
     assert len(run_sweep(PREDICT_CFG, workers=8).rows) == 1
     assert _InProcessPool.sizes == [2, 2]

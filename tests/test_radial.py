@@ -148,23 +148,38 @@ def test_eos_domain_breakdown():
 
 
 def test_cfl_violation():
+    """advance takes cfl in (0, 0.9], as run_until does."""
     r = np.linspace(1.0, 3.0, 200)
     fld = RadialField(t=-2.0, r_grid=r, phi=np.zeros_like(r),
                       dtphi=np.zeros_like(r))
-    with pytest.raises(CflViolation):
-        advance(fld, dt=0.5, a=0.0, eos=EOS)
+    for cfl in (0.0, -1.0, 0.95, float("nan")):
+        with pytest.raises(CflViolation):
+            advance(fld, a=0.0, eos=EOS, t_end=-1.9, cfl=cfl)
 
 
-
-@pytest.mark.parametrize("dt, n", [(-1e-3, 200), (0.0, 200), (float("nan"), 200),
-                                   (float("inf"), 200), (1e-4, 7), (1e-4, 6)],
+@pytest.mark.parametrize("t_end, n", [(-2.001, 200), (-2.0, 200), (float("nan"), 200),
+                                      (float("inf"), 200), (-1.9, 7), (-1.9, 6)],
                          ids=["negative", "zero", "nan", "inf", "7-points", "6-points"])
-def test_advance_rejects_bad_inputs(dt, n):
-    """advance needs a positive finite dt and the stencils' 8 grid points, as run_until."""
+def test_advance_rejects_bad_inputs(t_end, n):
+    """advance needs a finite t_end after the field's t (a positive span) and
+    the stencils' 8 grid points, as run_until."""
     r = np.linspace(1.0, 3.0, n)
     fld = RadialField(t=-2.0, r_grid=r, phi=np.zeros_like(r), dtphi=np.zeros_like(r))
     with pytest.raises(InvalidParameter):
-        advance(fld, dt=dt, a=0.0, eos=EOS)
+        advance(fld, a=0.0, eos=EOS, t_end=t_end, cfl=0.4)
+
+
+def test_advance_lands_on_t_end():
+    """Repeated advance reaches t_end exactly, in the ceil(span / CFL step) steps
+    of a constant speed (1 on the zero field)."""
+    r = np.linspace(1.0, 3.0, 200)
+    fld = RadialField(t=-2.0, r_grid=r, phi=np.zeros_like(r), dtphi=np.zeros_like(r))
+    t_end, steps = -1.9, 0
+    while fld.t < t_end:
+        fld = advance(fld, a=0.0, eos=EOS, t_end=t_end, cfl=0.4)
+        steps += 1
+    assert fld.t == t_end
+    assert steps == math.ceil(0.1 / (0.4 * (r[1] - r[0])))
 
 _BAD_INPUTS = [
     ({"cfl": 0.0}, CflViolation),
@@ -238,8 +253,8 @@ def test_breakdown_keeps_the_last_state_reached(monkeypatch):
     good step, so last_good_time is the time reached, not the snapshot before."""
     reached, step = [], radial.advance
 
-    def recording(fld, dt, a, eos):
-        out = step(fld, dt, a, eos)
+    def recording(*args):
+        out = step(*args)
         reached.append((out.t, out.r_grid, out.phi))
         return out
 
@@ -441,47 +456,51 @@ def _step_outcome(step, *args):
 @given(eos=st.sampled_from(_STAGE_EOS), a=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
        n=st.integers(8, 160), r0=st.floats(0.05, 2.0), width=st.floats(0.1, 3.0),
        amp=st.lists(st.floats(-0.2, 0.2), min_size=2, max_size=2),
-       centre=st.floats(0.0, 1.0), cut=st.floats(0.0, 1.0), frac=st.floats(0.05, 1.0))
-def test_advance_matches_reference_step_bytes(eos, a, n, r0, width, amp, centre, cut, frac):
+       centre=st.floats(0.0, 1.0), cut=st.floats(0.0, 1.0), cfl=st.floats(0.05, 0.9),
+       span=st.floats(0.05, 20.0))
+def test_advance_matches_reference_step_bytes(eos, a, n, r0, width, amp, centre, cut, cfl,
+                                              span):
     """advance gives the bytes of an RK4 step built from the reference stage and
     the plain stage combination, sign of zero included, or raises the same
-    breakdown; dt is a fraction of the CFL limit, on cut states as above."""
+    breakdown, on cut states as above.  Its dt follows from the reference's
+    speed: the span to t_end (span CFL steps) over the fewest CFL steps that
+    cover it, and a step that covers the span ends at t_end exactly."""
     r = r0 + width / n * np.arange(n)
     s = (r - r0) / width
     bump = np.exp(-((s - centre) / 0.3) ** 2) * (s >= cut)
     y = np.stack((amp[0] * bump * s, amp[1] * bump * np.cos(5.0 * s)))
     try:
         dphi, _, _, _, eta_sq, _ = _ref_fields(r, y, a, eos)
-        dt = frac * 0.9 * (r[1] - r[0]) / np.max(np.sqrt(eta_sq) + np.abs(dphi))
+        speed = float(np.max(np.sqrt(eta_sq) + np.abs(dphi)))
     except OutOfDomain:
-        dt = 1e-4       # the first stage breaks down on both sides
-    fld = RadialField(-1.5, r, y[0].copy(), y[1].copy())
+        speed = 1.0     # the first stage breaks down on both sides
+    t, t_end = -1.5, -1.5 + span * cfl * (r[1] - r[0]) / speed
+    steps = math.ceil((t_end - t) / (cfl * (r[1] - r[0]) / speed))
+    fld = RadialField(t, r, y[0].copy(), y[1].copy())
 
     def step(*_):
-        new = advance(fld, dt, a, eos)
+        new = advance(fld, a, eos, t_end, cfl)
         return new.t, new.phi, new.dtphi
 
-    assert _step_outcome(step) == _step_outcome(_ref_step, r, y, -1.5, dt, a, eos)
+    def ref_step(*_):
+        t_new, phi, dtphi = _ref_step(r, y, t, (t_end - t) / steps, a, eos)
+        return t_end if steps == 1 else t_new, phi, dtphi
+
+    assert _step_outcome(step) == _step_outcome(ref_step)
     assert np.array_equal(fld.phi, y[0]) and np.array_equal(fld.dtphi, y[1])
 
 
 def _reference_run(data, a, eos, r, t_end, sample_dt, cfl=0.4):
-    """Full-grid solve through the public advance, dt from the pointwise fields:
-    each step is the remaining time over the fewest CFL steps that cover it, and
-    a step is stored when a multiple of sample_dt after -2 lies in it, or ends
-    the run."""
+    """Full-grid solve through the public advance: a step is stored when a
+    multiple of sample_dt after -2 lies in it, or ends the run."""
     fld = RadialField(-2.0, r, data.phi_at(r), data.dtphi_at(r))
     multiples = np.arange(-2.0, t_end, sample_dt)
     times, phis, dtphis = [fld.t], [fld.phi], [fld.dtphi]
-    t = -2.0
-    while t < t_end:
-        dphi, _, _, _, eta_sq, _ = _fields(r, np.stack((fld.phi, fld.dtphi)), a, eos)
-        speed = np.max(np.sqrt(eta_sq) + np.abs(dphi))
-        steps = math.ceil((t_end - t) / (cfl * (r[1] - r[0]) / speed))
-        fld = advance(fld, (t_end - t) / steps, a, eos)
-        t_prev, t = t, (t_end if steps == 1 else fld.t)
-        if t == t_end or np.any((multiples > t_prev) & (multiples <= t)):
-            times.append(t)
+    while fld.t < t_end:
+        t_prev = fld.t
+        fld = advance(fld, a, eos, t_end, cfl)
+        if fld.t == t_end or np.any((multiples > t_prev) & (multiples <= fld.t)):
+            times.append(fld.t)
             phis.append(fld.phi)
             dtphis.append(fld.dtphi)
     return np.array(times), np.array(phis), np.array(dtphis)
@@ -514,25 +533,30 @@ def test_run_until_step_rule(window_data, monkeypatch, sample_dt, t_end):
     """No step is longer than the CFL step, none shorter than half of it unless
     the run is shorter than one step; a snapshot is the first step at or after
     each multiple of sample_dt after -2, at most one per step, and the last
-    one is at t_end exactly."""
+    one is at t_end exactly.  The CFL step is cfl dr / max(eta + |v_r|), from
+    the pointwise fields of the state each step starts from."""
     cfl, recorded = 0.4, []
     step = radial.advance
 
-    def recording(fld, dt, a, eos):
-        recorded.append((fld.t, dt, fld._first_stage(a, eos)[2]))
-        return step(fld, dt, a, eos)
+    def recording(fld, a, eos, t_end, cfl):
+        r = fld.r_grid
+        dphi, _, _, _, eta_sq, _ = _fields(r, np.stack((fld.phi, fld.dtphi)), a, eos)
+        out = step(fld, a, eos, t_end, cfl)
+        recorded.append((fld.t, out.t, cfl * (r[1] - r[0]) / np.max(np.sqrt(eta_sq)
+                                                                    + np.abs(dphi))))
+        return out
 
     monkeypatch.setattr(radial, "advance", recording)
     hist = run_until(window_data, a=0.3, eos=EOS, t_end=t_end, cfl=cfl,
                      points_per_delta=16, r_min=1.2, sample_dt=sample_dt)
-    start, dt, speed = map(np.array, zip(*recorded))
-    limit = cfl * (hist.r_grid[1] - hist.r_grid[0]) / speed
-    end = np.append(start[1:], t_end)
+    start, end, limit = map(np.array, zip(*recorded))
+    # dt read back as end - start carries the rounding of end, half an ulp
+    dt, ulp = end - start, np.abs(np.spacing(end))
     assert hist.status == "Completed"
-    assert start[0] == -2.0 and np.array_equal(end[:-1], start[:-1] + dt[:-1])
-    assert np.all(dt <= limit)
+    assert start[0] == -2.0 and np.array_equal(start[1:], end[:-1]) and end[-1] == t_end
+    assert np.all(dt <= limit + ulp)
     if len(dt) > 1:
-        assert np.all(dt >= 0.5 * limit)
+        assert np.all(dt >= 0.5 * limit - ulp)
     else:
         assert t_end + 2.0 < limit[0]
 

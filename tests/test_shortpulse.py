@@ -7,13 +7,13 @@ from scipy.interpolate import CubicSpline
 
 from charshock.errors import InvalidWidth
 from charshock.shortpulse import (
+    _seed_profile,
     SeedProfiles,
     ShortPulseData,
     build_annulus_data,
     bump,
     bump_seeds,
     null_derivative_ratio,
-    solve_seed_ode,
 )
 
 
@@ -23,20 +23,23 @@ def zero(s):
 
 def test_ode_linear_seed():
     seeds = SeedProfiles(phi1=lambda s: s, phi2=zero, delta=0.1)
-    s, phi0, dphi0 = solve_seed_ode(seeds, s_grid_n=256)
+    s = np.linspace(0.0, 1.0, 257)
+    phi0, dphi0 = _seed_profile(seeds, s)
     assert np.max(np.abs(phi0 - s**2 / 2)) <= 1e-12
     assert np.max(np.abs(dphi0 - s)) <= 1e-12
 
 
 def test_ode_constant_forcing():
     seeds = SeedProfiles(phi1=zero, phi2=lambda s: np.ones_like(s), delta=0.1)
-    s, phi0, _ = solve_seed_ode(seeds, s_grid_n=256)
+    s = np.linspace(0.0, 1.0, 257)
+    phi0, _ = _seed_profile(seeds, s)
     assert np.max(np.abs(phi0 - 0.05 * s**2)) <= 1e-12
 
 
 def test_ode_sine_seed_vs_antiderivative():
     seeds = SeedProfiles(phi1=lambda s: np.sin(np.pi * s), phi2=zero, delta=0.2)
-    s, phi0, _ = solve_seed_ode(seeds, s_grid_n=512)
+    s = np.linspace(0.0, 1.0, 513)
+    phi0, _ = _seed_profile(seeds, s)
     assert np.max(np.abs(phi0 - (1 - np.cos(np.pi * s)) / np.pi)) <= 1e-10
 
 

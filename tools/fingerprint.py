@@ -10,7 +10,9 @@ that another run saved in DIR and, under each artefact whose sha256 differs,
 prints how far each of its arrays moved: the largest absolute difference and
 the largest relative one (over the entries that are nonzero in DIR's), on
 the leading rows both hold when their row counts differ.  A text artefact
-reports how many of its lines differ.
+reports how many of its lines differ.  With --against the exit status is 1
+when any artefact differs from DIR's or is missing there, else 0, so the
+bit-identity check of a change is this one command.
 
 The artefacts:
   * focus.*, reach_sigma.*: run_until's arrays, the trace_rays bundle and
@@ -150,6 +152,7 @@ def main(argv=None):
     sys.path.insert(0, str(Path(args.src).resolve()))
     if args.save:
         Path(args.save).mkdir(parents=True, exist_ok=True)
+    moved = 0                       # artefacts that differ from, or are missing in, --against
     for name, blob in artefacts():
         print(name, hashlib.sha256(blob).hexdigest(), flush=True)
         if args.save:
@@ -158,9 +161,11 @@ def main(argv=None):
             old = Path(args.against) / name
             if not old.exists():
                 print(f"  not in {args.against}")
+                moved += 1
             elif old.read_bytes() != blob:
                 print("\n".join(_moved(blob, old.read_bytes())), flush=True)
-    return 0
+                moved += 1
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
