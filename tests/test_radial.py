@@ -181,6 +181,7 @@ def test_advance_lands_on_t_end():
     assert fld.t == t_end
     assert steps == math.ceil(0.1 / (0.4 * (r[1] - r[0])))
 
+
 _BAD_INPUTS = [
     ({"cfl": 0.0}, CflViolation),
     ({"cfl": -1.0}, CflViolation),
