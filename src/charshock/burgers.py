@@ -54,6 +54,7 @@ __all__ = [
 
 _DT_MAX = 0.05      # largest burgers_direct_solve step, whatever the CFL allows
 _FIT_FLOOR = 0.3    # estimate_blowup_time fits only r <= (1 - this) * r(start)
+_A_LINEAR = 1e-9    # below this |a|, e^{-a(t+1)} - 1 = -a(t+1) to 1.5e-9 relative for t <= 2
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,10 @@ def burgers_shock_time(a: float, c: float) -> ShockReport:
         return ShockReport(classification="Global")
     if a >= c and a > 0.0:
         return ShockReport(classification="Global")
-    t_star = -1.0 + 1.0 / c if a == 0.0 else -math.log1p(-a / c) / a - 1.0
+    if abs(a) < 1e-8 * c:       # -log1p(-x)/x = 1 + x/2 to 3e-17, where x = a/c may be subnormal
+        t_star = (1.0 + 0.5 * (a / c)) / c - 1.0
+    else:
+        t_star = -math.log1p(-a / c) / a - 1.0
     return ShockReport(classification="Shock", t_star=t_star)
 
 
@@ -228,8 +232,13 @@ def estimate_blowup_time(times, slopes, a: float) -> BlowupEstimate:
     Along the steepest characteristic the slope is c e^{-a(t+1)} / mu(t), so
     e^{-a(t+1)} / slope is proportional to mu and follows the exact shape
     alpha + beta * (exp(-a (t+1)) - 1); the fit finds its root.  The initial
-    transient and the saturated post-shock samples are excluded.
+    transient and the post-shock samples, those after the least
+    e^{-a(t+1)} / slope, are excluded.  Below |a| = _A_LINEAR the fit takes
+    a = 0: its exp column would fall under lstsq's rank cutoff from about
+    |a| = 1e-13, and the shapes differ by less than the fit resolves.
     """
+    if abs(a) < _A_LINEAR:
+        a = 0.0
     times = np.asarray(times, dtype=float)
     slopes = np.asarray(slopes, dtype=float)
     pos = slopes > 0
@@ -240,10 +249,13 @@ def estimate_blowup_time(times, slopes, a: float) -> BlowupEstimate:
     if slopes.max() <= 1.5 * slopes[0]:
         raise NoBlowupTrend("slope series shows no blow-up trend")
 
-    # Fit the asymptotic regime only: drop the initial transient (large r)
-    # and the saturated post-shock samples (r pinned near the grid floor).
+    # Fit the asymptotic regime only: drop the samples after the least r,
+    # which come after the shock, then the initial transient (large r) and
+    # the saturated samples before the shock (r near the grid floor).
     r = np.exp(-a * (times + 1.0)) / slopes
-    r0, r_min = r[0], r.min()
+    last = int(np.argmin(r)) + 1
+    times, r = times[:last], r[:last]
+    r0, r_min = r[0], r[-1]
     sel = (r <= (1.0 - _FIT_FLOOR) * r0) & (r >= max(4.0 * r_min, 1e-3 * r0))
     if np.count_nonzero(sel) < 10:
         sel = np.argsort(r)[:10]

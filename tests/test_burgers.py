@@ -1,5 +1,8 @@
 """Damped Burgers characteristic analysis and direct-solver oracle tests."""
 
+import contextlib
+import io
+import json
 import math
 import os
 import subprocess
@@ -7,9 +10,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import charshock
+from charshock.cli import main
 from charshock.burgers import (
     _muscl_rhs,
     BurgersProblem,
@@ -188,6 +192,22 @@ def test_burgers_command_rejects_infinite_t_end(tmp_path):
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])})
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: InvalidParameter: ")
+
+
+@settings(deadline=None, max_examples=5)
+@example(a=-1.0, c=1.0)
+@example(a=1e-300, c=0.7)
+@given(a=st.floats(-1.0, 0.9), c=st.floats(0.5, 5.0))
+def test_burgers_command_meets_the_closed_form(a, c):
+    """Wherever the closed form has its shock before the default t_end = 2,
+    the burgers command's fitted t_star_direct lies within 1e-2 of it, for
+    damping of either sign."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["burgers", f"--a={a!r}", f"--c={c!r}"]) == 0
+    report = json.loads(out.getvalue().splitlines()[-1])
+    if report["classification"] == "Shock" and report["t_star"] < 2.0:
+        assert abs(report["t_star_direct"] - report["t_star"]) <= 1e-2
 
 
 def _case_analysis_muscl_rhs(u, dx):

@@ -1,9 +1,14 @@
 """Command line interface: subcommands, outputs, exit codes."""
 
+import contextlib
+import io
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from charshock.cli import main
 from charshock.foliation import trace_rays
@@ -57,6 +62,31 @@ def test_predict_at_huge_damping(a, capsys):
         assert json.loads(out)["a_star"] < 0.0 and err == ""
     else:
         assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+
+
+_ODD_FLOATS = (st.floats() | st.floats(-2.0, 0.0)
+               | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300,
+                                  math.nan, math.inf, -math.inf]))
+
+
+@settings(deadline=None, max_examples=150)
+@example(c=0.1, a=-1e6, sigma=-1.9999)
+@example(c=1.0, a=0.0, sigma=-2.0)
+@given(c=_ODD_FLOATS, a=_ODD_FLOATS, sigma=_ODD_FLOATS)
+def test_predict_answers_or_names_its_error(c, a, sigma):
+    """For any c, a and sigma, finite or not, predict prints its JSON and exits
+    0, or exits 1 with one error: line; no traceback and no warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
+        code = main(["predict", f"--c={c!r}", f"--a={a!r}", f"--sigma={sigma!r}"])
+    assert caught == []
+    if code == 0:
+        assert json.loads(out.getvalue())["sigma"] == sigma and err.getvalue() == ""
+    else:
+        assert code == 1 and err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
 
 
 def test_euler_and_foliate_round_trip(tmp_path):

@@ -18,6 +18,9 @@ The artefacts:
   * focus.*, reach_sigma.*: run_until's arrays, the trace_rays bundle and
     lmu_initial on the pulse inputs of the benchmark's focus and
     reach_sigma workloads, with c exact;
+  * damped_table.*: the same on a damped pulse (a = 0.5) through the
+    custom table eta^2 = 1 + 0.8 h + 0.3 h^2, the one run whose mu
+    transport reads the damping term a dphi/dr and a table's d eta^2/dh;
   * burgers.a*_c*: the six Burgers cells of the calibrate workload, their
     solve and fitted blow-up time;
   * predict.t_star: classify_largeness's t* over a 41 x 60 (a, c) grid;
@@ -38,13 +41,19 @@ from pathlib import Path
 
 import numpy as np
 
+_H_TABLE = np.linspace(-0.5, 0.5, 9)
 PULSES = {
-    "focus": dict(eos={"family": "polytropic", "gamma": 2.0}, c=1.0, delta=0.02,
+    "focus": dict(eos={"family": "polytropic", "gamma": 2.0}, a=0.0, c=1.0, delta=0.02,
                   points_per_delta=64, r_min=1.2, t_end=-1.48, samples_per_delta=40,
                   rays=257),
-    "reach_sigma": dict(eos={"family": "chaplygin"}, c=0.2, delta=0.04,
+    "reach_sigma": dict(eos={"family": "chaplygin"}, a=0.0, c=0.2, delta=0.04,
                         points_per_delta=32, r_min=0.05, t_end=-0.1,
                         samples_per_delta=10, rays=65),
+    "damped_table": dict(eos={"family": "custom", "h_table": _H_TABLE.tolist(),
+                              "eta_sq_table": (1.0 + 0.8 * _H_TABLE
+                                               + 0.3 * _H_TABLE**2).tolist()},
+                         a=0.5, c=1.0, delta=0.05, points_per_delta=32, r_min=1.5,
+                         t_end=-1.7, samples_per_delta=20, rays=65),
 }
 CLI_RUNS = {
     "burgers": ["burgers", "--a", "0.25", "--grid", "512", "--t-end", "0.5"],
@@ -91,6 +100,7 @@ def _moved(new, old):
         rows = min(len(x), len(y)) if x.ndim else None
         x, y = (np.asarray(v[:rows], dtype=float) for v in (x, y))
         diff = np.abs(x - y)
+        diff[np.isnan(x) & np.isnan(y)] = 0.0
         nonzero = y != 0.0
         rel = np.max(diff[nonzero] / np.abs(y[nonzero]), initial=0.0)
         out.append(f"  array {j}: max abs {np.max(diff, initial=0.0):.3g}, "
@@ -112,7 +122,7 @@ def artefacts():
         law = eos.eos_from_config(p["eos"])
         data = shortpulse.build_annulus_data(
             shortpulse.bump_seeds(c=p["c"], delta=p["delta"]), r_grid_n=2048)
-        hist = radial.run_until(data, a=0.0, eos=law, t_end=p["t_end"],
+        hist = radial.run_until(data, a=p["a"], eos=law, t_end=p["t_end"],
                                 points_per_delta=p["points_per_delta"], r_min=p["r_min"],
                                 pad=0.3, sample_dt=p["delta"] / p["samples_per_delta"])
         bundle = foliation.trace_rays(hist, ray_count=p["rays"], eos=law)
