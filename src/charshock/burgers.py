@@ -36,6 +36,7 @@ from .errors import (
     InvalidParameter,
     NoBlowupTrend,
     PastShock,
+    check_size,
 )
 
 __all__ = [
@@ -65,24 +66,17 @@ class ShockReport:
 
 @dataclass
 class BurgersProblem:
-    """Initial profile at t = -1 plus damping constant."""
+    """Initial profile at t = -1, its slope, and the damping constant."""
 
     profile: Callable[[np.ndarray], np.ndarray]
+    slope: Callable[[np.ndarray], np.ndarray]
     a: float = 0.0
     domain: tuple[float, float] = (-1.0, 1.0)
-    slope: Optional[Callable[[np.ndarray], np.ndarray]] = None
     c: float = field(init=False)
 
     def __post_init__(self):
         x = np.linspace(self.domain[0], self.domain[1], 8193)
-        self.c = float(-np.min(self.slope_at(x)))
-
-    def slope_at(self, x):
-        if self.slope is not None:
-            return self.slope(x)
-        xx = np.asarray(x, dtype=float)
-        h = 1e-6 * max(1.0, self.domain[1] - self.domain[0])
-        return (self.profile(xx + h) - self.profile(xx - h)) / (2.0 * h)
+        self.c = float(-np.min(self.slope(x)))
 
 
 def damping_kernel(t, a):
@@ -112,7 +106,7 @@ def burgers_shock_time(a: float, c: float) -> ShockReport:
 
 def burgers_mu(x, t, problem: BurgersProblem):
     """Inverse foliation density along the characteristic labelled by x."""
-    return 1.0 + problem.slope_at(x) * damping_kernel(t, problem.a)
+    return 1.0 + problem.slope(x) * damping_kernel(t, problem.a)
 
 
 def burgers_characteristic_solve(x0, t, problem: BurgersProblem):
@@ -120,7 +114,7 @@ def burgers_characteristic_solve(x0, t, problem: BurgersProblem):
     x0 = np.asarray(x0, dtype=float)
     f0 = problem.profile(x0)
     E = damping_kernel(t, problem.a)
-    mu = 1.0 + problem.slope_at(x0) * E
+    mu = 1.0 + problem.slope(x0) * E
     if np.any(mu <= 0.0):
         raise PastShock(f"characteristics crossed before t = {t}")
     decay = np.exp(-problem.a * (np.asarray(t, dtype=float) + 1.0))
@@ -175,11 +169,12 @@ def burgers_direct_solve(
 ) -> BurgersHistory:
     """Conservative MUSCL/SSP-RK2 solve with Strang-split damping source from
     t = -1 to t_end, or to the last step before a non-finite field (status
-    "NonFiniteField").  The defaults are the sweep's and the CLI's; grid_n < 64
-    and a t_end that is not finite or not above -1 are an InvalidParameter,
-    cfl outside (0, 0.9] a CflViolation."""
+    "NonFiniteField").  The defaults are the sweep's and the CLI's; grid_n
+    outside [64, MAX_VALUES] and a t_end that is not finite or not above -1 are
+    an InvalidParameter, cfl outside (0, 0.9] a CflViolation."""
     if grid_n < 64:
         raise InvalidParameter("grid_n must be >= 64")
+    check_size("the Burgers grid", grid_n)
     if not (math.isfinite(t_end) and t_end > -1.0):
         raise InvalidParameter(f"t_end must be finite and above -1, got {t_end}")
     if not (0.0 < cfl <= 0.9):

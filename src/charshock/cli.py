@@ -94,12 +94,6 @@ def cmd_burgers(args):
     return 0
 
 
-def _eos_from_args(args):
-    if args.chaplygin:
-        return make_chaplygin()
-    return make_polytropic(args.gamma)
-
-
 def cmd_seed_data(args):
     seeds = bump_seeds(c=args.c, delta=args.delta)
     data = build_annulus_data(seeds, r_grid_n=args.grid,
@@ -119,7 +113,7 @@ def cmd_euler_radial(args):
         raise InvalidParameter(
             f"strides must be at least 1, got --snapshot-stride {args.snapshot_stride}"
             f" and --r-stride {args.r_stride}")
-    eos = _eos_from_args(args)
+    eos = make_chaplygin() if args.chaplygin else make_polytropic(args.gamma)
     data = build_annulus_data(bump_seeds(c=args.c, delta=args.delta))
     hist = run_until(data, a=args.a, eos=eos, t_end=args.t_end, cfl=args.cfl,
                      points_per_delta=args.points_per_delta,
@@ -136,7 +130,7 @@ def cmd_euler_radial(args):
         "window_points": int(hist.phi.shape[1]),
         "snapshot_bytes": int(hist.phi.nbytes + hist.dtphi.nbytes),
         "max_dphi_dr_final": max_grad,
-        "eos": hist.eos_meta,
+        "eos": hist.eos.record(),
         "a": hist.a,
         "delta": hist.delta,
         "version": __version__,

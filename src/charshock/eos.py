@@ -86,6 +86,11 @@ class EquationOfState:
             return np.interp(h, self.h_table, np.gradient(self.eta_sq_table, self.h_table))
         return k
 
+    def record(self):
+        """The EOS as the config record that eos_from_config reads back."""
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v
+                for k, v in vars(self).items() if v is not None}
+
 
 def make_polytropic(gamma: float) -> EquationOfState:
     if not np.isfinite(gamma) or gamma <= 1.0:

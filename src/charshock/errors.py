@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the cap on array sizes."""
+
+MAX_VALUES = 10**8      # values an array sized by a caller's count may hold (800 MB of doubles)
 
 
 class CharshockError(Exception):
@@ -63,3 +65,10 @@ class NoRootBeforeSigma(CharshockError):
 
 class ConfigInvalid(CharshockError):
     pass
+
+
+def check_size(what, n):
+    """InvalidParameter unless what, an array about to be allocated, holds at most MAX_VALUES."""
+    if not n <= MAX_VALUES:
+        raise InvalidParameter(
+            f"{what} would hold {n:.3g} values; at most {MAX_VALUES:.0e} are allowed")

@@ -36,13 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eos import EquationOfState, eos_from_config
+from .eos import EquationOfState
 from .errors import (
     InterpolationOutOfRange,
     InvalidParameter,
     NoRootBeforeSigma,
     ShockDetected,
     SingularEndpoint,
+    check_size,
 )
 from .radial import RunHistory, _fields
 
@@ -70,7 +71,7 @@ _SHOCK_REGION_MU = 0.1      # shock_region_monitor watches {mu <= this}
 _SHOCK_COEFFICIENT = 4.0        # -2 Lmu(-2) / c, the coefficient of c A1 in the predictor
 _EI_A_MAX = 354.0               # beyond this |a|, e^{-2a} or Ei(2a) overflow
 _TINY = np.finfo(float).tiny    # smallest normal double
-_EI_NEAR = 1e-6                 # below this t + 2, Ei(2a) - Ei(-a t) cancels to > 5e-10 of A1
+_EI_NEAR = 1e-3                 # below this t + 2, Ei(2a) - Ei(-a t) cancels to > 1e-12 of A1
 
 
 def a1_integral(t, a):
@@ -83,7 +84,7 @@ def a1_integral(t, a):
     as int_0^{a(t+2)} e^{-s} / (2a - s) ds (relative tol 1e-12), so that the
     1/a-wide spike at tau = -2 is not missed; below a = -354 in tau (absolute
     tol 1e-12), with InvalidParameter where the integrand overflows a double.
-    Within 1e-6 of -2, where the two Ei values (or 2/-t at a = 0) would lose
+    Within 1e-3 of -2, where the two Ei values (or 2/-t at a = 0) would lose
     about 1e-15/(t + 2) of A1, quadrature answers in s = tau + 2 (relative
     tol 1e-12).
     InvalidParameter for a non-finite t or a.
@@ -247,8 +248,8 @@ def mu_from_spacing(eta, r_pos, du):
 
 def lmu_initial(history: RunHistory, u, eos: EquationOfState = None):
     """Lmu(-2, u) = eta * growth on the first slice, where mu = eta; eos=None
-    reads the history's eos_meta."""
-    eos = eos if eos is not None else eos_from_config(history.eos_meta)
+    takes the history's own EOS."""
+    eos = eos if eos is not None else history.eos
     r_pos = 2.0 + np.asarray(u, dtype=float)
     eta, _, growth = _sample(history, 0, _block(history, 0, eos), r_pos)
     return eta * growth
@@ -279,17 +280,19 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
     per stored snapshot interval [t_i, t_i+1], y* = y + dt k(t_i, y) and
     y' = y + dt/2 (k(t_i, y) + k(t_i+1, y*)), with k = (dr/dt, mu * growth),
     so every sample falls at a stored time and no field is interpolated in t;
-    eos=None reads the history's eos_meta.  Each step derives the block of
+    eos=None takes the history's own EOS.  Each step derives the block of
     t_i+1 once and samples it twice, at y* and at y'; the sample at y' gives
     both the spacing mu at t_i+1 and the next step's k(t_i+1, y').
     The whole bundle stops at the first row in which any ray reaches
     mu <= _MU_STOP (that row is kept), or at the first step in which rays
     cross or a ray leaves the grid or the stored window (that step's row is
-    dropped).  ray_count must be at least 33 (InvalidParameter otherwise).
+    dropped).  ray_count must be at least 33 and the bundle's 3 x times x rays
+    at most errors.MAX_VALUES (InvalidParameter otherwise).
     """
     if ray_count < 33:
         raise InvalidParameter(f"ray_count must be >= 33, got {ray_count}")
-    eos = eos if eos is not None else eos_from_config(history.eos_meta)
+    check_size("the ray bundle", 3 * len(history.times) * ray_count)
+    eos = eos if eos is not None else history.eos
     times = history.times
     u = np.linspace(0.0, history.delta, ray_count)
     du = history.delta / (ray_count - 1)

@@ -160,7 +160,7 @@ def _cell_euler(cell):
     row["run_status"], row["error"] = hist.status, hist.message  # why the run stopped
     if len(hist.times) < 2:     # broke down at its first step: no ray to trace
         return row
-    bundle = trace_rays(hist, eos=eos, **rays)
+    bundle = trace_rays(hist, **rays)
     min_mu = np.min(bundle.mu_spacing, axis=1)
     if bundle.times[-1] >= cell["sigma"] - 1e-12:    # else the bundle stopped short of sigma
         row["min_mu_at_sigma"] = float(min_mu[-1])

@@ -20,11 +20,11 @@ the snapshot clock.
 
 The pointwise fields of that equation (dphi, d(dtphi)/dr, d2phi, h, eta^2
 and d(dtphi)/dt) have one definition, _fields, on the stacked state
-(phi, dtphi): one d1 call for both rows, one d2 call, one EOS evaluation.
-The solver stage, the ray sampler in foliation and the seed diagnostic in
-shortpulse all call it.  One classical RK4 step, _rk4, advances the
-solver; advance evaluates the first stage once and takes both the CFL speed
-and the step's k1 from it.  On a window of a few hundred points a stage
+y = (phi, dtphi): one d1 call for both rows, one d2 call, one EOS
+evaluation.  The solver stage, the ray sampler in foliation and the seed
+diagnostic in shortpulse all call it.  advance takes one classical RK4 step,
+_rk4, of y, on the window view that run_until passes, with the CFL speed and
+k1 from one first stage.  On a window of a few hundred points a stage
 costs numpy call overhead, not arithmetic, so _fields and _rk4 compute their
 temporaries in place, and the stage has _fields write d(dtphi)/dt straight
 into its right-hand side and skip d2's one-sided rows, which only feed rows
@@ -47,16 +47,15 @@ from __future__ import annotations
 import bisect
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .eos import EquationOfState
+from .eos import EquationOfState, eos_from_config
 from .errors import (CflViolation, ConfigInvalid, EosDomain, InvalidParameter,
-                     NonFiniteField, OutOfDomain)
+                     NonFiniteField, OutOfDomain, check_size)
 
 __all__ = [
-    "RadialField",
     "RunHistory",
     "advance",
     "run_until",
@@ -66,7 +65,6 @@ __all__ = [
 _N_PIN = 3  # inner grid points held at zero (deep inside the trivial region)
 _MARGIN = 64  # grid points evolved ahead of the incoming front
 _TRAIL = 256  # grid points evolved behind the trailing characteristic
-_EOS_TABLES = ("h_table", "eta_sq_table")  # custom-EOS fields kept in eos_meta
 
 
 def _edge_rows(edge, width):
@@ -182,16 +180,6 @@ def _rk4(f, t, y, dt, k1):
     return k2
 
 
-@dataclass
-class RadialField:
-    """The state (phi, dtphi) at time t on r_grid."""
-
-    t: float
-    r_grid: np.ndarray
-    phi: np.ndarray
-    dtphi: np.ndarray
-
-
 def _stage(t, r, y, a, eos):
     """d/dt of the stacked state y = (phi, dtphi) on the grid r.
 
@@ -221,27 +209,26 @@ def _stage(t, r, y, a, eos):
     return rhs, eta_sq, dphi
 
 
-def advance(fld: RadialField, a: float, eos: EquationOfState, t_end: float, cfl: float):
-    """One classical RK4 step from fld toward t_end under the CFL limit.
+def advance(t, r, y, a: float, eos: EquationOfState, t_end: float, cfl: float):
+    """One classical RK4 step of the stacked state y = (phi, dtphi) on the grid
+    r from t toward t_end under the CFL limit; returns (t', y').
 
     The first stage k1 also gives the CFL speed max(eta + |v_r|).  The step is
     dt = (t_end - t) / ceil((t_end - t) / (cfl dr / speed)), so none exceeds
     the CFL step and no tiny last step occurs; a step that reaches t_end
-    returns the field at t_end exactly.
+    returns t' = t_end exactly.  y is not modified; y' is a new array.
 
     CflViolation for cfl outside (0, 0.9]; InvalidParameter for a t_end that
-    is not finite or not after fld.t, and for a field of fewer than the
-    stencils' 8 grid points.
+    is not finite or not after t, and for a grid of fewer than the stencils'
+    8 points.
     """
     if not 0.0 < cfl <= 0.9:
         raise CflViolation(f"cfl must lie in (0, 0.9], got {cfl}")
-    r, t = fld.r_grid, fld.t
     if not t < t_end < math.inf:
         raise InvalidParameter(f"t_end must be finite and after t={t}, got {t_end}")
     if len(r) < 8:
         raise InvalidParameter(
             f"field of {len(r)} grid points; the stencils need at least 8")
-    y = np.stack((fld.phi, fld.dtphi))
     k1, eta_sq, dphi = _stage(t, r, y, a, eos)
     speed = float(np.max(np.sqrt(eta_sq) + np.abs(dphi)))
     steps = math.ceil((t_end - t) / (cfl * (r[1] - r[0]) / speed))
@@ -249,13 +236,13 @@ def advance(fld: RadialField, a: float, eos: EquationOfState, t_end: float, cfl:
     y_new = _rk4(lambda ts, ys: _stage(ts, r, ys, a, eos)[0], t, y, dt, k1)
     if not np.isfinite(y_new).all():
         raise NonFiniteField(f"non-finite field after step to t={t + dt:.6f}")
-    return RadialField(t_end if steps == 1 else t + dt, r, y_new[0], y_new[1])
+    return t_end if steps == 1 else t + dt, y_new
 
 
 @dataclass
 class RunHistory:
-    """The snapshots of a run_until solve and how it ended; the last one is the
-    last time reached (last_good_time), eos_meta the EOS as a config record.
+    """The snapshots of a run_until solve, the EOS it ran with and how it
+    ended; the last snapshot is the last time reached (last_good_time).
     Snapshot k holds r_grid[start[k]:start[k] + W], W = phi.shape[1]."""
 
     r_grid: np.ndarray
@@ -265,7 +252,7 @@ class RunHistory:
     a: float
     delta: float
     status: str                       # 'Completed' | 'EosDomain' | 'NonFinite'
-    eos_meta: dict = field(default_factory=dict)
+    eos: EquationOfState
     message: str = ""                 # why the run broke down; "" when Completed
     start: np.ndarray = None          # (n_snapshots,) ints; None: all 0 (whole grid)
 
@@ -278,38 +265,34 @@ class RunHistory:
         return float(self.times[-1])
 
     def save(self, path):
-        tables = {f"eos_{k}": np.asarray(self.eos_meta[k])
-                  for k in _EOS_TABLES if k in self.eos_meta}
         np.savez_compressed(
             path, r_grid=self.r_grid, times=self.times, phi=self.phi,
             dtphi=self.dtphi, start=self.start, a=self.a, delta=self.delta,
             status=self.status, message=self.message,
-            eos_family=self.eos_meta.get("family", ""),
-            eos_gamma=self.eos_meta.get("gamma", np.nan), **tables)
+            **{f"eos_{k}": v for k, v in self.eos.record().items()})
 
     @classmethod
     def load(cls, path):
-        """Read a history written by save; older files load with message "" and,
-        holding the whole grid, start 0; the last_good_time key they hold is ignored."""
+        """Read a history written by save, its EOS from the eos_* keys; older files
+        load with message "" and, holding the whole grid, start 0, ignoring their
+        last_good_time and NaN eos_gamma keys.  ConfigInvalid for any other file."""
         try:
             with np.load(path) as z:
                 f = {k: z[k] for k in z.files}
-            meta = {"family": str(f["eos_family"])}
-            if np.isfinite(float(f["eos_gamma"])):
-                meta["gamma"] = float(f["eos_gamma"])
-            meta.update({k: f[f"eos_{k}"].tolist() for k in _EOS_TABLES if f"eos_{k}" in f})
+            eos = eos_from_config({k[4:]: v.tolist() for k, v in f.items()
+                                   if k.startswith("eos_")})
             return cls(r_grid=f["r_grid"], times=f["times"], phi=f["phi"], dtphi=f["dtphi"],
                        a=float(f["a"]), delta=float(f["delta"]), status=str(f["status"]),
-                       eos_meta=meta, message=str(f.get("message", "")), start=f.get("start"))
-        except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+                       eos=eos, message=str(f.get("message", "")), start=f.get("start"))
+        except (InvalidParameter, ValueError, TypeError, KeyError, EOFError,
+                zipfile.BadZipFile) as exc:
             raise ConfigInvalid(f"{path} is not a run history .npz: {exc}") from None
 
 
-def energy_functional(fld: RadialField, eos: EquationOfState, a: float):
-    """int ((dtphi)^2 + eta^2 (dphi)^2) r^2 dr, a Lyapunov-type functional."""
-    r = fld.r_grid
-    dphi, _, _, _, eta_sq, _ = _fields(r, np.stack((fld.phi, fld.dtphi)), a, eos)
-    integrand = (fld.dtphi**2 + eta_sq * dphi**2) * r**2
+def energy_functional(r, y, eos: EquationOfState, a: float):
+    """int ((dtphi)^2 + eta^2 (dphi)^2) r^2 dr of y = (phi, dtphi) on r."""
+    dphi, _, _, _, eta_sq, _ = _fields(r, y, a, eos)
+    integrand = (y[1]**2 + eta_sq * dphi**2) * r**2
     return float(np.trapezoid(integrand, r))
 
 
@@ -331,8 +314,9 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
 
     Inputs are checked on entry: CflViolation for cfl outside (0, 0.9];
     InvalidParameter for a non-finite a, t_end outside (-2, 0),
-    points_per_delta or sample_dt <= 0, and fewer than the stencils' 8 grid
-    points.
+    points_per_delta or sample_dt <= 0, fewer than the stencils' 8 grid
+    points, and a grid or snapshot store above errors.MAX_VALUES values
+    (checked before either is allocated).
     """
     delta = data.delta
     if not 0.0 < cfl <= 0.9:
@@ -350,6 +334,7 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     if not r_max - r_min >= 7 * dr:
         raise InvalidParameter(
             f"grid [{r_min}, {r_max}] holds fewer than 8 points of spacing {dr}")
+    check_size("the grid", (r_max - r_min) / dr + 1.0)
     n = int(np.ceil((r_max - r_min) / dr))
     r = r_min + dr * np.arange(n + 1)
     y = np.stack((data.phi_at(r), data.dtphi_at(r)))
@@ -360,6 +345,7 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
 
     if sample_dt is None:
         sample_dt = delta / 20.0
+    check_size("the snapshots", 2.0 * width * ((t_end + 2.0) / sample_dt + 2.0))
     sample_times = np.arange(-2.0, t_end + 1e-12, sample_dt)
     sample_times = np.append(sample_times[sample_times < t_end - 1e-12], t_end)
 
@@ -379,8 +365,7 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     try:
         c0 = float(np.sqrt(eos.eta_sq(0.0)))
         while t < t_end:
-            fld = advance(RadialField(t, r[j0:j1], y[0, j0:j1], y[1, j0:j1]), a, eos, t_end, cfl)
-            t, y[0, j0:j1], y[1, j0:j1] = fld.t, fld.phi, fld.dtphi
+            t, y[:, j0:j1] = advance(t, r[j0:j1], y[:, j0:j1], a, eos, t_end, cfl)
             j0 = max(0, int(front - c0 * (t + 2.0) / dr) - _MARGIN)
             j1 = min(j0 + width, r.size)
             if t >= sample_times[due]:
@@ -393,10 +378,7 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     if t > times[stored - 1]:       # a breakdown after the last snapshot; t_end's row is free
         keep(t, j1)
 
-    # the EOS as the config record eos_from_config reads back
-    meta = {k: v.tolist() if isinstance(v, np.ndarray) else v
-            for k, v in vars(eos).items() if v is not None}
     return RunHistory(
         r_grid=r, times=times[:stored], phi=snaps[0, :stored],
         dtphi=snaps[1, :stored], a=a, delta=delta, status=status,
-        eos_meta=meta, message=message, start=start[:stored])
+        eos=eos, message=message, start=start[:stored])

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import legendre
 
-from .errors import GridTooCoarse, InvalidParameter, InvalidWidth
+from .errors import GridTooCoarse, InvalidParameter, InvalidWidth, check_size
 from .eos import EquationOfState, make_polytropic
 from .radial import _fields, d1
 
@@ -134,7 +134,7 @@ def build_annulus_data(seeds: SeedProfiles, r_grid_n=512,
 
     width_mode 'delta' takes w = delta (the full support of the data);
     'delta_squared' takes w = delta^2 (the inner restriction), which only
-    makes sense for delta < 1.  r_grid_n must be at least 1
+    makes sense for delta < 1.  r_grid_n must lie in [1, MAX_VALUES)
     (InvalidParameter otherwise).  The seed ODE is solved on the nodes of
     _SEED_CELLS cells of [0, 1] up to the annulus' edge s = w / delta, and
     on the edge itself, whatever r_grid_n; the samples are phi_at on r_grid,
@@ -142,6 +142,7 @@ def build_annulus_data(seeds: SeedProfiles, r_grid_n=512,
     """
     if r_grid_n < 1:
         raise InvalidParameter(f"r_grid_n must be >= 1, got {r_grid_n}")
+    check_size("the annulus grid", r_grid_n + 1)
     delta = seeds.delta
     if not 0.0 < delta < 1.0:
         raise InvalidWidth(f"pulse amplitude must lie in (0, 1), got {delta}")

@@ -158,7 +158,8 @@ def test_problem_c_extraction():
 
 
 def test_direct_solver_zero_profile():
-    p = BurgersProblem(profile=lambda x: np.zeros_like(np.asarray(x, float)), a=0.3)
+    zero = lambda x: np.zeros_like(np.asarray(x, float))
+    p = BurgersProblem(profile=zero, slope=zero, a=0.3)
     hist = burgers_direct_solve(p, grid_n=128, t_end=0.5)
     assert np.all(hist.phi == 0.0)
     assert hist.status == "ok"
@@ -167,7 +168,8 @@ def test_direct_solver_zero_profile():
 def test_direct_solver_stops_on_non_finite_field():
     """max|phi|, the next CFL speed, is also the finiteness check; phi is the
     field at last_good_time."""
-    p = BurgersProblem(profile=lambda x: np.where(np.abs(x) < 0.01, np.nan, 0.0))
+    spike = lambda x: np.where(np.abs(x) < 0.01, np.nan, 0.0)
+    p = BurgersProblem(profile=spike, slope=spike)
     hist = burgers_direct_solve(p, grid_n=128, t_end=0.5)
     assert hist.status == "NonFiniteField"
     assert list(hist.times) == [-1.0] and hist.last_good_time == -1.0

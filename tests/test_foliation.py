@@ -5,11 +5,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import expi
 
-from charshock.eos import eos_from_config, make_chaplygin, make_custom, make_polytropic
+from charshock.eos import make_chaplygin, make_custom, make_polytropic
 from charshock.errors import (
     InterpolationOutOfRange,
     InvalidParameter,
@@ -85,17 +85,19 @@ def test_a1_integral_matches_quadrature(t, a):
 
 
 def _a1_series(t, a):
-    """A1(t) for t + 2 <= 1e-6 and |a| <= 354, as the double power series of
-    e^{-a s} / (2 - s) integrated over s = tau + 2 in [0, t + 2]."""
+    """A1(t) for t + 2 <= 1e-3 and |a| <= 354, as the double power series of
+    e^{-a s} / (2 - s) integrated over s = tau + 2 in [0, t + 2]: the terms
+    fall by (t + 2)/2 <= 5e-4 in j and by |a| (t + 2)/k <= 0.354/k in k."""
     eps = t + 2.0
-    return sum((-a) ** k / math.factorial(k) / 2.0 ** (j + 1) * eps ** (j + k + 1) / (j + k + 1)
-               for j in range(4) for k in range(8))
+    return math.fsum((-a) ** k / math.factorial(k) / 2.0 ** (j + 1) * eps ** (j + k + 1)
+                     / (j + k + 1) for j in range(6) for k in range(16))
 
 
 @settings(deadline=None, max_examples=100)
-@given(t=st.floats(-2.0, -2.0 + 1e-6, exclude_min=True), a=st.floats(-354.0, 354.0))
+@given(t=st.floats(-2.0, -2.0 + 1e-3, exclude_min=True), a=st.floats(-354.0, 354.0))
+@example(t=-2.0 + 3e-6, a=1.0)      # the closed form was 9.5e-11 off here
 def test_a1_integral_near_the_lower_limit(t, a):
-    """Within 1e-6 of -2, where the closed form's two Ei values cancel, A1 keeps
+    """Within 1e-3 of -2, where the closed form's two Ei values cancel, A1 keeps
     its digits: positive and within 1e-12 of its power series, down to one ulp."""
     ref = _a1_series(t, a)
     assert ref > 0.0 and abs(a1_integral(t, a) - ref) <= 1e-12 * ref
@@ -191,8 +193,7 @@ def trivial_history(delta=0.1):
     times = np.linspace(-2.0, -1.2, 41)
     z = np.zeros((len(times), len(r)))
     return RunHistory(r_grid=r, times=times, phi=z, dtphi=z.copy(), a=0.0,
-                      delta=delta, status="Completed",
-                      eos_meta={"family": "polytropic", "gamma": 2.0})
+                      delta=delta, status="Completed", eos=EOS)
 
 
 def test_trace_rays_trivial_fields():
@@ -295,9 +296,9 @@ class _FullGridSampler:
     from the transport law's m and e, and interpolated by the cubic's weights
     written out."""
 
-    def __init__(self, history, eos=None):
+    def __init__(self, history, eos):
         self.hist = history
-        self.eos = eos if eos is not None else eos_from_config(history.eos_meta)
+        self.eos = eos
         self.r = history.r_grid
         self.dr = self.r[1] - self.r[0]
 
@@ -351,7 +352,7 @@ def _sampled_histories(draw):
     amp = draw(st.floats(1e-6, 1e-4))
     hist = RunHistory(r_grid=r, times=times, phi=amp * rng.standard_normal((n_t, n_r)),
                       dtphi=amp * rng.standard_normal((n_t, n_r)),
-                      a=draw(st.floats(-0.5, 0.5)), delta=0.1, status="Completed")
+                      a=draw(st.floats(-0.5, 0.5)), delta=0.1, status="Completed", eos=EOS)
     samples = []
     for _ in range(draw(st.integers(1, 4))):
         # a window of the grid, often one that ends at r[0] or r[-1]
@@ -384,7 +385,7 @@ def test_field_sampler_reads_only_the_stored_window():
     r, times = 1.0 + 0.01 * np.arange(200), -1.9 + 0.01 * np.arange(5)
     phi, dtphi = 1e-4 * rng.standard_normal((2, 5, 60))
     hist = RunHistory(r_grid=r, times=times, phi=phi, dtphi=dtphi, a=0.2, delta=0.1,
-                      status="Completed", start=np.array([100, 99, 98, 97, 96]))
+                      status="Completed", eos=EOS, start=np.array([100, 99, 98, 97, 96]))
     reference = _FullGridSampler(hist, EOS)
     inside = np.linspace(r[101] + 0.001, r[150], 7)     # windows move in at speed 1
     for k in (0, 2, 3, 4):

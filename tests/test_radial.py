@@ -21,7 +21,6 @@ from charshock.radial import (
     _TRAIL,
     _fields,
     _stage,
-    RadialField,
     RunHistory,
     advance,
     d1,
@@ -34,16 +33,18 @@ from charshock.shortpulse import build_annulus_data, bump_seeds
 EOS = make_polytropic(2.0)
 
 
-def _rhs(fld, a, eos):
-    """(d phi/dt, d dtphi/dt) of a field, from the solver stage."""
-    return _stage(fld.t, fld.r_grid, np.stack((fld.phi, fld.dtphi)), a, eos)[0]
+def _rhs(r, y, a, eos):
+    """(d phi/dt, d dtphi/dt) of the stacked state y = (phi, dtphi) on the
+    grid r, from the solver stage."""
+    return _stage(-2.0, r, y, a, eos)[0]
 
 
 def _snapshot(hist, k):
-    """Snapshot k of a history as a field on the grid points it stores."""
+    """Snapshot k of a history as (r, y): the grid points it stores and the
+    stacked state (phi, dtphi) on them."""
     start = hist.start[k]
-    return RadialField(float(hist.times[k]), hist.r_grid[start:start + hist.phi.shape[1]],
-                       hist.phi[k], hist.dtphi[k])
+    return (hist.r_grid[start:start + hist.phi.shape[1]],
+            np.stack((hist.phi[k], hist.dtphi[k])))
 
 
 @pytest.fixture(scope="module")
@@ -56,9 +57,7 @@ def pulse_run():
 
 def test_zero_field_is_stationary():
     r = np.linspace(0.5, 3.0, 400)
-    fld = RadialField(t=-2.0, r_grid=r, phi=np.zeros_like(r),
-                      dtphi=np.zeros_like(r))
-    rhs_phi, rhs_dtphi = _rhs(fld, 0.3, EOS)
+    rhs_phi, rhs_dtphi = _rhs(r, np.zeros((2, r.size)), 0.3, EOS)
     assert np.all(rhs_phi == 0.0)
     assert np.all(rhs_dtphi == 0.0)
 
@@ -68,9 +67,7 @@ def test_harmonic_profile_rhs_quadratic_in_amplitude():
     r = np.linspace(1.0, 3.0, 2001)
     sups = []
     for eps in (1e-2, 1e-3):
-        fld = RadialField(t=-2.0, r_grid=r, phi=eps / r,
-                          dtphi=np.zeros_like(r))
-        _, rhs_dtphi = _rhs(fld, 0.0, EOS)
+        _, rhs_dtphi = _rhs(r, np.stack((eps / r, np.zeros_like(r))), 0.0, EOS)
         sups.append(np.max(np.abs(rhs_dtphi[5:-5])))
     assert sups[0] / sups[1] >= 50.0    # quadratic would give 100
     assert sups[1] <= 1e-5
@@ -92,8 +89,7 @@ def test_rhs_matches_cartesian_contraction():
         return 0.02 * np.exp(-((r - 2.1) / 0.25) ** 2)
 
     r = np.linspace(1.0, 3.2, 4401)
-    fld = RadialField(t=-2.0, r_grid=r, phi=phi_f(r), dtphi=dtphi_f(r))
-    _, dtt_radial = _rhs(fld, a_damp, EOS)
+    _, dtt_radial = _rhs(r, np.stack((phi_f(r), dtphi_f(r))), a_damp, EOS)
 
     rng = np.random.default_rng(3)
     residuals = {}
@@ -141,44 +137,40 @@ def test_rhs_matches_cartesian_contraction():
 
 def test_eos_domain_breakdown():
     r = np.linspace(1.0, 3.0, 500)
-    fld = RadialField(t=-2.0, r_grid=r, phi=np.zeros_like(r),
-                      dtphi=np.full_like(r, 0.6))
+    y = np.stack((np.zeros_like(r), np.full_like(r, 0.6)))
     with pytest.raises(EosDomain):
-        _rhs(fld, 0.0, make_chaplygin())   # h = 0.6 >= 1/2
+        _rhs(r, y, 0.0, make_chaplygin())   # h = 0.6 >= 1/2
 
 
 def test_cfl_violation():
     """advance takes cfl in (0, 0.9], as run_until does."""
     r = np.linspace(1.0, 3.0, 200)
-    fld = RadialField(t=-2.0, r_grid=r, phi=np.zeros_like(r),
-                      dtphi=np.zeros_like(r))
     for cfl in (0.0, -1.0, 0.95, float("nan")):
         with pytest.raises(CflViolation):
-            advance(fld, a=0.0, eos=EOS, t_end=-1.9, cfl=cfl)
+            advance(-2.0, r, np.zeros((2, r.size)), a=0.0, eos=EOS, t_end=-1.9, cfl=cfl)
 
 
 @pytest.mark.parametrize("t_end, n", [(-2.001, 200), (-2.0, 200), (float("nan"), 200),
                                       (float("inf"), 200), (-1.9, 7), (-1.9, 6)],
                          ids=["negative", "zero", "nan", "inf", "7-points", "6-points"])
 def test_advance_rejects_bad_inputs(t_end, n):
-    """advance needs a finite t_end after the field's t (a positive span) and
+    """advance needs a finite t_end after the state's t (a positive span) and
     the stencils' 8 grid points, as run_until."""
     r = np.linspace(1.0, 3.0, n)
-    fld = RadialField(t=-2.0, r_grid=r, phi=np.zeros_like(r), dtphi=np.zeros_like(r))
     with pytest.raises(InvalidParameter):
-        advance(fld, a=0.0, eos=EOS, t_end=t_end, cfl=0.4)
+        advance(-2.0, r, np.zeros((2, n)), a=0.0, eos=EOS, t_end=t_end, cfl=0.4)
 
 
 def test_advance_lands_on_t_end():
     """Repeated advance reaches t_end exactly, in the ceil(span / CFL step) steps
     of a constant speed (1 on the zero field)."""
     r = np.linspace(1.0, 3.0, 200)
-    fld = RadialField(t=-2.0, r_grid=r, phi=np.zeros_like(r), dtphi=np.zeros_like(r))
+    t, y = -2.0, np.zeros((2, r.size))
     t_end, steps = -1.9, 0
-    while fld.t < t_end:
-        fld = advance(fld, a=0.0, eos=EOS, t_end=t_end, cfl=0.4)
+    while t < t_end:
+        t, y = advance(t, r, y, a=0.0, eos=EOS, t_end=t_end, cfl=0.4)
         steps += 1
-    assert fld.t == t_end
+    assert t == t_end
     assert steps == math.ceil(0.1 / (0.4 * (r[1] - r[0])))
 
 
@@ -196,6 +188,8 @@ _BAD_INPUTS = [
     ({"r_min": 5.0}, InvalidParameter),
     ({"r_min": 3.0, "pad": -0.1}, InvalidParameter),
     ({"a": float("nan")}, InvalidParameter),
+    ({"points_per_delta": 10**12}, InvalidParameter),
+    ({"sample_dt": 1e-300}, InvalidParameter),
 ]
 
 
@@ -203,7 +197,8 @@ _BAD_INPUTS = [
     ",".join(f"{k}={v}" for k, v in kw.items()) for kw, _ in _BAD_INPUTS])
 def test_run_until_rejects_bad_inputs(kwargs, error):
     """Bad solver inputs raise on entry instead of hanging, stepping backward
-    in time or failing inside the step loop."""
+    in time, failing inside the step loop or asking for a grid or snapshot
+    store beyond errors.MAX_VALUES."""
     data = build_annulus_data(bump_seeds(c=1.0, delta=0.1), r_grid_n=256)
     args = {"a": 0.0, "t_end": -1.9, "points_per_delta": 16, "r_min": 1.6, **kwargs}
     with pytest.raises(error):
@@ -230,10 +225,23 @@ def test_run_until_records_breakdown(tmp_path):
     assert again.message == "" and again.last_good_time == -2.0
 
 
+def _history_file(path, **eos_keys):
+    """A two-snapshot zero history file holding the given eos_* keys."""
+    r = np.linspace(1.0, 3.0, 64)
+    z = np.zeros((2, r.size))
+    np.savez_compressed(path, r_grid=r, times=np.array([-2.0, -1.9]), phi=z, dtphi=z,
+                        start=np.zeros(2, dtype=int), a=0.0, delta=0.1,
+                        status="Completed", message="", **eos_keys)
+
+
 def test_history_load_rejects_other_files(tmp_path):
+    """Other files, and history files whose EOS record is invalid (a polytropic
+    run without a finite gamma, an unknown family), are ConfigInvalid."""
     np.savez(tmp_path / "partial.npz", r_grid=np.linspace(1.0, 2.0, 8))
     (tmp_path / "run.json").write_text("{}")
-    for name in ("partial.npz", "run.json"):
+    _history_file(tmp_path / "no_gamma.npz", eos_family="polytropic", eos_gamma=np.nan)
+    _history_file(tmp_path / "no_family.npz", eos_family="ideal", eos_gamma=2.0)
+    for name in ("partial.npz", "run.json", "no_gamma.npz", "no_family.npz"):
         with pytest.raises(ConfigInvalid, match=name):
             RunHistory.load(tmp_path / name)
 
@@ -254,9 +262,9 @@ def test_breakdown_keeps_the_last_state_reached(monkeypatch):
     good step, so last_good_time is the time reached, not the snapshot before."""
     reached, step = [], radial.advance
 
-    def recording(*args):
-        out = step(*args)
-        reached.append((out.t, out.r_grid, out.phi))
+    def recording(t, r, y, *args):
+        out = step(t, r, y, *args)
+        reached.append((out[0], r, out[1][0]))
         return out
 
     monkeypatch.setattr(radial, "advance", recording)
@@ -277,11 +285,11 @@ def test_front_speed(pulse_run):
     """The pulse front moves inward at the rest-state sound speed 1."""
     hist = pulse_run
     dr = hist.r_grid[1] - hist.r_grid[0]
-    fld = _snapshot(hist, -1)
-    idx = np.where(np.abs(fld.dtphi) > 1e-8)[0]
-    front = fld.r_grid[idx[0]]
+    r, (_, dtphi) = _snapshot(hist, -1)
+    idx = np.where(np.abs(dtphi) > 1e-8)[0]
+    front = r[idx[0]]
     # the inner support edge of the seed sits at 2 + 0.1 delta
-    edge = 2.0 + 0.1 * hist.delta - (fld.t + 2.0)
+    edge = 2.0 + 0.1 * hist.delta - (hist.times[-1] + 2.0)
     assert edge - 8.0 * dr <= front <= edge + dr
 
 
@@ -290,16 +298,16 @@ def test_domain_of_dependence(pulse_run):
     hist = pulse_run
     dr = hist.r_grid[1] - hist.r_grid[0]
     for k in range(0, len(hist.times), len(hist.times) // 8):
-        fld = _snapshot(hist, k)
-        mask = fld.r_grid < 2.0 - (fld.t + 2.0) - 3.0 * dr
+        r, (phi, _) = _snapshot(hist, k)
+        mask = r < 2.0 - (hist.times[k] + 2.0) - 3.0 * dr
         assert np.any(mask)
-        assert np.max(np.abs(fld.phi[mask])) <= 1e-10
+        assert np.max(np.abs(phi[mask])) <= 1e-10
 
 
 def test_energy_functional_nearly_nonincreasing(pulse_run):
     hist = pulse_run
-    e0 = energy_functional(_snapshot(hist, 0), EOS, 0.0)
-    e1 = energy_functional(_snapshot(hist, -1), EOS, 0.0)
+    e0 = energy_functional(*_snapshot(hist, 0), EOS, 0.0)
+    e1 = energy_functional(*_snapshot(hist, -1), EOS, 0.0)
     assert e1 <= e0 * (1.0 + 1e-3)
 
 
@@ -310,8 +318,8 @@ def test_second_derivative_growth(pulse_run):
     n = len(hist.times)
     maxima = []
     for k in range(int(0.8 * n), n, 10):
-        fld = _snapshot(hist, k)
-        d2 = np.diff(fld.phi, 2) / dr**2
+        _, (phi, _) = _snapshot(hist, k)
+        d2 = np.diff(phi, 2) / dr**2
         maxima.append(np.max(np.abs(d2)))
     assert all(b > a for a, b in zip(maxima, maxima[1:]))
 
@@ -323,8 +331,8 @@ def test_smallness_propagation():
         data = build_annulus_data(bump_seeds(c=0.5, delta=delta), r_grid_n=512)
         hist = run_until(data, a=0.0, eos=EOS, t_end=-1.8,
                          points_per_delta=32, r_min=1.6)
-        fld = _snapshot(hist, -1)       # at t_end = -1.8
-        sups[delta] = (np.max(np.abs(fld.dtphi)), np.max(np.abs(fld.phi)))
+        _, (phi, dtphi) = _snapshot(hist, -1)       # at t_end = -1.8
+        sups[delta] = (np.max(np.abs(dtphi)), np.max(np.abs(phi)))
     assert sups[0.05][0] / sups[0.1][0] == pytest.approx(0.5, abs=0.15)
     # phi carries an extra factor delta
     assert sups[0.05][1] / sups[0.1][1] == pytest.approx(0.25, abs=0.1)
@@ -337,8 +345,8 @@ def test_self_convergence():
     for ppd in (16, 32, 64):
         hist = run_until(data, a=0.0, eos=EOS, t_end=-1.8,
                          points_per_delta=ppd, r_min=1.6)
-        fld = _snapshot(hist, -1)       # at t_end = -1.8
-        sols[ppd] = (fld.r_grid, fld.phi)
+        r, (phi, _) = _snapshot(hist, -1)       # at t_end = -1.8
+        sols[ppd] = (r, phi)
     r_fine, phi_fine = sols[64]
     errs = []
     for ppd in (16, 32):
@@ -458,14 +466,16 @@ def _step_outcome(step, *args):
        n=st.integers(8, 160), r0=st.floats(0.05, 2.0), width=st.floats(0.1, 3.0),
        amp=st.lists(st.floats(-0.2, 0.2), min_size=2, max_size=2),
        centre=st.floats(0.0, 1.0), cut=st.floats(0.0, 1.0), cfl=st.floats(0.05, 0.9),
-       span=st.floats(0.05, 20.0))
+       span=st.floats(0.05, 20.0), view=st.booleans())
 def test_advance_matches_reference_step_bytes(eos, a, n, r0, width, amp, centre, cut, cfl,
-                                              span):
+                                              span, view):
     """advance gives the bytes of an RK4 step built from the reference stage and
     the plain stage combination, sign of zero included, or raises the same
-    breakdown, on cut states as above.  Its dt follows from the reference's
-    speed: the span to t_end (span CFL steps) over the fewest CFL steps that
-    cover it, and a step that covers the span ends at t_end exactly."""
+    breakdown, on cut states as above, also when the state is a window view
+    of a wider array, as run_until passes it, and leaves the state as it
+    was.  Its dt follows from the reference's speed: the span to t_end (span
+    CFL steps) over the fewest CFL steps that cover it, and a step that
+    covers the span ends at t_end exactly."""
     r = r0 + width / n * np.arange(n)
     s = (r - r0) / width
     bump = np.exp(-((s - centre) / 0.3) ** 2) * (s >= cut)
@@ -477,34 +487,35 @@ def test_advance_matches_reference_step_bytes(eos, a, n, r0, width, amp, centre,
         speed = 1.0     # the first stage breaks down on both sides
     t, t_end = -1.5, -1.5 + span * cfl * (r[1] - r[0]) / speed
     steps = math.ceil((t_end - t) / (cfl * (r[1] - r[0]) / speed))
-    fld = RadialField(t, r, y[0].copy(), y[1].copy())
+    state = np.zeros((2, n + 5))[:, 2:n + 2] if view else np.empty_like(y)
+    state[...] = y
 
     def step(*_):
-        new = advance(fld, a, eos, t_end, cfl)
-        return new.t, new.phi, new.dtphi
+        t_new, y_new = advance(t, r, state, a, eos, t_end, cfl)
+        return t_new, y_new[0], y_new[1]
 
     def ref_step(*_):
         t_new, phi, dtphi = _ref_step(r, y, t, (t_end - t) / steps, a, eos)
         return t_end if steps == 1 else t_new, phi, dtphi
 
     assert _step_outcome(step) == _step_outcome(ref_step)
-    assert np.array_equal(fld.phi, y[0]) and np.array_equal(fld.dtphi, y[1])
+    assert np.array_equal(state, y)
 
 
 def _reference_run(data, a, eos, r, t_end, sample_dt, cfl=0.4):
     """Full-grid solve through the public advance: a step is stored when a
     multiple of sample_dt after -2 lies in it, or ends the run."""
-    fld = RadialField(-2.0, r, data.phi_at(r), data.dtphi_at(r))
+    t, y = -2.0, np.stack((data.phi_at(r), data.dtphi_at(r)))
     multiples = np.arange(-2.0, t_end, sample_dt)
-    times, phis, dtphis = [fld.t], [fld.phi], [fld.dtphi]
-    while fld.t < t_end:
-        t_prev = fld.t
-        fld = advance(fld, a, eos, t_end, cfl)
-        if fld.t == t_end or np.any((multiples > t_prev) & (multiples <= fld.t)):
-            times.append(fld.t)
-            phis.append(fld.phi)
-            dtphis.append(fld.dtphi)
-    return np.array(times), np.array(phis), np.array(dtphis)
+    times, ys = [t], [y]
+    while t < t_end:
+        t_prev = t
+        t, y = advance(t, r, y, a, eos, t_end, cfl)
+        if t == t_end or np.any((multiples > t_prev) & (multiples <= t)):
+            times.append(t)
+            ys.append(y)
+    ys = np.array(ys)
+    return np.array(times), ys[:, 0], ys[:, 1]
 
 
 @pytest.fixture(scope="module")
@@ -539,12 +550,11 @@ def test_run_until_step_rule(window_data, monkeypatch, sample_dt, t_end):
     cfl, recorded = 0.4, []
     step = radial.advance
 
-    def recording(fld, a, eos, t_end, cfl):
-        r = fld.r_grid
-        dphi, _, _, _, eta_sq, _ = _fields(r, np.stack((fld.phi, fld.dtphi)), a, eos)
-        out = step(fld, a, eos, t_end, cfl)
-        recorded.append((fld.t, out.t, cfl * (r[1] - r[0]) / np.max(np.sqrt(eta_sq)
-                                                                    + np.abs(dphi))))
+    def recording(t, r, y, a, eos, t_end, cfl):
+        dphi, _, _, _, eta_sq, _ = _fields(r, y, a, eos)
+        out = step(t, r, y, a, eos, t_end, cfl)
+        recorded.append((t, out[0], cfl * (r[1] - r[0]) / np.max(np.sqrt(eta_sq)
+                                                                 + np.abs(dphi))))
         return out
 
     monkeypatch.setattr(radial, "advance", recording)
@@ -603,20 +613,36 @@ def test_history_save_load_round_trip(tmp_path, eos):
                      r_min=1.6)
     path = tmp_path / "run.npz"
     hist.save(path)
+    with np.load(path) as z:     # one eos_<field> key per field of the record
+        assert {k for k in z.files if k.startswith("eos_")} == {
+            f"eos_{k}" for k in eos.record()}
     loaded = RunHistory.load(path)
     assert np.array_equal(loaded.phi, hist.phi)
     assert np.array_equal(loaded.dtphi, hist.dtphi)
     assert np.array_equal(loaded.times, hist.times)
     assert loaded.status == hist.status
     assert loaded.message == hist.message == ""
-    assert loaded.eos_meta == hist.eos_meta
-    assert loaded.eos_meta["family"] == eos.family
+    assert loaded.eos.record() == hist.eos.record() == eos.record()
     assert loaded.delta == hist.delta
     # the reloaded EOS record rebuilds the same equation of state
     bundle = trace_rays(loaded, ray_count=33)
     reference = trace_rays(hist, ray_count=33, eos=eos)
     assert len(bundle.times) == len(hist.times)
     assert np.array_equal(bundle.mu_transport, reference.mu_transport)
+
+
+@pytest.mark.parametrize(
+    "eos", [EOS, make_chaplygin(), make_custom(_TABLE_H, 1.0 + _TABLE_H)],
+    ids=["polytropic", "chaplygin", "custom"])
+def test_history_file_in_the_older_eos_layout_loads(tmp_path, eos):
+    """Files written before a history carried its EOS hold eos_family, an
+    eos_gamma that is NaN for Chaplygin and custom runs, and a custom run's
+    eos_h_table and eos_eta_sq_table; they load with the same EOS record."""
+    tables = {f"eos_{k}": getattr(eos, k) for k in ("h_table", "eta_sq_table")
+              if getattr(eos, k) is not None}
+    gamma = np.nan if eos.gamma is None else eos.gamma
+    _history_file(tmp_path / "older.npz", eos_family=eos.family, eos_gamma=gamma, **tables)
+    assert RunHistory.load(tmp_path / "older.npz").eos.record() == eos.record()
 
 
 _BUNDLE_FIELDS = ("times", "r", "mu_spacing", "mu_transport")
@@ -647,7 +673,7 @@ def test_windowed_history_round_trip(tmp_path, eos):
     loaded = RunHistory.load(tmp_path / "run.npz")
     for name in ("r_grid", "times", "phi", "dtphi", "start"):
         assert np.array_equal(getattr(loaded, name), getattr(hist, name)), name
-    assert loaded.eos_meta == hist.eos_meta
+    assert loaded.eos.record() == hist.eos.record()
     assert _same_bundle(trace_rays(loaded, ray_count=33), trace_rays(hist, ray_count=33, eos=eos))
 
 

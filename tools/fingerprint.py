@@ -17,7 +17,9 @@ bit-identity check of a change is this one command.
 The artefacts:
   * focus.*, reach_sigma.*: run_until's arrays, the trace_rays bundle and
     lmu_initial on the pulse inputs of the benchmark's focus and
-    reach_sigma workloads, with c exact;
+    reach_sigma workloads, with c exact, and <pulse>.reloaded, the bundle
+    and lmu_initial of that history after a save and load, traced with
+    eos=None so that the EOS comes from the file;
   * damped_table.*: the same on a damped pulse (a = 0.5) through the
     custom table eta^2 = 1 + 0.8 h + 0.3 h^2, the one run whose mu
     transport reads the damping term a dphi/dr and a table's d eta^2/dh;
@@ -37,6 +39,7 @@ import hashlib
 import io
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -99,9 +102,9 @@ def _moved(new, old):
             continue
         rows = min(len(x), len(y)) if x.ndim else None
         x, y = (np.asarray(v[:rows], dtype=float) for v in (x, y))
-        diff = np.abs(x - y)
-        diff[np.isnan(x) & np.isnan(y)] = 0.0
-        nonzero = y != 0.0
+        diff, both_nan = np.abs(x - y), np.isnan(x) & np.isnan(y)
+        diff[both_nan] = 0.0
+        nonzero = (y != 0.0) & ~both_nan
         rel = np.max(diff[nonzero] / np.abs(y[nonzero]), initial=0.0)
         out.append(f"  array {j}: max abs {np.max(diff, initial=0.0):.3g}, "
                    f"max rel {rel:.3g}{note}")
@@ -131,6 +134,13 @@ def artefacts():
         yield f"{name}.trace_rays", _blob(bundle.u, bundle.times, bundle.r,
                                           bundle.mu_spacing, bundle.mu_transport)
         yield f"{name}.lmu_initial", _blob(foliation.lmu_initial(hist, bundle.u, law))
+        with tempfile.TemporaryDirectory() as tmp:
+            hist.save(Path(tmp) / "run.npz")
+            loaded = radial.RunHistory.load(Path(tmp) / "run.npz")
+        again = foliation.trace_rays(loaded, ray_count=p["rays"])
+        yield f"{name}.reloaded", _blob(again.u, again.times, again.r, again.mu_spacing,
+                                        again.mu_transport,
+                                        foliation.lmu_initial(loaded, again.u))
 
     for a in (0.0, 0.25, 0.5):
         for c in (1.0, 1.5):
