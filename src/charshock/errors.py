@@ -69,6 +69,5 @@ class ConfigInvalid(CharshockError):
 
 def check_size(what, n):
     """InvalidParameter unless what, an array about to be allocated, holds at most MAX_VALUES."""
-    if not n <= MAX_VALUES:
-        raise InvalidParameter(
-            f"{what} would hold {n:.3g} values; at most {MAX_VALUES:.0e} are allowed")
+    if not n <= MAX_VALUES:     # n may be an int beyond the float range: not formatted
+        raise InvalidParameter(f"{what} would hold more than {MAX_VALUES:.0e} values")

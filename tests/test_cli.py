@@ -163,11 +163,20 @@ def test_sweep_exit_codes(tmp_path):
                  "--out", str(tmp_path / "o4")]) == 2
 
 
+def _save_zero_history(path):
+    """A two-snapshot history of the zero field, saved as path."""
+    r = np.linspace(1.0, 3.0, 64)
+    RunHistory(r_grid=r, times=np.array([-2.0, -1.9]), phi=np.zeros((2, r.size)),
+               dtphi=np.zeros((2, r.size)), a=0.0, delta=0.1, status="Completed",
+               eos=make_polytropic(2.0)).save(path)
+
+
 _OVERSIZED = {
     "sample-dt": ["euler-radial", "--sample-dt", "1e-300", "--t-end", "-1.99"],
     "delta": ["euler-radial", "--delta", "1e-300", "--t-end", "-1.99"],
     "points-per-delta": ["euler-radial", "--points-per-delta", "1000000000", "--t-end", "-1.99"],
     "seed-grid": ["seed-data", "--grid", "1000000000000"],
+    "seed-grid-beyond-float": ["seed-data", "--grid", "1" + "0" * 400],
     "burgers-grid": ["burgers", "--grid", "100000000000", "--t-end", "-0.99"],
     "rays": ["foliate", "--rays", "1000000000000"],
 }
@@ -176,13 +185,11 @@ _OVERSIZED = {
 @pytest.mark.parametrize("argv", _OVERSIZED.values(), ids=_OVERSIZED.keys())
 def test_oversized_requests_name_their_error(tmp_path, capsys, argv):
     """A count that would size an array beyond errors.MAX_VALUES values (up to
-    a terabyte, or beyond numpy's largest array) is an InvalidParameter raised
-    before the array is allocated: exit 1 with one error: line."""
+    a terabyte, beyond numpy's largest array, or beyond a double's range) is
+    an InvalidParameter raised before the array is allocated: exit 1 with one
+    error: line."""
     if argv[0] == "foliate":
-        r = np.linspace(1.0, 3.0, 64)
-        RunHistory(r_grid=r, times=np.array([-2.0, -1.9]), phi=np.zeros((2, r.size)),
-                   dtphi=np.zeros((2, r.size)), a=0.0, delta=0.1, status="Completed",
-                   eos=make_polytropic(2.0)).save(tmp_path / "zero.npz")
+        _save_zero_history(tmp_path / "zero.npz")
         argv = argv + ["--history", str(tmp_path / "zero.npz")]
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
     err = capsys.readouterr().err
@@ -217,10 +224,7 @@ def test_charshock_error_maps_to_exit_1(tmp_path, capsys):
 
     # a solver input that would never finish, and too few rays
     hist_path = tmp_path / "zero.npz"
-    r = np.linspace(1.0, 3.0, 64)
-    RunHistory(r_grid=r, times=np.array([-2.0, -1.9]), phi=np.zeros((2, r.size)),
-               dtphi=np.zeros((2, r.size)), a=0.0, delta=0.1, status="Completed",
-               eos=make_polytropic(2.0)).save(hist_path)
+    _save_zero_history(hist_path)
     for argv, kind in ((["euler-radial", "--cfl", "0"], "CflViolation"),
                        (["foliate", "--history", str(hist_path), "--rays", "9"],
                         "InvalidParameter"),
