@@ -20,7 +20,7 @@ and no crossing ever happens when a >= c > 0.  A conservative
 finite-volume solver of the flux form d(phi)/dt + d(phi^2/2)/dx = -a phi
 (minmod MUSCL, the Godunov flux max(f(max(ul, 0)), f(min(ur, 0))) of the
 convex f = phi^2/2, SSP-RK2) provides an independent numerical oracle for
-these closed forms.
+these closed forms; its steps reuse buffers allocated once per solve.
 """
 
 from __future__ import annotations
@@ -143,22 +143,27 @@ class BurgersHistory:
         return float(self.times[-1])
 
 
-def _muscl_rhs(u, dx):
-    """Second-order MUSCL divergence of the Burgers flux with outflow edges.
-
-    The Godunov flux of the convex f(u) = u^2/2 at a face with states
-    (ul, ur) is max(f(max(ul, 0)), f(min(ur, 0))), the exact Riemann flux
-    of every shock and rarefaction case.  A cell's slope is minmod: the
-    median of its left difference, its right difference and 0.
-    """
-    ue = np.concatenate(([u[0], u[0]], u, [u[-1], u[-1]]))
-    d = ue[1:] - ue[:-1]                 # np.diff without its call overhead
-    lo, hi = d[:-1], d[1:]
-    half = 0.5 * np.maximum(np.minimum(lo, hi), np.minimum(np.maximum(lo, hi), 0.0))
-    ul = np.maximum(ue[1:-2] + half[:-1], 0.0)   # left state at face i+1/2, clipped at 0
-    ur = np.minimum(ue[2:-1] - half[1:], 0.0)    # right state at face i+1/2, clipped at 0
-    flux = np.maximum(0.5 * ul * ul, 0.5 * ur * ur)
-    return -(flux[1:] - flux[:-1]) / dx
+def _muscl_rhs(ue, dx, work, out):
+    """Second-order MUSCL divergence of the Burgers flux with outflow edges,
+    written into out and returned.  ue holds out's n cells between two ghost
+    cells a side, which this fills; work is (4, n + 3): three scratch rows and
+    a row of zeros, a faster operand than the scalar 0.  A cell's slope is
+    minmod, the median of its two one-sided differences and 0.  The Godunov
+    flux of f(u) = u^2/2 at a face with states (ul, ur), max(f(max(ul, 0)),
+    f(min(ur, 0))), exact in every shock and rarefaction case, is taken as
+    max(ul, -ur, 0)^2 / 2 with the halving in the face difference's divisor
+    -2 dx; both rewrites are exact (README, numerical notes)."""
+    ue[0] = ue[1] = ue[2]
+    ue[-1] = ue[-2] = ue[-3]
+    d, (lo, g, zero) = work[0], work[1:, :-1]
+    np.subtract(ue[1:], ue[:-1], out=d)
+    np.minimum(d[:-1], d[1:], out=lo)
+    np.minimum(np.maximum(d[:-1], d[1:], out=g), zero, out=g)
+    half = np.multiply(np.maximum(lo, g, out=lo), 0.5, out=lo)
+    ul = np.add(ue[1:-2], half[:-1], out=g[:-1])            # left state at face i+1/2
+    nr = np.subtract(half[1:], ue[2:-1], out=d[:-2])        # minus the right state there
+    g = np.square(np.maximum(np.maximum(ul, nr, out=ul), zero[:-1], out=ul), out=ul)
+    return np.divide(np.subtract(g[1:], g[:-1], out=out), -2.0 * dx, out=out)
 
 
 def burgers_direct_solve(
@@ -171,7 +176,9 @@ def burgers_direct_solve(
     t = -1 to t_end, or to the last step before a non-finite field (status
     "NonFiniteField").  The defaults are the sweep's and the CLI's; grid_n
     outside [64, MAX_VALUES] and a t_end that is not finite or not above -1 are
-    an InvalidParameter, cfl outside (0, 0.9] a CflViolation."""
+    an InvalidParameter, cfl outside (0, 0.9] a CflViolation.  A step
+    allocates nothing: the field and its two stages swap between three
+    ghosted rows, and the returned phi is a copy of the last finite field."""
     if grid_n < 64:
         raise InvalidParameter("grid_n must be >= 64")
     check_size("the Burgers grid", grid_n)
@@ -183,34 +190,41 @@ def burgers_direct_solve(
     x_lo, x_hi = problem.domain
     dx = (x_hi - x_lo) / grid_n
     x = x_lo + dx * (np.arange(grid_n) + 0.5)
-    phi = problem.profile(x).astype(float)
+    rows = np.empty((3, grid_n + 4))             # phi, phi0, phi1, two ghost cells a side
+    (u, u0, u1), (phi, phi0, phi1) = rows, rows[:, 2:-2]
+    work, rhs = np.zeros((4, grid_n + 3)), np.empty(grid_n)
+    phi[:], scratch = problem.profile(x), work[0, :grid_n]
 
     t = -1.0
-    times, slopes = [t], [max(0.0, float(np.max(phi[:-1] - phi[1:])) / dx)]
-    speed = float(np.max(np.abs(phi)))
+    np.subtract(phi[:-1], phi[1:], out=scratch[1:])
+    times, slopes = [t], [max(0.0, float(scratch[1:].max()) / dx)]
+    speed = float(np.abs(phi, out=scratch).max())
     status = "ok"
     while t < t_end - 1e-14:
         dt = min(cfl * dx / max(speed, 1e-12), _DT_MAX, t_end - t)
         decay = math.exp(-a * dt / 2.0)
 
-        phi0 = phi * decay
-        phi1 = phi0 + dt * _muscl_rhs(phi0, dx)
-        phi_next = 0.5 * (phi0 + phi1 + dt * _muscl_rhs(phi1, dx)) * decay
+        np.multiply(phi, decay, out=phi0)
+        np.add(phi0, np.multiply(_muscl_rhs(u0, dx, work, rhs), dt, out=rhs), out=phi1)
+        np.multiply(_muscl_rhs(u1, dx, work, rhs), dt, out=rhs)
+        np.add(np.add(phi0, phi1, out=phi1), rhs, out=phi1)
+        np.multiply(phi1, 0.5 * decay, out=phi1)     # 0.5 (phi0 + phi1 + dt rhs) decay
 
-        speed = float(np.max(np.abs(phi_next)))  # the next CFL speed; NaN/inf propagate
+        speed = float(np.abs(phi1, out=scratch).max())  # the next CFL speed; NaN/inf propagate
         if not math.isfinite(speed):
             status = "NonFiniteField"     # phi stays at last_good_time
             break
-        phi = phi_next
+        (u, phi), (u1, phi1) = (u1, phi1), (u, phi)
         t += dt
         times.append(t)
-        slopes.append(max(0.0, float(np.max(phi[:-1] - phi[1:])) / dx))
+        np.subtract(phi[:-1], phi[1:], out=scratch[1:])
+        slopes.append(max(0.0, float(scratch[1:].max()) / dx))
 
     return BurgersHistory(
         times=np.asarray(times),
         max_neg_slope=np.asarray(slopes),
         x=x,
-        phi=phi,
+        phi=phi.copy(),
         status=status,
     )
 

@@ -315,8 +315,8 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     Inputs are checked on entry: CflViolation for cfl outside (0, 0.9];
     InvalidParameter for a non-finite a, t_end outside (-2, 0),
     points_per_delta or sample_dt <= 0, fewer than the stencils' 8 grid
-    points, and a grid or snapshot store above errors.MAX_VALUES values
-    (checked before either is allocated).
+    points, and points_per_delta, a grid or a snapshot store above
+    errors.MAX_VALUES values (checked before dr and either array are made).
     """
     delta = data.delta
     if not 0.0 < cfl <= 0.9:
@@ -327,6 +327,7 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
         raise InvalidParameter(f"t_end must lie in (-2, 0), got {t_end}")
     if not points_per_delta > 0:
         raise InvalidParameter(f"points_per_delta must be positive, got {points_per_delta}")
+    check_size("one delta of the grid", points_per_delta)    # before delta / it can overflow
     if sample_dt is not None and not sample_dt > 0.0:
         raise InvalidParameter(f"sample_dt must be positive, got {sample_dt}")
     dr = delta / points_per_delta

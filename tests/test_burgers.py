@@ -176,6 +176,31 @@ def test_direct_solver_stops_on_non_finite_field():
     assert np.array_equal(hist.phi, p.profile(hist.x), equal_nan=True)  # the initial field
 
 
+def test_history_phi_is_its_own_array():
+    """A history's phi is a copy of the solver's buffer: a second solve leaves
+    the first history as it was."""
+    p = make_problem(c=1.0, a=0.25)
+    first = burgers_direct_solve(p, grid_n=128, t_end=0.5)
+    before = first.phi.tobytes()
+    burgers_direct_solve(make_problem(c=2.0, a=-0.5), grid_n=128, t_end=0.5)
+    assert first.phi.flags.owndata and first.phi.shape == (128,)
+    assert first.phi.tobytes() == before
+
+
+def test_non_finite_stop_keeps_the_last_good_field():
+    """A field 1e-300 sin(pi x) grown by e^{1e4 (t+1)}: the second step
+    leaves it near 1e212, and the third step's squared face states overflow.
+    phi is the field after the second step, at last_good_time."""
+    f, df = sine_profile(1e-300 * math.pi)
+    p = BurgersProblem(profile=f, slope=df, a=-1e4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hist = burgers_direct_solve(p, grid_n=64, t_end=2.0)
+        reference = _reference_direct_solve(p, 64, 2.0, 0.5)
+    assert hist.status == "NonFiniteField" and len(hist.times) == 3
+    assert np.all(np.isfinite(hist.phi)) and np.max(np.abs(hist.phi)) > 1e200
+    _assert_same_bytes(hist, reference)
+
+
 @pytest.mark.parametrize("t_end", [float("nan"), -1.0, -1.5, float("-inf")])
 def test_direct_solver_rejects_t_end_not_above_start(t_end):
     with pytest.raises(InvalidParameter):
@@ -238,7 +263,88 @@ _CELL_VALUES = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]),
        dx=st.sampled_from([1.0, 2.0 / 4096, 0.1]))
 def test_muscl_rhs_equals_case_analysis_bit_for_bit(u, dx):
     u = np.array(u)
-    assert _muscl_rhs(u, dx).tobytes() == _case_analysis_muscl_rhs(u, dx).tobytes()
+    ue = np.pad(u, 2, constant_values=np.nan)        # the kernel fills the ghost cells
+    work, out = np.full((4, u.size + 3), np.nan), np.empty(u.size)
+    work[3] = 0.0
+    _muscl_rhs(ue, dx, work, out)
+    assert out.tobytes() == _case_analysis_muscl_rhs(u, dx).tobytes()
+
+
+def _reference_muscl_rhs(u, dx):
+    """The allocating MUSCL divergence, with the Godunov flux as
+    max(f(max(ul, 0)), f(min(ur, 0))) and the face difference over dx."""
+    ue = np.concatenate(([u[0], u[0]], u, [u[-1], u[-1]]))
+    d = ue[1:] - ue[:-1]
+    lo, hi = d[:-1], d[1:]
+    half = 0.5 * np.maximum(np.minimum(lo, hi), np.minimum(np.maximum(lo, hi), 0.0))
+    ul = np.maximum(ue[1:-2] + half[:-1], 0.0)
+    ur = np.minimum(ue[2:-1] - half[1:], 0.0)
+    flux = np.maximum(0.5 * ul * ul, 0.5 * ur * ur)
+    return -(flux[1:] - flux[:-1]) / dx
+
+
+def _reference_direct_solve(problem, grid_n, t_end, cfl):
+    """burgers_direct_solve's steps written with a new array per operation."""
+    a = problem.a
+    x_lo, x_hi = problem.domain
+    dx = (x_hi - x_lo) / grid_n
+    x = x_lo + dx * (np.arange(grid_n) + 0.5)
+    phi = problem.profile(x).astype(float)
+
+    t = -1.0
+    times, slopes = [t], [max(0.0, float(np.max(phi[:-1] - phi[1:])) / dx)]
+    speed = float(np.max(np.abs(phi)))
+    status = "ok"
+    while t < t_end - 1e-14:
+        dt = min(cfl * dx / max(speed, 1e-12), 0.05, t_end - t)
+        decay = math.exp(-a * dt / 2.0)
+
+        phi0 = phi * decay
+        phi1 = phi0 + dt * _reference_muscl_rhs(phi0, dx)
+        phi_next = 0.5 * (phi0 + phi1 + dt * _reference_muscl_rhs(phi1, dx)) * decay
+
+        speed = float(np.max(np.abs(phi_next)))
+        if not math.isfinite(speed):
+            status = "NonFiniteField"
+            break
+        phi = phi_next
+        t += dt
+        times.append(t)
+        slopes.append(max(0.0, float(np.max(phi[:-1] - phi[1:])) / dx))
+    return np.asarray(times), np.asarray(slopes), phi, status
+
+
+def _assert_same_bytes(hist, reference):
+    times, slopes, phi, status = reference
+    assert hist.times.tobytes() == times.tobytes()
+    assert hist.max_neg_slope.tobytes() == slopes.tobytes()
+    assert hist.phi.tobytes() == phi.tobytes()
+    assert hist.status == status
+
+
+_STEPS = 800        # about the most steps one drawn solve of the next test takes
+
+
+@settings(deadline=None, max_examples=20)
+@example(a=-1.0, c=1.0, grid_n=777, t_end=2.0, cfl=0.9)
+@example(a=1.0, c=0.5, grid_n=100, t_end=2.0, cfl=0.5)       # a >= c: no shock
+@example(a=2.0, c=1.0, grid_n=64, t_end=2.0, cfl=0.9)
+@given(a=st.floats(-1.0, 0.9), c=st.floats(0.5, 5.0),
+       grid_n=st.sampled_from([64, 100, 777, 1024]),
+       t_end=st.floats(-1.0, 2.0, exclude_min=True), cfl=st.floats(1e-3, 0.9))
+def test_direct_solve_matches_the_allocating_steps_byte_for_byte(a, c, grid_n, t_end, cfl):
+    """The in-place solve returns the bytes of the allocating one, before and
+    past the shock.  t_end is cut where the sup norm c/pi, growing at most as
+    e^{-a(t+1)}, would take more than _STEPS CFL steps: the damping kernel
+    E(t_end) is kept below _STEPS cfl dx pi / c, and burgers_shock_time(a, 1/E)
+    is the t where the kernel reaches E."""
+    reach = _STEPS * cfl * (2.0 / grid_n) * math.pi / c
+    cut = burgers_shock_time(a, 1.0 / reach)
+    if cut.classification == "Shock":
+        t_end = min(t_end, cut.t_star)
+    p = make_problem(c=c, a=a)
+    hist = burgers_direct_solve(p, grid_n=grid_n, t_end=t_end, cfl=cfl)
+    _assert_same_bytes(hist, _reference_direct_solve(p, grid_n, t_end, cfl))
 
 
 def test_direct_solver_validates_inputs():

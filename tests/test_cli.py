@@ -175,6 +175,8 @@ _OVERSIZED = {
     "sample-dt": ["euler-radial", "--sample-dt", "1e-300", "--t-end", "-1.99"],
     "delta": ["euler-radial", "--delta", "1e-300", "--t-end", "-1.99"],
     "points-per-delta": ["euler-radial", "--points-per-delta", "1000000000", "--t-end", "-1.99"],
+    "points-per-delta-beyond-float": ["euler-radial", "--points-per-delta", "1" + "0" * 400,
+                                      "--t-end", "-1.99"],
     "seed-grid": ["seed-data", "--grid", "1000000000000"],
     "seed-grid-beyond-float": ["seed-data", "--grid", "1" + "0" * 400],
     "burgers-grid": ["burgers", "--grid", "100000000000", "--t-end", "-0.99"],

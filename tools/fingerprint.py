@@ -24,7 +24,9 @@ The artefacts:
     custom table eta^2 = 1 + 0.8 h + 0.3 h^2, the one run whose mu
     transport reads the damping term a dphi/dr and a table's d eta^2/dh;
   * burgers.a*_c*: the six Burgers cells of the calibrate workload, their
-    solve and fitted blow-up time;
+    solve and fitted blow-up time, and burgers.a-1_c1_grid777, a solve on
+    777 cells up to t = 2, past its shock at t = -1 + ln 2, where dx = 2/777
+    is not a power of two;
   * predict.t_star: classify_largeness's t* over a 41 x 60 (a, c) grid;
   * cli.*: the stdout of small burgers, predict and euler-radial runs.
 
@@ -100,8 +102,9 @@ def _moved(new, old):
         if x.shape[1:] != y.shape[1:] or x.dtype.kind not in "fiu":
             out.append(f"  array {j}: not comparable{note}")
             continue
-        rows = min(len(x), len(y)) if x.ndim else None
-        x, y = (np.asarray(v[:rows], dtype=float) for v in (x, y))
+        x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))   # a scalar: one row
+        rows = min(len(x), len(y))
+        x, y = x[:rows], y[:rows]
         diff, both_nan = np.abs(x - y), np.isnan(x) & np.isnan(y)
         diff[both_nan] = 0.0
         nonzero = (y != 0.0) & ~both_nan
@@ -150,6 +153,11 @@ def artefacts():
             est = burgers.estimate_blowup_time(hist.times, hist.max_neg_slope, a)
             yield f"burgers.a{a}_c{c}", _blob(hist.times, hist.max_neg_slope, hist.phi,
                                               est.t_star_estimate, est.confidence_window)
+    f, df = burgers.sine_profile(1.0)
+    hist = burgers.burgers_direct_solve(
+        burgers.BurgersProblem(profile=f, a=-1.0, slope=df), grid_n=777, t_end=2.0)
+    yield "burgers.a-1_c1_grid777", _blob(hist.times, hist.max_neg_slope, hist.phi) \
+        + hist.status.encode()
 
     t_star = [[foliation.classify_largeness(c, a).t_star for c in np.geomspace(0.05, 1e4, 60)]
               for a in np.linspace(-0.5, 0.5, 41)]
