@@ -53,6 +53,7 @@ __all__ = [
     "sine_profile",
 ]
 
+DOMAIN = (-1.0, 1.0)    # the interval every BurgersProblem lives on, with outflow edges
 _DT_MAX = 0.05      # largest burgers_direct_solve step, whatever the CFL allows
 _FIT_FLOOR = 0.3    # estimate_blowup_time fits only r <= (1 - this) * r(start)
 _A_LINEAR = 1e-9    # below this |a|, e^{-a(t+1)} - 1 = -a(t+1) to 1.5e-9 relative for t <= 2
@@ -66,16 +67,16 @@ class ShockReport:
 
 @dataclass
 class BurgersProblem:
-    """Initial profile at t = -1, its slope, and the damping constant."""
+    """Initial profile at t = -1 on DOMAIN, its slope, and the damping
+    constant; c = -min slope, read on 8193 points of DOMAIN."""
 
     profile: Callable[[np.ndarray], np.ndarray]
     slope: Callable[[np.ndarray], np.ndarray]
     a: float = 0.0
-    domain: tuple[float, float] = (-1.0, 1.0)
     c: float = field(init=False)
 
     def __post_init__(self):
-        x = np.linspace(self.domain[0], self.domain[1], 8193)
+        x = np.linspace(*DOMAIN, 8193)
         self.c = float(-np.min(self.slope(x)))
 
 
@@ -187,7 +188,7 @@ def burgers_direct_solve(
     if not (0.0 < cfl <= 0.9):
         raise CflViolation(f"cfl must lie in (0, 0.9], got {cfl}")
     a = problem.a
-    x_lo, x_hi = problem.domain
+    x_lo, x_hi = DOMAIN
     dx = (x_hi - x_lo) / grid_n
     x = x_lo + dx * (np.arange(grid_n) + 0.5)
     rows = np.empty((3, grid_n + 4))             # phi, phi0, phi1, two ghost cells a side
@@ -294,9 +295,10 @@ def estimate_blowup_time(times, slopes, a: float) -> BlowupEstimate:
     return BlowupEstimate(t_star_estimate=float(t_star), confidence_window=(float(lo), float(hi)))
 
 
-def sine_profile(c: float = 1.0, wavelength: float = 2.0):
-    """f(x) = -(c / k) sin(k x): f(0) = 0, min slope -c at x = 0."""
-    k = 2.0 * math.pi / wavelength
+def sine_profile(c: float = 1.0):
+    """f(x) = -(c / k) sin(k x) with k = pi, one period across DOMAIN:
+    f(0) = 0, min slope -c at x = 0."""
+    k = math.pi
     f = lambda x: -(c / k) * np.sin(k * np.asarray(x, dtype=float))
     df = lambda x: -c * np.cos(k * np.asarray(x, dtype=float))
     return f, df

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands:
-  burgers      damped Burgers run from a JSON problem spec
+  burgers      damped Burgers run of a sine profile on (-1, 1)
   seed-data    short-pulse annulus data as CSV
   euler-radial radial solver run: CSV snapshots + JSON summary
   predict      closed-form shock-time predictor as JSON
@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .burgers import (
+    DOMAIN,
     BurgersProblem,
     burgers_direct_solve,
     burgers_mu,
@@ -28,8 +29,8 @@ from .burgers import (
     estimate_blowup_time,
     sine_profile,
 )
-from .eos import _is_number, make_chaplygin, make_polytropic
-from .errors import CharshockError, ConfigInvalid, InvalidParameter, NoBlowupTrend
+from .eos import make_chaplygin, make_polytropic
+from .errors import CharshockError, InvalidParameter, NoBlowupTrend
 from .foliation import classify_largeness, lmu_initial, predict_mu, trace_rays
 from .harness import SweepConfig, emit_outputs, run_sweep
 from .radial import RunHistory, run_until
@@ -45,47 +46,20 @@ def _f(v):
     return repr(float(v))
 
 
-def _problem_spec(path):
-    """The burgers --problem JSON object: grid_n an integer, domain a pair of
-    numbers, a, c, wavelength, t_end and cfl numbers; every number finite."""
-    with open(path) as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid(f"problem spec is not valid JSON: {exc}") from None
-    if not isinstance(spec, dict):
-        raise ConfigInvalid(f"problem spec must be a JSON object, got {type(spec).__name__}")
-    bad = [k for k in ("a", "c", "wavelength", "t_end", "cfl", "grid_n") if k in spec
-           and not _is_number(spec[k], int if k == "grid_n" else (int, float))]
-    domain = spec.get("domain", [-1.0, 1.0])
-    if not (isinstance(domain, list) and len(domain) == 2 and all(map(_is_number, domain))):
-        bad.append("domain")
-    if bad:
-        raise ConfigInvalid(
-            f"problem spec fields of the wrong type or not finite: {', '.join(bad)}")
-    return spec
-
-
 def cmd_burgers(args):
-    spec = _problem_spec(args.problem) if args.problem else {}
-    a = spec.get("a", args.a)
-    c = spec.get("c", args.c)
-    f, df = sine_profile(c, wavelength=spec.get("wavelength", 2.0))
-    problem = BurgersProblem(profile=f, a=a, slope=df,
-                             domain=tuple(spec.get("domain", (-1.0, 1.0))))
-    report = asdict(burgers_shock_time(a, problem.c))
-    hist = burgers_direct_solve(problem, grid_n=spec.get("grid_n", args.grid),
-                                t_end=spec.get("t_end", args.t_end),
-                                cfl=spec.get("cfl", 0.5))
+    f, df = sine_profile(args.c)
+    problem = BurgersProblem(profile=f, a=args.a, slope=df)
+    report = asdict(burgers_shock_time(args.a, problem.c))
+    hist = burgers_direct_solve(problem, grid_n=args.grid, t_end=args.t_end)
     try:
-        est = estimate_blowup_time(hist.times, hist.max_neg_slope, a)
+        est = estimate_blowup_time(hist.times, hist.max_neg_slope, args.a)
         report["t_star_direct"] = est.t_star_estimate
         report["confidence_window"] = list(est.confidence_window)
     except NoBlowupTrend:
         report["t_star_direct"] = None
     with _out(args) as fh:
         fh.write("t,max_neg_slope,r_of_t,min_mu_closed_form\n")
-        x = np.linspace(problem.domain[0], problem.domain[1], 1025)
+        x = np.linspace(*DOMAIN, 1025)
         for t, s in zip(hist.times, hist.max_neg_slope):
             r_of_t = 1.0 / s if s > 0 else float("inf")
             min_mu = float(np.min(burgers_mu(x, t, problem)))
@@ -183,7 +157,6 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("burgers", help="damped Burgers run")
-    b.add_argument("--problem", help="JSON problem spec file")
     b.add_argument("--a", type=float, default=0.0)
     b.add_argument("--c", type=float, default=1.0)
     b.add_argument("--grid", type=int, default=2048)

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import charshock
 from charshock.cli import main
 from charshock.burgers import (
+    DOMAIN,
     _muscl_rhs,
     BurgersProblem,
     burgers_characteristic_solve,
@@ -286,7 +287,7 @@ def _reference_muscl_rhs(u, dx):
 def _reference_direct_solve(problem, grid_n, t_end, cfl):
     """burgers_direct_solve's steps written with a new array per operation."""
     a = problem.a
-    x_lo, x_hi = problem.domain
+    x_lo, x_hi = DOMAIN
     dx = (x_hi - x_lo) / grid_n
     x = x_lo + dx * (np.arange(grid_n) + 0.5)
     phi = problem.profile(x).astype(float)
