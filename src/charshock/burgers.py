@@ -18,9 +18,10 @@ c = -min f' > 0 the first crossing happens at
 
 and no crossing ever happens when a >= c > 0.  A conservative
 finite-volume solver of the flux form d(phi)/dt + d(phi^2/2)/dx = -a phi
-(minmod MUSCL, the Godunov flux max(f(max(ul, 0)), f(min(ur, 0))) of the
-convex f = phi^2/2, SSP-RK2) provides an independent numerical oracle for
-these closed forms; its steps reuse buffers allocated once per solve.
+on DOMAIN = (-1, 1) (minmod MUSCL, the Godunov flux
+max(f(max(ul, 0)), f(min(ur, 0))) of the convex f = phi^2/2, SSP-RK2)
+provides an independent numerical oracle for these closed forms; its steps
+reuse buffers allocated once per solve.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import (
     NoBlowupTrend,
     PastShock,
     check_size,
+    check_steps,
 )
 
 __all__ = [
@@ -98,7 +100,7 @@ def burgers_shock_time(a: float, c: float) -> ShockReport:
         return ShockReport(classification="Global")
     if a >= c and a > 0.0:
         return ShockReport(classification="Global")
-    if abs(a) < 1e-8 * c:       # -log1p(-x)/x = 1 + x/2 to 3e-17, where x = a/c may be subnormal
+    if abs(a) <= 1e-8 * c:      # -log1p(-x)/x = 1 + x/2 to 3e-17, where x = a/c may be subnormal
         t_star = (1.0 + 0.5 * (a / c)) / c - 1.0
     else:
         t_star = -math.log1p(-a / c) / a - 1.0
@@ -177,7 +179,9 @@ def burgers_direct_solve(
     t = -1 to t_end, or to the last step before a non-finite field (status
     "NonFiniteField").  The defaults are the sweep's and the CLI's; grid_n
     outside [64, MAX_VALUES] and a t_end that is not finite or not above -1 are
-    an InvalidParameter, cfl outside (0, 0.9] a CflViolation.  A step
+    an InvalidParameter, cfl outside (0, 0.9] a CflViolation, and a step too
+    small to reach t_end in errors.MAX_VALUES steps an InvalidParameter once
+    it is taken and has left a finite field (errors.check_steps).  A step
     allocates nothing: the field and its two stages swap between three
     ghosted rows, and the returned phi is a copy of the last finite field."""
     if grid_n < 64:
@@ -202,8 +206,13 @@ def burgers_direct_solve(
     speed = float(np.abs(phi, out=scratch).max())
     status = "ok"
     while t < t_end - 1e-14:
-        dt = min(cfl * dx / max(speed, 1e-12), _DT_MAX, t_end - t)
-        decay = math.exp(-a * dt / 2.0)
+        step = min(cfl * dx / max(speed, 1e-12), _DT_MAX)
+        dt = min(step, t_end - t)
+        try:
+            decay = math.exp(-a * dt / 2.0)
+        except OverflowError:             # growth beyond the float range in one step
+            status = "NonFiniteField"
+            break
 
         np.multiply(phi, decay, out=phi0)
         np.add(phi0, np.multiply(_muscl_rhs(u0, dx, work, rhs), dt, out=rhs), out=phi1)
@@ -215,6 +224,7 @@ def burgers_direct_solve(
         if not math.isfinite(speed):
             status = "NonFiniteField"     # phi stays at last_good_time
             break
+        check_steps(t, step, t_end)       # after the finiteness check, which a NaN step fails
         (u, phi), (u1, phi1) = (u1, phi1), (u, phi)
         t += dt
         times.append(t)

@@ -53,7 +53,7 @@ import numpy as np
 
 from .eos import EquationOfState, eos_from_config
 from .errors import (CflViolation, ConfigInvalid, EosDomain, InvalidParameter,
-                     NonFiniteField, OutOfDomain, check_size)
+                     NonFiniteField, OutOfDomain, check_size, check_steps)
 
 __all__ = [
     "RunHistory",
@@ -219,8 +219,9 @@ def advance(t, r, y, a: float, eos: EquationOfState, t_end: float, cfl: float):
     returns t' = t_end exactly.  y is not modified; y' is a new array.
 
     CflViolation for cfl outside (0, 0.9]; InvalidParameter for a t_end that
-    is not finite or not after t, and for a grid of fewer than the stencils'
-    8 points.
+    is not finite or not after t, for a grid of fewer than the stencils'
+    8 points, and for a CFL step that would take more than errors.MAX_VALUES
+    steps to reach t_end or that does not move t (errors.check_steps).
     """
     if not 0.0 < cfl <= 0.9:
         raise CflViolation(f"cfl must lie in (0, 0.9], got {cfl}")
@@ -231,7 +232,9 @@ def advance(t, r, y, a: float, eos: EquationOfState, t_end: float, cfl: float):
             f"field of {len(r)} grid points; the stencils need at least 8")
     k1, eta_sq, dphi = _stage(t, r, y, a, eos)
     speed = float(np.max(np.sqrt(eta_sq) + np.abs(dphi)))
-    steps = math.ceil((t_end - t) / (cfl * (r[1] - r[0]) / speed))
+    limit = cfl * (r[1] - r[0]) / speed              # the CFL step
+    check_steps(t, limit, t_end)                     # before ceil: a finite count
+    steps = math.ceil((t_end - t) / limit)
     dt = (t_end - t) / steps
     y_new = _rk4(lambda ts, ys: _stage(ts, r, ys, a, eos)[0], t, y, dt, k1)
     if not np.isfinite(y_new).all():
@@ -314,9 +317,12 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
 
     Inputs are checked on entry: CflViolation for cfl outside (0, 0.9];
     InvalidParameter for a non-finite a, t_end outside (-2, 0),
-    points_per_delta or sample_dt <= 0, fewer than the stencils' 8 grid
-    points, and points_per_delta, a grid or a snapshot store above
+    points_per_delta, sample_dt or r_min <= 0, fewer than the stencils' 8
+    grid points, and points_per_delta, a grid or a snapshot store above
     errors.MAX_VALUES values (checked before dr and either array are made).
+    A CFL step too small to reach t_end is an InvalidParameter at the step
+    that takes it (advance).  r_min must be positive because the 2/r term is
+    infinite at r = 0, harmless only on the pinned rows.
     """
     delta = data.delta
     if not 0.0 < cfl <= 0.9:
@@ -330,6 +336,8 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     check_size("one delta of the grid", points_per_delta)    # before delta / it can overflow
     if sample_dt is not None and not sample_dt > 0.0:
         raise InvalidParameter(f"sample_dt must be positive, got {sample_dt}")
+    if not r_min > 0.0:
+        raise InvalidParameter(f"r_min must be positive, got {r_min}")
     dr = delta / points_per_delta
     r_max = data.r_grid[-1] + pad
     if not r_max - r_min >= 7 * dr:

@@ -356,6 +356,19 @@ def test_direct_solver_validates_inputs():
         burgers_direct_solve(p, cfl=1.5)
 
 
+@pytest.mark.parametrize("grid_n, t_end, cfl", [
+    (64, 1e300, 0.5),       # 2e301 steps of at most 0.05
+    (64, 2.0, 1e-300),      # a step below half an ulp of t
+    (64, 2.0, 5e-324),      # a step that underflows to 0
+    (64, -1.0 + 1e-13, 1e-18),    # about 1e6 steps to t_end, none of which moves t
+])
+def test_direct_solver_rejects_steps_that_never_reach_t_end(grid_n, t_end, cfl):
+    """A run that would take more than errors.MAX_VALUES steps, or whose step
+    leaves t where it is, raises instead of looping for ever."""
+    with pytest.raises(InvalidParameter, match="would not reach t_end"):
+        burgers_direct_solve(make_problem(), grid_n=grid_n, t_end=t_end, cfl=cfl)
+
+
 def test_blowup_estimate_synthetic_round_trip():
     a, c = 0.5, 1.0
     t = np.linspace(-1.0, -0.2, 400)

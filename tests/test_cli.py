@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from charshock.cli import main
 from charshock.eos import make_polytropic
@@ -88,6 +88,83 @@ def test_predict_answers_or_names_its_error(c, a, sigma):
     else:
         assert code == 1 and err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
+
+
+_ODD = st.sampled_from([1e300, -1e300, 5e-324, -5e-324, 1e-310, 0.0, -0.0, -1.0,
+                        math.nan, math.inf, -math.inf]).map(repr)
+
+
+def _weighted(*choices):
+    """Draws from one of the (weight, strategy) choices, picked with
+    probability proportional to its weight; it shrinks toward the first."""
+    table = [s for weight, s in choices for _ in range(weight)]
+    return st.integers(0, len(table) - 1).flatmap(table.__getitem__)
+
+
+def _flag(finite):
+    """A flag's text: a float from the strategy finite, one of the odd classes
+    (+-1e300, subnormal, zero, negative, NaN, inf) or not a number, weighted
+    so that most runs get past the parser."""
+    return _weighted((12, finite.map(repr)), (3, _ODD),
+                     (1, st.sampled_from(["x", "", "1e", "0x10"])))
+
+
+def _count(small):
+    """A count's text: from the strategy small, at most 0, beyond
+    errors.MAX_VALUES (never in between, which would allocate arrays of up
+    to 800 MB) or not an integer."""
+    return _weighted((12, small.map(str)), (1, st.integers(-3, 0).map(str)),
+                     (2, st.integers(10**8 + 1, 10**400).map(str)),
+                     (1, st.sampled_from(["x", "1.5", "nan"])))
+
+
+def _answers_or_names_its_error(argv):
+    """Run the command with numpy's warnings recorded, not raised: exit 0, 1
+    or 2, no exception, and exit 1 with exactly one error: line."""
+    out, err = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True)):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse's usage error
+            code = exc.code
+    err = err.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@settings(deadline=None, max_examples=100)
+@example(a="-1e300", c="1.0", t_end="0.5", grid="64")     # the damping factor overflows
+@example(a="0.0", c="5e-324", t_end="0.5", grid="64")     # a/c with a subnormal c
+@example(a="0.0", c="1.0", t_end="1e300", grid="64")      # 2e301 steps
+@given(a=_flag(st.floats(-2.0, 2.0)), c=_flag(st.floats(-2.0, 2.0)),
+       t_end=_flag(st.floats(-1.5, 0.5)), grid=_count(st.integers(64, 128)))
+def test_burgers_answers_or_names_its_error(a, c, t_end, grid):
+    _answers_or_names_its_error(["burgers", f"--a={a}", f"--c={c}", f"--t-end={t_end}",
+                                 f"--grid={grid}"])
+
+
+@settings(deadline=None, max_examples=100)
+@given(c=_flag(st.floats(-2.0, 2.0)), delta=_flag(st.floats(0.0, 1.0)),
+       grid=_count(st.integers(1, 64)),
+       width_mode=st.sampled_from(["delta", "delta_squared", "x"]))
+def test_seed_data_answers_or_names_its_error(c, delta, grid, width_mode):
+    _answers_or_names_its_error(["seed-data", f"--c={c}", f"--delta={delta}",
+                                 f"--grid={grid}", f"--width-mode={width_mode}"])
+
+
+@settings(deadline=None, max_examples=100)
+@example(a="0.0", c="1.0", gamma="2.0", cfl="1e-320", t_end="-1.99", points="16")
+@given(a=_flag(st.floats(-2.0, 2.0)), c=_flag(st.floats(-2.0, 2.0)),
+       gamma=_flag(st.floats(1.1, 5.0)), cfl=_flag(st.floats(0.1, 1.0)),
+       t_end=_flag(st.floats(-1.999, -1.98)), points=_count(st.integers(1, 32)))
+def test_euler_radial_answers_or_names_its_error(a, c, gamma, cfl, t_end, points):
+    _answers_or_names_its_error(["euler-radial", "--delta", "0.1", "--r-min", "1.6",
+                                 f"--a={a}", f"--c={c}", f"--gamma={gamma}", f"--cfl={cfl}",
+                                 f"--t-end={t_end}", f"--points-per-delta={points}"])
 
 
 def test_euler_and_foliate_round_trip(tmp_path):
@@ -171,6 +248,8 @@ def _save_zero_history(path):
                eos=make_polytropic(2.0)).save(path)
 
 
+_EULER_SMALL = ["euler-radial", "--delta", "0.1", "--c", "1", "--t-end", "-1.8",
+                "--r-min", "1.6", "--points-per-delta", "16"]
 _OVERSIZED = {
     "sample-dt": ["euler-radial", "--sample-dt", "1e-300", "--t-end", "-1.99"],
     "delta": ["euler-radial", "--delta", "1e-300", "--t-end", "-1.99"],
@@ -181,6 +260,11 @@ _OVERSIZED = {
     "seed-grid-beyond-float": ["seed-data", "--grid", "1" + "0" * 400],
     "burgers-grid": ["burgers", "--grid", "100000000000", "--t-end", "-0.99"],
     "rays": ["foliate", "--rays", "1000000000000"],
+    # CFL steps that would take more than MAX_VALUES steps, or that do not move t
+    "euler-cfl-1e-20": [*_EULER_SMALL, "--cfl", "1e-20"],
+    "euler-cfl-1e-300": [*_EULER_SMALL, "--cfl", "1e-300"],
+    "euler-cfl-1e-320": [*_EULER_SMALL, "--cfl", "1e-320"],
+    "burgers-t-end": ["burgers", "--grid", "64", "--t-end", "1e300"],
 }
 
 
@@ -188,8 +272,9 @@ _OVERSIZED = {
 def test_oversized_requests_name_their_error(tmp_path, capsys, argv):
     """A count that would size an array beyond errors.MAX_VALUES values (up to
     a terabyte, beyond numpy's largest array, or beyond a double's range) is
-    an InvalidParameter raised before the array is allocated: exit 1 with one
-    error: line."""
+    an InvalidParameter raised before the array is allocated, and so is a
+    time step that would take more than MAX_VALUES steps to t_end: exit 1
+    with one error: line."""
     if argv[0] == "foliate":
         _save_zero_history(tmp_path / "zero.npz")
         argv = argv + ["--history", str(tmp_path / "zero.npz")]

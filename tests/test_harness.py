@@ -155,6 +155,27 @@ def test_euler_cell_rejects_zero_cfl():
     assert row["status"] == "CflViolation"
 
 
+_EULER_SOLVER = {"points_per_delta": 16, "r_min": 1.6, "ray_count": 33}
+_NEVER_ENDING = {
+    "euler-cfl-1e-300": ("euler", {**_EULER_SOLVER, "cfl": 1e-300}),
+    "euler-cfl-1e-320": ("euler", {**_EULER_SOLVER, "cfl": 1e-320}),
+    "euler-r-min-negative": ("euler", {**_EULER_SOLVER, "r_min": -0.5}),
+    "burgers-cfl-1e-300": ("burgers", {"simulate": True, "grid_n": 64, "cfl": 1e-300}),
+    "burgers-t-end-1e300": ("burgers", {"simulate": True, "grid_n": 64, "t_end": 1e300}),
+}
+
+
+@pytest.mark.parametrize("mode, solver", _NEVER_ENDING.values(), ids=_NEVER_ENDING.keys())
+def test_cell_that_would_never_end_reads_invalid_parameter(mode, solver):
+    """A time step too small to reach t_end in errors.MAX_VALUES steps, or a
+    grid reaching r = 0, fails its cell with status InvalidParameter instead of
+    hanging, ending in Error or breaking down where the 2/r term is infinite."""
+    cfg = SweepConfig(a_values=(0.0,), c_values=(1.0,), mode=mode, delta_values=(0.1,),
+                      sigma=-1.8, solver=solver)
+    row = run_sweep(cfg).rows[0]
+    assert row["status"] == "InvalidParameter" and row["error"] != ""
+
+
 def test_min_mu_at_sigma_is_nan_when_the_bundle_stops_before_sigma():
     """The run reaches sigma but the rays reach mu <= 0.02 at about t = -1.94,
     so there is no mu at sigma to report."""

@@ -190,15 +190,22 @@ _BAD_INPUTS = [
     ({"a": float("nan")}, InvalidParameter),
     ({"points_per_delta": 10**12}, InvalidParameter),
     ({"sample_dt": 1e-300}, InvalidParameter),
+    ({"r_min": 0.0}, InvalidParameter),
+    ({"r_min": -0.5}, InvalidParameter),
+    ({"cfl": 1e-20}, InvalidParameter),
+    ({"cfl": 1e-320}, InvalidParameter),
+    ({"cfl": 5e-324}, InvalidParameter),
+    # about 1e7 CFL steps to t_end, none of which moves t = -2
+    ({"t_end": -2.0 + 1e-10, "cfl": 1.6e-15}, InvalidParameter),
 ]
 
 
 @pytest.mark.parametrize("kwargs, error", _BAD_INPUTS, ids=[
     ",".join(f"{k}={v}" for k, v in kw.items()) for kw, _ in _BAD_INPUTS])
 def test_run_until_rejects_bad_inputs(kwargs, error):
-    """Bad solver inputs raise on entry instead of hanging, stepping backward
-    in time, failing inside the step loop or asking for a grid or snapshot
-    store beyond errors.MAX_VALUES."""
+    """Bad solver inputs raise on entry, or at the first step, instead of
+    hanging, stepping backward in time, failing inside the step loop or asking
+    for a grid, a snapshot store or a step count beyond errors.MAX_VALUES."""
     data = build_annulus_data(bump_seeds(c=1.0, delta=0.1), r_grid_n=256)
     args = {"a": 0.0, "t_end": -1.9, "points_per_delta": 16, "r_min": 1.6, **kwargs}
     with pytest.raises(error):

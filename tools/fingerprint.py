@@ -28,7 +28,10 @@ The artefacts:
     777 cells up to t = 2, past its shock at t = -1 + ln 2, where dx = 2/777
     is not a power of two;
   * predict.t_star: classify_largeness's t* over a 41 x 60 (a, c) grid;
-  * cli.*: the stdout of small burgers, predict and euler-radial runs.
+  * cli.*: the stdout of small burgers, predict and euler-radial runs;
+  * sweep.*: the sweep.csv and series.csv that the sweep command writes for
+    a small burgers sweep with the finite-volume oracle and an 8 x 8 predict
+    sweep (summary.json holds runtimes and is left out).
 
 It takes about 10 s on a 2-core machine.
 """
@@ -39,6 +42,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import re
 import sys
 import tempfile
@@ -66,6 +70,12 @@ CLI_RUNS = {
     "predict_below": ["predict", "--c", "0.1"],
     "euler_radial": ["euler-radial", "--delta", "0.1", "--c", "1.0", "--t-end", "-1.8",
                      "--r-min", "1.6", "--points-per-delta", "16", "--r-stride", "4"],
+}
+SWEEPS = {
+    "burgers": {"mode": "burgers", "a_values": [0.0, 0.5], "c_values": [1.0],
+                "solver": {"simulate": True, "grid_n": 512, "t_end": 0.5}},
+    "predict": {"mode": "predict", "a_values": np.linspace(-0.5, 0.5, 8).tolist(),
+                "c_values": np.geomspace(0.05, 2.0, 8).tolist()},
 }
 
 
@@ -168,6 +178,15 @@ def artefacts():
         with contextlib.redirect_stdout(out):
             code = cli.main(argv)
         yield f"cli.{name}", f"exit {code}\n{out.getvalue()}".encode()
+
+    for name, cfg in SWEEPS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(cfg))
+            code = cli.main(["sweep", "--config", str(config), "--out", tmp])
+            for table in ("sweep", "series"):
+                yield f"sweep.{name}.{table}", \
+                    f"exit {code}\n".encode() + (Path(tmp) / f"{table}.csv").read_bytes()
 
 
 def main(argv=None):
