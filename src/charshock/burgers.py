@@ -18,10 +18,9 @@ c = -min f' > 0 the first crossing happens at
 
 and no crossing ever happens when a >= c > 0.  A conservative
 finite-volume solver of the flux form d(phi)/dt + d(phi^2/2)/dx = -a phi
-on DOMAIN = (-1, 1) (minmod MUSCL, the Godunov flux
-max(f(max(ul, 0)), f(min(ur, 0))) of the convex f = phi^2/2, SSP-RK2)
-provides an independent numerical oracle for these closed forms; its steps
-reuse buffers allocated once per solve.
+(minmod MUSCL, the Godunov flux max(f(max(ul, 0)), f(min(ur, 0))) of the
+convex f = phi^2/2, SSP-RK2) provides an independent numerical oracle for
+these closed forms; its steps reuse buffers allocated once per solve.
 """
 
 from __future__ import annotations
@@ -69,8 +68,7 @@ class ShockReport:
 
 @dataclass
 class BurgersProblem:
-    """Initial profile at t = -1 on DOMAIN, its slope, and the damping
-    constant; c = -min slope, read on 8193 points of DOMAIN."""
+    """Initial profile at t = -1 on DOMAIN, its slope, and the damping constant."""
 
     profile: Callable[[np.ndarray], np.ndarray]
     slope: Callable[[np.ndarray], np.ndarray]

@@ -1,5 +1,4 @@
-"""Exception types shared across the package, and the cap on array sizes and
-step counts."""
+"""Exception types shared across the package, and the caps on sizes and step counts."""
 
 MAX_VALUES = 10**8      # values an array sized by a caller's count may hold (800 MB of doubles)
 

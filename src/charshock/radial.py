@@ -320,9 +320,6 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     points_per_delta, sample_dt or r_min <= 0, fewer than the stencils' 8
     grid points, and points_per_delta, a grid or a snapshot store above
     errors.MAX_VALUES values (checked before dr and either array are made).
-    A CFL step too small to reach t_end is an InvalidParameter at the step
-    that takes it (advance).  r_min must be positive because the 2/r term is
-    infinite at r = 0, harmless only on the pinned rows.
     """
     delta = data.delta
     if not 0.0 < cfl <= 0.9:
@@ -336,7 +333,7 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     check_size("one delta of the grid", points_per_delta)    # before delta / it can overflow
     if sample_dt is not None and not sample_dt > 0.0:
         raise InvalidParameter(f"sample_dt must be positive, got {sample_dt}")
-    if not r_min > 0.0:
+    if not r_min > 0.0:         # the 2/r term is infinite at r = 0
         raise InvalidParameter(f"r_min must be positive, got {r_min}")
     dr = delta / points_per_delta
     r_max = data.r_grid[-1] + pad
