@@ -31,14 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    CflViolation,
-    InvalidParameter,
-    NoBlowupTrend,
-    PastShock,
-    check_size,
-    check_steps,
-)
+from .errors import InvalidParameter, NoBlowupTrend, PastShock, check_size, check_steps
 
 __all__ = [
     "BurgersProblem",
@@ -175,11 +168,11 @@ def burgers_direct_solve(
 ) -> BurgersHistory:
     """Conservative MUSCL/SSP-RK2 solve with Strang-split damping source from
     t = -1 to t_end, or to the last step before a non-finite field (status
-    "NonFiniteField").  The defaults are the sweep's and the CLI's; grid_n
-    outside [64, MAX_VALUES] and a t_end that is not finite or not above -1 are
-    an InvalidParameter, cfl outside (0, 0.9] a CflViolation, and a step too
-    small to reach t_end in errors.MAX_VALUES steps an InvalidParameter once
-    it is taken and has left a finite field (errors.check_steps).  A step
+    "NonFiniteField").  The defaults are the sweep's and the CLI's.  Each an
+    InvalidParameter: grid_n outside [64, MAX_VALUES], a t_end that is not
+    finite or not above -1, cfl outside (0, 0.9], and a step too small to
+    reach t_end in errors.MAX_VALUES steps, once it is taken and has left a
+    finite field (errors.check_steps).  A step
     allocates nothing: the field and its two stages swap between three
     ghosted rows, and the returned phi is a copy of the last finite field."""
     if grid_n < 64:
@@ -188,7 +181,7 @@ def burgers_direct_solve(
     if not (math.isfinite(t_end) and t_end > -1.0):
         raise InvalidParameter(f"t_end must be finite and above -1, got {t_end}")
     if not (0.0 < cfl <= 0.9):
-        raise CflViolation(f"cfl must lie in (0, 0.9], got {cfl}")
+        raise InvalidParameter(f"cfl must lie in (0, 0.9], got {cfl}")
     a = problem.a
     x_lo, x_hi = DOMAIN
     dx = (x_hi - x_lo) / grid_n

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the caps on sizes and step counts."""
+"""Exception types shared across the package, one per kind of failure, and
+the caps on sizes and step counts."""
 
 MAX_VALUES = 10**8      # values an array sized by a caller's count may hold (800 MB of doubles)
 
@@ -11,24 +12,12 @@ class OutOfDomain(CharshockError):
     """Enthalpy left the admissible interval of the equation of state."""
 
 
-class EosDomain(OutOfDomain):
-    """Field evolution drove h out of the EOS domain (vacuum/degenerate sound speed)."""
-
-
 class InvalidParameter(CharshockError):
-    pass
-
-
-class DegenerateSoundSpeed(CharshockError):
-    pass
+    """An input outside its admissible range: a CFL number, a width, a time, a count."""
 
 
 class PastShock(CharshockError):
     """Characteristic evaluation requested after neighbouring characteristics crossed."""
-
-
-class CflViolation(CharshockError):
-    pass
 
 
 class NonFiniteField(CharshockError):
@@ -36,10 +25,6 @@ class NonFiniteField(CharshockError):
 
 
 class NoBlowupTrend(CharshockError):
-    pass
-
-
-class InvalidWidth(CharshockError):
     pass
 
 
@@ -53,10 +38,6 @@ class InterpolationOutOfRange(CharshockError):
 
 class ShockDetected(CharshockError):
     """Ray spacing collapsed (crossing characteristics)."""
-
-
-class SingularEndpoint(CharshockError):
-    """The focusing integrand 1/(-t) is singular at t = 0."""
 
 
 class NoRootBeforeSigma(CharshockError):

@@ -37,14 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eos import EquationOfState
-from .errors import (
-    InterpolationOutOfRange,
-    InvalidParameter,
-    NoRootBeforeSigma,
-    ShockDetected,
-    SingularEndpoint,
-    check_size,
-)
+from .errors import (InterpolationOutOfRange, InvalidParameter, NoRootBeforeSigma,
+                     ShockDetected, check_size)
 from .radial import RunHistory, _fields
 
 __all__ = [
@@ -56,12 +50,10 @@ __all__ = [
     "predict_mu",
     "shock_time_3d",
     "classify_largeness",
-    "shock_region_monitor",
     "lmu_initial",
 ]
 
 _MU_STOP = 0.02             # trace_rays declares a shock once mu reaches this
-_SHOCK_REGION_MU = 0.1      # shock_region_monitor watches {mu <= this}
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +79,15 @@ def a1_integral(t, a):
     Within 1e-3 of -2, where the two Ei values (or 2/-t at a = 0) would lose
     about 1e-15/(t + 2) of A1, quadrature answers in s = tau + 2 (relative
     tol 1e-12).
-    InvalidParameter for a non-finite t or a.
+    InvalidParameter for a non-finite t or a, and for t outside [-2, 0), where
+    the integrand is singular at tau = 0 or the lower limit -2 is passed.
     """
     if not (math.isfinite(t) and math.isfinite(a)):
         raise InvalidParameter(f"t and a must be finite, got t={t}, a={a}")
     if t >= 0.0:
-        raise SingularEndpoint(f"integrand singular at tau=0; got t={t}")
+        raise InvalidParameter(f"integrand singular at tau=0; got t={t}")
     if t < -2.0:
-        raise SingularEndpoint(f"lower limit is -2; got t={t}")
+        raise InvalidParameter(f"lower limit is -2; got t={t}")
     if a == 0.0 and t + 2.0 >= _EI_NEAR:
         return float(np.log(2.0 / -t)) if -t >= _TINY else math.log(2.0) - math.log(-t)
     from scipy.integrate import quad    # loaded here so most a = 0 runs never load scipy
@@ -334,16 +327,3 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
     return RayBundle(u=u, times=times[:n], r=rows[0, :n], mu_spacing=rows[1, :n],
                      mu_transport=rows[2, :n])
 
-
-def shock_region_monitor(bundle: RayBundle):
-    """Check that mu keeps decreasing once a ray is inside {mu <= 1/10}.
-
-    Returns a list of per-(time, ray) records for rays in the shock
-    region, each with the sign of d(mu)/dt and a violation flag.
-    """
-    mu = bundle.mu_spacing
-    dmu_dt = np.gradient(mu, bundle.times, axis=0) if len(bundle.times) > 1 else np.zeros_like(mu)
-    its, js = np.nonzero(mu <= _SHOCK_REGION_MU)        # row-major: by time, then ray
-    return [{"t": float(bundle.times[it]), "u": float(bundle.u[j]),
-             "mu": float(mu[it, j]), "dmu_dt": float(dmu_dt[it, j]),
-             "violation": bool(dmu_dt[it, j] >= 0.0)} for it, j in zip(its, js)]

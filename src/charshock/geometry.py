@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSoundSpeed
+from .errors import InvalidParameter
 
 __all__ = [
     "FluidPointState",
@@ -56,11 +56,12 @@ class FrameSet:
 def assemble_metric(state):
     """Return (g, g_inv) as 4x4 symmetric matrices.
 
-    Accepts a FluidPointState or any object with .v and .eta.
+    Accepts a FluidPointState or any object with .v and .eta; InvalidParameter
+    unless eta > 0.
     """
     eta = float(state.eta)
     if eta <= 0.0:
-        raise DegenerateSoundSpeed(f"sound speed must be positive, got {eta}")
+        raise InvalidParameter(f"sound speed must be positive, got {eta}")
     v = np.asarray(state.v, dtype=float)
     g = np.eye(4)
     g[0, 0] = -eta**2 + v @ v

@@ -52,8 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eos import EquationOfState, eos_from_config
-from .errors import (CflViolation, ConfigInvalid, EosDomain, InvalidParameter,
-                     NonFiniteField, OutOfDomain, check_size, check_steps)
+from .errors import (ConfigInvalid, InvalidParameter, NonFiniteField, OutOfDomain,
+                     check_size, check_steps)
 
 __all__ = [
     "RunHistory",
@@ -183,7 +183,8 @@ def _rk4(f, t, y, dt, k1):
 def _stage(t, r, y, a, eos):
     """d/dt of the stacked state y = (phi, dtphi) on the grid r.
 
-    Returns it with eta^2 and dphi/dr, from which the CFL speed follows.
+    Returns it with eta^2 and dphi/dr, from which the CFL speed follows;
+    OutOfDomain, with t appended to the EOS's message, on a domain exit.
     _fields writes d(dtphi)/dt into the returned array's second row; the
     rows it leaves unspecified there are the pinned and the outflow ones,
     which are set here.  The two outflow rows are computed in Python floats.
@@ -192,7 +193,7 @@ def _stage(t, r, y, a, eos):
     try:
         dphi, ddtphi, _, _, eta_sq, _ = _fields(r, y, a, eos, out=rhs[1])
     except OutOfDomain as exc:
-        raise EosDomain(f"{exc} at t={t:.6f}") from None
+        raise OutOfDomain(f"{exc} at t={t:.6f}") from None
     rhs[0] = y[1]
 
     # inner boundary: pinned to zero, deep inside the trivial region
@@ -218,13 +219,13 @@ def advance(t, r, y, a: float, eos: EquationOfState, t_end: float, cfl: float):
     the CFL step and no tiny last step occurs; a step that reaches t_end
     returns t' = t_end exactly.  y is not modified; y' is a new array.
 
-    CflViolation for cfl outside (0, 0.9]; InvalidParameter for a t_end that
-    is not finite or not after t, for a grid of fewer than the stencils'
-    8 points, and for a CFL step that would take more than errors.MAX_VALUES
-    steps to reach t_end or that does not move t (errors.check_steps).
+    InvalidParameter for cfl outside (0, 0.9], for a t_end that is not
+    finite or not after t, for a grid of fewer than the stencils' 8 points,
+    and for a CFL step that would take more than errors.MAX_VALUES steps to
+    reach t_end or that does not move t (errors.check_steps).
     """
     if not 0.0 < cfl <= 0.9:
-        raise CflViolation(f"cfl must lie in (0, 0.9], got {cfl}")
+        raise InvalidParameter(f"cfl must lie in (0, 0.9], got {cfl}")
     if not t < t_end < math.inf:
         raise InvalidParameter(f"t_end must be finite and after t={t}, got {t_end}")
     if len(r) < 8:
@@ -315,15 +316,15 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     the one inside the annulus' outer edge (module docstring); a snapshot
     stores the window's W points, from start[k], or the grid's last W.
 
-    Inputs are checked on entry: CflViolation for cfl outside (0, 0.9];
-    InvalidParameter for a non-finite a, t_end outside (-2, 0),
-    points_per_delta, sample_dt or r_min <= 0, fewer than the stencils' 8
-    grid points, and points_per_delta, a grid or a snapshot store above
-    errors.MAX_VALUES values (checked before dr and either array are made).
+    Inputs are checked on entry, each an InvalidParameter: cfl outside
+    (0, 0.9], a non-finite a, t_end outside (-2, 0), points_per_delta,
+    sample_dt or r_min <= 0, fewer than the stencils' 8 grid points, and
+    points_per_delta, a grid or a snapshot store above errors.MAX_VALUES
+    values (checked before dr and either array are made).
     """
     delta = data.delta
     if not 0.0 < cfl <= 0.9:
-        raise CflViolation(f"cfl must lie in (0, 0.9], got {cfl}")
+        raise InvalidParameter(f"cfl must lie in (0, 0.9], got {cfl}")
     if not math.isfinite(a):
         raise InvalidParameter(f"a must be finite, got {a}")
     if not -2.0 < t_end < 0.0:

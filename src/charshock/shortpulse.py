@@ -24,8 +24,8 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import legendre
 
-from .errors import GridTooCoarse, InvalidParameter, InvalidWidth, check_size
-from .eos import EquationOfState, make_polytropic
+from .errors import GridTooCoarse, InvalidParameter, check_size
+from .eos import make_polytropic
 from .radial import _fields, d1
 
 __all__ = [
@@ -134,24 +134,25 @@ def build_annulus_data(seeds: SeedProfiles, r_grid_n=512,
 
     width_mode 'delta' takes w = delta (the full support of the data);
     'delta_squared' takes w = delta^2 (the inner restriction), which only
-    makes sense for delta < 1.  r_grid_n must lie in [1, MAX_VALUES)
-    (InvalidParameter otherwise).  The seed ODE is solved on the nodes of
-    _SEED_CELLS cells of [0, 1] up to the annulus' edge s = w / delta, and
-    on the edge itself, whatever r_grid_n; the samples are phi_at on r_grid,
-    the cubic Hermite interpolant of phi0 on its exact slope dphi0.
+    makes sense for delta < 1.  InvalidParameter for r_grid_n outside
+    [1, MAX_VALUES), delta outside (0, 1) and any other width_mode.  The
+    seed ODE is solved on the nodes of _SEED_CELLS cells of [0, 1] up to the
+    annulus' edge s = w / delta, and on the edge itself, whatever r_grid_n;
+    the samples are phi_at on r_grid, the cubic Hermite interpolant of phi0
+    on its exact slope dphi0.
     """
     if r_grid_n < 1:
         raise InvalidParameter(f"r_grid_n must be >= 1, got {r_grid_n}")
     check_size("the annulus grid", r_grid_n + 1)
     delta = seeds.delta
     if not 0.0 < delta < 1.0:
-        raise InvalidWidth(f"pulse amplitude must lie in (0, 1), got {delta}")
+        raise InvalidParameter(f"pulse amplitude must lie in (0, 1), got {delta}")
     if width_mode == "delta":
         s_max = 1.0
     elif width_mode == "delta_squared":
         s_max = delta
     else:
-        raise InvalidWidth(f"unknown width_mode {width_mode!r}")
+        raise InvalidParameter(f"unknown width_mode {width_mode!r}")
 
     s_fine = np.linspace(0.0, 1.0, _SEED_CELLS + 1)
     s_fine = s_fine[s_fine <= s_max + 1e-14]
@@ -174,26 +175,25 @@ def build_annulus_data(seeds: SeedProfiles, r_grid_n=512,
     )
 
 
-def _second_null_sup(r, phi, dtphi, eos, a):
-    """sup |(dt - dr)^2 phi| with dt^2 phi taken from the wave equation."""
-    _, ddtphi, d2phi, _, _, dtt = _fields(r, np.stack((phi, dtphi)), a, eos)
+def _second_null_sup(r, phi, dtphi):
+    """sup |(dt - dr)^2 phi| with dt^2 phi taken from the wave equation at
+    gamma = 2, a = 0."""
+    _, ddtphi, d2phi, _, _, dtt = _fields(r, np.stack((phi, dtphi)), 0.0, make_polytropic(2.0))
     return float(np.max(np.abs(dtt - 2.0 * ddtphi + d2phi)))
 
 
-def null_derivative_ratio(data: ShortPulseData, eos: EquationOfState = None,
-                          a=0.0):
+def null_derivative_ratio(data: ShortPulseData):
     """Measure the second incoming-null derivative of the built data.
 
     Returns {'sup_second_null': sup over the annulus of |(dt-dr)^2 phi|,
     'ratio': sup / delta}.  dt^2 phi is reconstructed from the radial wave
-    equation, so the measurement needs an equation of state and damping
-    coefficient (defaults: polytropic gamma=2, a=0).
+    equation of the polytropic gas gamma = 2 without damping (a = 0).
+    GridTooCoarse where the Richardson estimate of the stencil's error
+    exceeds the sup.
     """
-    if eos is None:
-        eos = make_polytropic(2.0)
     r, phi, dtphi = data.r_grid, data.phi_at_minus2, data.dtphi_at_minus2
-    sup = _second_null_sup(r, phi, dtphi, eos, a)
-    coarse = _second_null_sup(r[::2], phi[::2], dtphi[::2], eos, a)
+    sup = _second_null_sup(r, phi, dtphi)
+    coarse = _second_null_sup(r[::2], phi[::2], dtphi[::2])
     fd_err = abs(sup - coarse) / 15.0 * 16.0   # Richardson estimate, 4th order
     if sup > 0.0 and fd_err > sup:
         raise GridTooCoarse(

@@ -27,7 +27,6 @@ from charshock.burgers import (
     sine_profile,
 )
 from charshock.errors import (
-    CflViolation,
     InvalidParameter,
     NoBlowupTrend,
     PastShock,
@@ -352,7 +351,7 @@ def test_direct_solver_validates_inputs():
     p = make_problem()
     with pytest.raises(InvalidParameter):
         burgers_direct_solve(p, grid_n=32)
-    with pytest.raises(CflViolation):
+    with pytest.raises(InvalidParameter):
         burgers_direct_solve(p, cfl=1.5)
 
 

@@ -299,7 +299,7 @@ def test_charshock_error_maps_to_exit_1(tmp_path, capsys):
     # a solver input that would never finish, and too few rays
     hist_path = tmp_path / "zero.npz"
     _save_zero_history(hist_path)
-    for argv, kind in ((["euler-radial", "--cfl", "0"], "CflViolation"),
+    for argv, kind in ((["euler-radial", "--cfl", "0"], "InvalidParameter"),
                        (["foliate", "--history", str(hist_path), "--rays", "9"],
                         "InvalidParameter"),
                        (["predict", "--c", "nan"], "InvalidParameter"),

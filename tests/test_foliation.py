@@ -15,11 +15,9 @@ from charshock.errors import (
     InvalidParameter,
     NoRootBeforeSigma,
     ShockDetected,
-    SingularEndpoint,
 )
 from charshock.foliation import (
     _GROWTH,
-    RayBundle,
     _block,
     _sample,
     a1_integral,
@@ -27,7 +25,6 @@ from charshock.foliation import (
     lmu_initial,
     mu_from_spacing,
     predict_mu,
-    shock_region_monitor,
     shock_time_3d,
     trace_rays,
 )
@@ -59,9 +56,9 @@ def test_a1_integral_vs_riemann_oracle():
 
 
 def test_a1_integral_singular_endpoint():
-    with pytest.raises(SingularEndpoint):
+    with pytest.raises(InvalidParameter):
         a1_integral(0.0, 0.0)
-    with pytest.raises(SingularEndpoint):
+    with pytest.raises(InvalidParameter):
         a1_integral(-2.5, 0.0)
 
 
@@ -446,22 +443,3 @@ def test_snapshot_spacing_moves_the_trace_little(pulse_bundle):
     assert np.array_equal(reference.times[rows], bundle.times)
     for name in ("r", "mu_spacing", "mu_transport"):
         assert np.max(np.abs(getattr(bundle, name) - getattr(reference, name)[rows])) <= 1e-3
-
-
-def test_shock_region_monitor_empty_when_mu_large(pulse_bundle):
-    _, bundle = pulse_bundle
-    assert shock_region_monitor(bundle) == []
-
-
-def test_shock_region_monitor_flags():
-    times = np.linspace(-1.6, -1.5, 6)
-    u = np.linspace(0.0, 0.1, 34)
-    mu = np.tile(np.linspace(0.09, 0.04, 6)[:, None], (1, 34))
-    bundle = RayBundle(u=u, times=times, r=np.tile(2.0 + u, (6, 1)),
-                       mu_spacing=mu, mu_transport=mu.copy())
-    report = shock_region_monitor(bundle)
-    assert len(report) == 6 * 34
-    assert all(not rec["violation"] for rec in report)
-    rising = RayBundle(u=u, times=times, r=np.tile(2.0 + u, (6, 1)),
-                       mu_spacing=mu[::-1], mu_transport=mu[::-1].copy())
-    assert all(rec["violation"] for rec in shock_region_monitor(rising))

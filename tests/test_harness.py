@@ -152,7 +152,7 @@ def test_euler_cell_rejects_zero_cfl():
         sigma=-1.8, solver={"cfl": 0, "points_per_delta": 16, "r_min": 1.6,
                             "ray_count": 33})
     row = run_sweep(cfg).rows[0]
-    assert row["status"] == "CflViolation"
+    assert row["status"] == "InvalidParameter"
 
 
 _EULER_SOLVER = {"points_per_delta": 16, "r_min": 1.6, "ray_count": 33}

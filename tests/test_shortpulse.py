@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from charshock.errors import InvalidWidth
+from charshock.errors import InvalidParameter
 from charshock.shortpulse import (
     _seed_profile,
     SeedProfiles,
@@ -83,9 +83,9 @@ def test_data_vanish_beyond_a_delta_squared_annulus():
 
 
 def test_invalid_width():
-    with pytest.raises(InvalidWidth):
+    with pytest.raises(InvalidParameter):
         build_annulus_data(SeedProfiles(phi1=zero, phi2=zero, delta=1.0))
-    with pytest.raises(InvalidWidth):
+    with pytest.raises(InvalidParameter):
         build_annulus_data(SeedProfiles(phi1=zero, phi2=zero, delta=0.1),
                            width_mode="banana")
 
