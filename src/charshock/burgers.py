@@ -129,7 +129,7 @@ class BurgersHistory:
     max_neg_slope: np.ndarray
     x: np.ndarray
     phi: np.ndarray                     # field at last_good_time (the last finite one)
-    status: str = "ok"
+    status: str = "Completed"           # 'Completed' | 'NonFinite', as a RunHistory's
 
     @property
     def last_good_time(self):
@@ -168,13 +168,14 @@ def burgers_direct_solve(
 ) -> BurgersHistory:
     """Conservative MUSCL/SSP-RK2 solve with Strang-split damping source from
     t = -1 to t_end, or to the last step before a non-finite field (status
-    "NonFiniteField").  The defaults are the sweep's and the CLI's.  Each an
-    InvalidParameter: grid_n outside [64, MAX_VALUES], a t_end that is not
-    finite or not above -1, cfl outside (0, 0.9], and a step too small to
-    reach t_end in errors.MAX_VALUES steps, once it is taken and has left a
-    finite field (errors.check_steps).  A step
-    allocates nothing: the field and its two stages swap between three
-    ghosted rows, and the returned phi is a copy of the last finite field."""
+    "NonFinite"; numpy's overflow warnings on the way are silenced).  The
+    defaults are the sweep's and the CLI's.  Each an InvalidParameter:
+    grid_n outside [64, MAX_VALUES], a t_end that is not finite or not
+    above -1, cfl outside (0, 0.9], and a step too small to reach t_end in
+    errors.MAX_VALUES steps, once it is taken and has left a finite field
+    (errors.check_steps).  A step allocates nothing: the field and its two
+    stages swap between three ghosted rows, and the returned phi is a copy
+    of the last finite field."""
     if grid_n < 64:
         raise InvalidParameter("grid_n must be >= 64")
     check_size("the Burgers grid", grid_n)
@@ -195,32 +196,33 @@ def burgers_direct_solve(
     np.subtract(phi[:-1], phi[1:], out=scratch[1:])
     times, slopes = [t], [max(0.0, float(scratch[1:].max()) / dx)]
     speed = float(np.abs(phi, out=scratch).max())
-    status = "ok"
-    while t < t_end - 1e-14:
-        step = min(cfl * dx / max(speed, 1e-12), _DT_MAX)
-        dt = min(step, t_end - t)
-        try:
-            decay = math.exp(-a * dt / 2.0)
-        except OverflowError:             # growth beyond the float range in one step
-            status = "NonFiniteField"
-            break
+    status = "Completed"
+    with np.errstate(over="ignore", invalid="ignore"):     # the finiteness check names it
+        while t < t_end - 1e-14:
+            step = min(cfl * dx / max(speed, 1e-12), _DT_MAX)
+            dt = min(step, t_end - t)
+            try:
+                decay = math.exp(-a * dt / 2.0)
+            except OverflowError:             # growth beyond the float range in one step
+                status = "NonFinite"
+                break
 
-        np.multiply(phi, decay, out=phi0)
-        np.add(phi0, np.multiply(_muscl_rhs(u0, dx, work, rhs), dt, out=rhs), out=phi1)
-        np.multiply(_muscl_rhs(u1, dx, work, rhs), dt, out=rhs)
-        np.add(np.add(phi0, phi1, out=phi1), rhs, out=phi1)
-        np.multiply(phi1, 0.5 * decay, out=phi1)     # 0.5 (phi0 + phi1 + dt rhs) decay
+            np.multiply(phi, decay, out=phi0)
+            np.add(phi0, np.multiply(_muscl_rhs(u0, dx, work, rhs), dt, out=rhs), out=phi1)
+            np.multiply(_muscl_rhs(u1, dx, work, rhs), dt, out=rhs)
+            np.add(np.add(phi0, phi1, out=phi1), rhs, out=phi1)
+            np.multiply(phi1, 0.5 * decay, out=phi1)     # 0.5 (phi0 + phi1 + dt rhs) decay
 
-        speed = float(np.abs(phi1, out=scratch).max())  # the next CFL speed; NaN/inf propagate
-        if not math.isfinite(speed):
-            status = "NonFiniteField"     # phi stays at last_good_time
-            break
-        check_steps(t, step, t_end)       # after the finiteness check, which a NaN step fails
-        (u, phi), (u1, phi1) = (u1, phi1), (u, phi)
-        t += dt
-        times.append(t)
-        np.subtract(phi[:-1], phi[1:], out=scratch[1:])
-        slopes.append(max(0.0, float(scratch[1:].max()) / dx))
+            speed = float(np.abs(phi1, out=scratch).max())  # next CFL speed; NaN/inf propagate
+            if not math.isfinite(speed):
+                status = "NonFinite"          # phi stays at last_good_time
+                break
+            check_steps(t, step, t_end)       # after the finiteness check, which a NaN step fails
+            (u, phi), (u1, phi1) = (u1, phi1), (u, phi)
+            t += dt
+            times.append(t)
+            np.subtract(phi[:-1], phi[1:], out=scratch[1:])
+            slopes.append(max(0.0, float(scratch[1:].max()) / dx))
 
     return BurgersHistory(
         times=np.asarray(times),
@@ -237,6 +239,7 @@ class BlowupEstimate:
     confidence_window: tuple[float, float]
 
 
+@np.errstate(divide="ignore", over="ignore")    # inf r: NoBlowupTrend; a flat fit: root inf
 def estimate_blowup_time(times, slopes, a: float) -> BlowupEstimate:
     """Extrapolate the max-negative-slope series to its blow-up time.
 
@@ -264,6 +267,8 @@ def estimate_blowup_time(times, slopes, a: float) -> BlowupEstimate:
     # which come after the shock, then the initial transient (large r) and
     # the saturated samples before the shock (r near the grid floor).
     r = np.exp(-a * (times + 1.0)) / slopes
+    if not np.isfinite(r).all():
+        raise NoBlowupTrend("e^{-a(t+1)} / slope overflows a double")
     last = int(np.argmin(r)) + 1
     times, r = times[:last], r[:last]
     r0, r_min = r[0], r[-1]

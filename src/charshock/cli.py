@@ -51,6 +51,7 @@ def cmd_burgers(args):
     problem = BurgersProblem(profile=f, a=args.a, slope=df)
     report = asdict(burgers_shock_time(args.a, problem.c))
     hist = burgers_direct_solve(problem, grid_n=args.grid, t_end=args.t_end)
+    report["status"] = hist.status
     try:
         est = estimate_blowup_time(hist.times, hist.max_neg_slope, args.a)
         report["t_star_direct"] = est.t_star_estimate
@@ -61,7 +62,7 @@ def cmd_burgers(args):
         fh.write("t,max_neg_slope,r_of_t,min_mu_closed_form\n")
         x = np.linspace(*DOMAIN, 1025)
         for t, s in zip(hist.times, hist.max_neg_slope):
-            r_of_t = 1.0 / s if s > 0 else float("inf")
+            r_of_t = 1.0 / float(s) if s > 0 else float("inf")    # inf past 1/s's range
             min_mu = float(np.min(burgers_mu(x, t, problem)))
             fh.write(f"{_f(t)},{_f(s)},{_f(r_of_t)},{_f(min_mu)}\n")
         fh.write(json.dumps(report) + "\n")

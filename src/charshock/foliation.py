@@ -239,6 +239,7 @@ def mu_from_spacing(eta, r_pos, du):
     return eta * dr_du
 
 
+@np.errstate(over="ignore", invalid="ignore")    # as trace_rays, which derives the same block
 def lmu_initial(history: RunHistory, u, eos: EquationOfState = None):
     """Lmu(-2, u) = eta * growth on the first slice, where mu = eta; eos=None
     takes the history's own EOS."""
@@ -264,6 +265,7 @@ class RayBundle:
     mu_transport: np.ndarray       # (n_t, n_rays)
 
 
+@np.errstate(over="ignore", invalid="ignore")    # the EOS and the stop rules name a breakdown
 def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
     """Integrate the incoming null rays and both mu discretizations.
 

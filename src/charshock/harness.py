@@ -132,14 +132,17 @@ class SweepResult:
 
 
 def _cell_burgers(cell):
-    a, c = cell["a"], cell["c"]
-    report = burgers_shock_time(a, c)
+    """The sine profile's cell, classified by its measured compression as cmd_burgers does."""
+    a = cell["a"]
+    f, df = sine_profile(cell["c"])
+    problem = BurgersProblem(profile=f, a=a, slope=df)
+    report = burgers_shock_time(a, problem.c)
     t_star = report.t_star if report.t_star is not None else float("nan")
     row = {"t_star_predicted": t_star, "classification": report.classification}
     entries = dict(cell["solver"])
     if entries.pop("simulate", False):
-        f, df = sine_profile(c)
-        hist = burgers_direct_solve(BurgersProblem(profile=f, a=a, slope=df), **entries)
+        hist = burgers_direct_solve(problem, **entries)
+        row["run_status"] = hist.status
         est = estimate_blowup_time(hist.times, hist.max_neg_slope, a)
         row["t_star_simulated"] = est.t_star_estimate
     return row

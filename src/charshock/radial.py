@@ -337,11 +337,11 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     if not r_min > 0.0:         # the 2/r term is infinite at r = 0
         raise InvalidParameter(f"r_min must be positive, got {r_min}")
     dr = delta / points_per_delta
-    r_max = data.r_grid[-1] + pad
+    r_max = float(data.r_grid[-1]) + pad     # a Python float: the count below overflows unwarned
     if not r_max - r_min >= 7 * dr:
         raise InvalidParameter(
             f"grid [{r_min}, {r_max}] holds fewer than 8 points of spacing {dr}")
-    check_size("the grid", (r_max - r_min) / dr + 1.0)
+    check_size("the grid", (r_max - r_min) * points_per_delta / delta + 1.0)   # dr may underflow
     n = int(np.ceil((r_max - r_min) / dr))
     r = r_min + dr * np.arange(n + 1)
     y = np.stack((data.phi_at(r), data.dtphi_at(r)))
@@ -371,13 +371,14 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     keep(t, j1)
     try:
         c0 = float(np.sqrt(eos.eta_sq(0.0)))
-        while t < t_end:
-            t, y[:, j0:j1] = advance(t, r[j0:j1], y[:, j0:j1], a, eos, t_end, cfl)
-            j0 = max(0, int(front - c0 * (t + 2.0) / dr) - _MARGIN)
-            j1 = min(j0 + width, r.size)
-            if t >= sample_times[due]:
-                keep(t, j1)
-                due = bisect.bisect_right(sample_times, t)
+        with np.errstate(over="ignore", invalid="ignore"):     # the breakdowns below name it
+            while t < t_end:
+                t, y[:, j0:j1] = advance(t, r[j0:j1], y[:, j0:j1], a, eos, t_end, cfl)
+                j0 = max(0, int(front - c0 * (t + 2.0) / dr) - _MARGIN)
+                j1 = min(j0 + width, r.size)
+                if t >= sample_times[due]:
+                    keep(t, j1)
+                    due = bisect.bisect_right(sample_times, t)
     except OutOfDomain as exc:
         status, message = "EosDomain", str(exc)
     except NonFiniteField as exc:

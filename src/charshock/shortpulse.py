@@ -220,10 +220,12 @@ def _bump_slope_norm(lo=0.1, hi=0.9):
 
 def bump_seeds(c, delta):
     """Seed profiles with max_s phi1'(s) = c and no phi2 forcing; c must be
-    finite (InvalidParameter otherwise)."""
-    if not math.isfinite(c):
-        raise InvalidParameter(f"c must be finite, got {c}")
+    finite, and so must the bump's scale c / max bump' (|c| up to about
+    2.1e306), InvalidParameter otherwise."""
     scale = c / _bump_slope_norm()
+    if not math.isfinite(scale):
+        raise InvalidParameter(f"c must be finite and at most "
+                               f"{_bump_slope_norm() * np.finfo(float).max:.3g} in size, got {c}")
 
     def phi1(s):
         return scale * bump(s)

@@ -162,7 +162,7 @@ def test_direct_solver_zero_profile():
     p = BurgersProblem(profile=zero, slope=zero, a=0.3)
     hist = burgers_direct_solve(p, grid_n=128, t_end=0.5)
     assert np.all(hist.phi == 0.0)
-    assert hist.status == "ok"
+    assert hist.status == "Completed"
 
 
 def test_direct_solver_stops_on_non_finite_field():
@@ -171,7 +171,7 @@ def test_direct_solver_stops_on_non_finite_field():
     spike = lambda x: np.where(np.abs(x) < 0.01, np.nan, 0.0)
     p = BurgersProblem(profile=spike, slope=spike)
     hist = burgers_direct_solve(p, grid_n=128, t_end=0.5)
-    assert hist.status == "NonFiniteField"
+    assert hist.status == "NonFinite"
     assert list(hist.times) == [-1.0] and hist.last_good_time == -1.0
     assert np.array_equal(hist.phi, p.profile(hist.x), equal_nan=True)  # the initial field
 
@@ -196,7 +196,7 @@ def test_non_finite_stop_keeps_the_last_good_field():
     with np.errstate(over="ignore", invalid="ignore"):
         hist = burgers_direct_solve(p, grid_n=64, t_end=2.0)
         reference = _reference_direct_solve(p, 64, 2.0, 0.5)
-    assert hist.status == "NonFiniteField" and len(hist.times) == 3
+    assert hist.status == "NonFinite" and len(hist.times) == 3
     assert np.all(np.isfinite(hist.phi)) and np.max(np.abs(hist.phi)) > 1e200
     _assert_same_bytes(hist, reference)
 
@@ -294,7 +294,7 @@ def _reference_direct_solve(problem, grid_n, t_end, cfl):
     t = -1.0
     times, slopes = [t], [max(0.0, float(np.max(phi[:-1] - phi[1:])) / dx)]
     speed = float(np.max(np.abs(phi)))
-    status = "ok"
+    status = "Completed"
     while t < t_end - 1e-14:
         dt = min(cfl * dx / max(speed, 1e-12), 0.05, t_end - t)
         decay = math.exp(-a * dt / 2.0)
@@ -305,7 +305,7 @@ def _reference_direct_solve(problem, grid_n, t_end, cfl):
 
         speed = float(np.max(np.abs(phi_next)))
         if not math.isfinite(speed):
-            status = "NonFiniteField"
+            status = "NonFinite"
             break
         phi = phi_next
         t += dt
@@ -397,7 +397,7 @@ def test_direct_solver_global_branch_slope_bound():
     """a = c = 1: max negative slope stays below 2c for all times."""
     p = make_problem(c=1.0, a=1.0)
     hist = burgers_direct_solve(p, grid_n=1024, t_end=5.0, cfl=0.5)
-    assert hist.status == "ok"
+    assert hist.status == "Completed"
     assert np.max(hist.max_neg_slope) <= 2.0
 
 

@@ -1,10 +1,14 @@
 """Command line interface: subcommands, outputs, exit codes."""
 
 import contextlib
+import csv
+import functools
 import io
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,9 @@ def test_burgers_command(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,max_neg_slope,r_of_t,min_mu_closed_form"
     report = json.loads(lines[-1])
-    assert set(report) == {"classification", "t_star", "t_star_direct", "confidence_window"}
+    assert set(report) == {"classification", "t_star", "status", "t_star_direct",
+                           "confidence_window"}
+    assert report["status"] == "Completed"
     assert report["t_star"] == pytest.approx(0.0, abs=1e-12)
     slopes = [float(row.split(",")[1]) for row in lines[1:-1]]
     assert slopes == sorted(slopes)          # steepening toward the shock
@@ -90,8 +96,9 @@ def test_predict_answers_or_names_its_error(c, a, sigma):
         assert err.getvalue().count("\n") == 1
 
 
-_ODD = st.sampled_from([1e300, -1e300, 5e-324, -5e-324, 1e-310, 0.0, -0.0, -1.0,
-                        math.nan, math.inf, -math.inf]).map(repr)
+_ODD_VALUES = st.sampled_from([1e300, -1e300, 5e-324, -5e-324, 1e-310, 0.0, -0.0, -1.0,
+                               math.nan, math.inf, -math.inf])
+_ODD = _ODD_VALUES.map(repr)
 
 
 def _weighted(*choices):
@@ -120,10 +127,11 @@ def _count(small):
 
 def _answers_or_names_its_error(argv):
     """Run the command with numpy's warnings recorded, not raised: exit 0, 1
-    or 2, no exception, and exit 1 with exactly one error: line."""
+    or 2, no exception, no RuntimeWarning, and exit 1 with exactly one
+    error: line."""
     out, err = io.StringIO(), io.StringIO()
     with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
-          warnings.catch_warnings(record=True)):
+          warnings.catch_warnings(record=True) as caught):
         warnings.simplefilter("always")
         try:
             code = main(argv)
@@ -132,6 +140,7 @@ def _answers_or_names_its_error(argv):
     err = err.getvalue()
     event(f"exit {code}")
     assert code in (0, 1, 2) and "Traceback" not in err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -140,6 +149,8 @@ def _answers_or_names_its_error(argv):
 @example(a="-1e300", c="1.0", t_end="0.5", grid="64")     # the damping factor overflows
 @example(a="0.0", c="5e-324", t_end="0.5", grid="64")     # a/c with a subnormal c
 @example(a="0.0", c="1.0", t_end="1e300", grid="64")      # 2e301 steps
+@example(a="0.0", c="1e300", t_end="0.5", grid="64")      # the flux overflows
+@example(a="0.0", c="1e-310", t_end="0.5", grid="64")     # 1/slope overflows
 @given(a=_flag(st.floats(-2.0, 2.0)), c=_flag(st.floats(-2.0, 2.0)),
        t_end=_flag(st.floats(-1.5, 0.5)), grid=_count(st.integers(64, 128)))
 def test_burgers_answers_or_names_its_error(a, c, t_end, grid):
@@ -148,6 +159,7 @@ def test_burgers_answers_or_names_its_error(a, c, t_end, grid):
 
 
 @settings(deadline=None, max_examples=100)
+@example(c="1e308", delta="0.1", grid="8", width_mode="delta")   # the bump's scale is inf
 @given(c=_flag(st.floats(-2.0, 2.0)), delta=_flag(st.floats(0.0, 1.0)),
        grid=_count(st.integers(1, 64)),
        width_mode=st.sampled_from(["delta", "delta_squared", "x"]))
@@ -158,6 +170,8 @@ def test_seed_data_answers_or_names_its_error(c, delta, grid, width_mode):
 
 @settings(deadline=None, max_examples=100)
 @example(a="0.0", c="1.0", gamma="2.0", cfl="1e-320", t_end="-1.99", points="16")
+@example(a="0.0", c="1e300", gamma="2.0", cfl="0.4", t_end="-1.99", points="16")
+@example(a="0.0", c="1e5", gamma="1e308", cfl="0.4", t_end="-1.99", points="16")
 @given(a=_flag(st.floats(-2.0, 2.0)), c=_flag(st.floats(-2.0, 2.0)),
        gamma=_flag(st.floats(1.1, 5.0)), cfl=_flag(st.floats(0.1, 1.0)),
        t_end=_flag(st.floats(-1.999, -1.98)), points=_count(st.integers(1, 32)))
@@ -165,6 +179,79 @@ def test_euler_radial_answers_or_names_its_error(a, c, gamma, cfl, t_end, points
     _answers_or_names_its_error(["euler-radial", "--delta", "0.1", "--r-min", "1.6",
                                  f"--a={a}", f"--c={c}", f"--gamma={gamma}", f"--cfl={cfl}",
                                  f"--t-end={t_end}", f"--points-per-delta={points}"])
+
+
+# the small run _EULER_SMALL at these flags: it reaches t_end; it breaks down at
+# its first step, where h leaves the polytropic domain; it breaks down at its
+# first step with a Chaplygin h whose derived ray fields overflow
+_HISTORIES = {"history": ["--c=1.0"], "broken": ["--c=1e300"],
+              "overflowing": ["--c=1e140", "--chaplygin"]}
+
+
+@functools.cache
+def _history_bytes(file):
+    """The .npz bytes of the run _HISTORIES[file]."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.npz"
+        assert main([*_EULER_SMALL, *_HISTORIES[file], f"--history={path}",
+                     f"--out={Path(tmp) / 'run.csv'}"]) == 0
+        return path.read_bytes()
+
+
+@settings(deadline=None, max_examples=30)
+@given(file=st.sampled_from([*_HISTORIES, "missing", "json"]),
+       rays=_count(st.integers(33, 65)))
+def test_foliate_answers_or_names_its_error(file, rays):
+    """foliate on the histories of _HISTORIES, a missing file or a JSON file,
+    with any --rays."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.npz"
+        if file in _HISTORIES:
+            path.write_bytes(_history_bytes(file))
+        elif file == "json":
+            path.write_text(json.dumps({"grid_n": "x"}))
+        _answers_or_names_its_error(["foliate", f"--history={path}", f"--rays={rays}",
+                                     f"--out={Path(tmp) / 'fol.csv'}"])
+
+
+def _values(finite, size=2):
+    """A JSON list of up to size numbers from finite or the odd values."""
+    return st.lists(_weighted((6, finite), (1, _ODD_VALUES)), min_size=1, max_size=size)
+
+
+@st.composite
+def _sweep_config(draw):
+    """A sweep config of any mode, its axes and sigma drawn with the odd
+    values, and small solver settings with an odd cfl or t_end."""
+    mode = draw(st.sampled_from(["predict", "burgers", "euler", "x"]))
+    size = 1 if mode == "euler" else 2
+    cfg = {"mode": mode, "a_values": draw(_values(st.floats(-1.0, 1.0), size)),
+           "c_values": draw(_values(st.floats(-2.0, 2.0), size)),
+           "sigma": draw(_values(st.floats(-1.99, -1.9), 1))[0]}
+    if mode == "euler":
+        cfg["delta_values"] = draw(_values(st.floats(0.05, 0.2), 1))
+        cfg["solver"] = {"points_per_delta": 16, "r_min": 1.6, "ray_count": 33,
+                         "cfl": draw(_values(st.floats(0.1, 0.9), 1))[0]}
+    elif mode == "burgers":
+        cfg["solver"] = {"simulate": draw(st.booleans()), "grid_n": 64,
+                         "t_end": draw(_values(st.floats(-0.5, 0.5), 1))[0]}
+    return cfg
+
+
+@settings(deadline=None, max_examples=40)
+@given(cfg=_sweep_config(), workers=st.sampled_from(["-1", "0", "1", "2", "x"]))
+def test_sweep_answers_or_names_its_error(cfg, workers):
+    """sweep on a drawn config (NaN and Infinity as JSON literals) with at
+    most two workers; a cell that fails names a charshock error, never the
+    catch-all status Error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(cfg))
+        _answers_or_names_its_error(["sweep", f"--config={config}", f"--out={tmp}",
+                                     f"--workers={workers}"])
+        if (Path(tmp) / "sweep.csv").exists():
+            with open(Path(tmp) / "sweep.csv") as fh:
+                assert "Error" not in {row["status"] for row in csv.DictReader(fh)}
 
 
 def test_euler_and_foliate_round_trip(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charshock import harness
+from charshock.cli import main
 from charshock.errors import ConfigInvalid
 from charshock.harness import SweepConfig, emit_outputs, run_sweep
 
@@ -109,6 +110,22 @@ def test_single_cell_burgers_undamped():
     assert row["status"] == "ok"
     assert row["t_star_predicted"] == pytest.approx(0.0, abs=1e-12)
     assert result.n_failed == 0
+
+
+def test_burgers_cell_classifies_as_the_command(capsys):
+    """A burgers cell classifies the sine profile by its measured compression,
+    as the burgers command does: at c = -1 the slope is 1 at x = +-1, a shock
+    at t* = 0, not the Global that the nominal c would give.  The cell's
+    run_status is the command's status."""
+    cfg = SweepConfig(a_values=(0.0,), c_values=(-1.0,), mode="burgers",
+                      solver={"simulate": True, "grid_n": 256, "t_end": 0.5})
+    row = run_sweep(cfg).rows[0]
+    assert main(["burgers", "--c", "-1", "--grid", "256", "--t-end", "0.5"]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (row["classification"], row["t_star_predicted"]) == ("Shock", 0.0)
+    assert (report["classification"], report["t_star"]) == ("Shock", 0.0)
+    assert row["t_star_simulated"] == report["t_star_direct"]
+    assert row["status"] == "ok" and row["run_status"] == report["status"] == "Completed"
 
 
 def test_damping_sweep_monotone_shock_delay():
