@@ -30,8 +30,11 @@ The artefacts:
   * predict.t_star: classify_largeness's t* over a 41 x 60 (a, c) grid;
   * cli.*: the stdout of small burgers, predict and euler-radial runs;
   * sweep.*: the sweep.csv and series.csv that the sweep command writes for
-    a small burgers sweep with the finite-volume oracle and an 8 x 8 predict
-    sweep (summary.json holds runtimes and is left out).
+    a small burgers sweep with the finite-volume oracle, an 8 x 8 predict
+    sweep and four euler cells at delta = 0.1 (summary.json holds runtimes
+    and is left out): c = 1 reaches sigma with its min mu, c = 10 and -30
+    trace a simulated shock time, and c = 100 breaks down (EosDomain), so
+    each column of an euler row is pinned.
 
 It takes about 10 s on a 2-core machine.
 """
@@ -76,6 +79,9 @@ SWEEPS = {
                 "solver": {"simulate": True, "grid_n": 512, "t_end": 0.5}},
     "predict": {"mode": "predict", "a_values": np.linspace(-0.5, 0.5, 8).tolist(),
                 "c_values": np.geomspace(0.05, 2.0, 8).tolist()},
+    "euler": {"mode": "euler", "a_values": [0.25], "c_values": [-30.0, 1.0, 10.0, 100.0],
+              "delta_values": [0.1], "sigma": -1.8,
+              "solver": {"points_per_delta": 16, "r_min": 1.6, "ray_count": 33}},
 }
 
 
