@@ -30,7 +30,9 @@ The artefacts:
   * predict.t_star: classify_largeness's t* over a 41 x 60 (a, c) grid;
   * cli.*: the stdout of small burgers, predict and euler-radial runs;
   * sweep.*: the sweep.csv and series.csv that the sweep command writes for
-    a small burgers sweep with the finite-volume oracle, an 8 x 8 predict
+    a small burgers sweep with the finite-volume oracle (its a = 0.5,
+    c = 0.5 cell is Global, and its blow-up fit fails with NoBlowupTrend
+    after the solve), an 8 x 8 predict
     sweep and four euler cells at delta = 0.1 (summary.json holds runtimes
     and is left out): c = 1 reaches sigma with its min mu, c = 10 and -30
     trace a simulated shock time, and c = 100 breaks down (EosDomain), so
@@ -75,7 +77,7 @@ CLI_RUNS = {
                      "--r-min", "1.6", "--points-per-delta", "16", "--r-stride", "4"],
 }
 SWEEPS = {
-    "burgers": {"mode": "burgers", "a_values": [0.0, 0.5], "c_values": [1.0],
+    "burgers": {"mode": "burgers", "a_values": [0.0, 0.5], "c_values": [0.5, 1.0],
                 "solver": {"simulate": True, "grid_n": 512, "t_end": 0.5}},
     "predict": {"mode": "predict", "a_values": np.linspace(-0.5, 0.5, 8).tolist(),
                 "c_values": np.geomspace(0.05, 2.0, 8).tolist()},
