@@ -49,6 +49,7 @@ __all__ = [
 
 DOMAIN = (-1.0, 1.0)    # the interval every BurgersProblem lives on, with outflow edges
 _DT_MAX = 0.05      # largest burgers_direct_solve step, whatever the CFL allows
+_CFL = 0.5          # burgers_direct_solve's step is _CFL dx / max|phi|, at most _DT_MAX
 _FIT_FLOOR = 0.3    # estimate_blowup_time fits only r <= (1 - this) * r(start)
 _A_LINEAR = 1e-9    # below this |a|, e^{-a(t+1)} - 1 = -a(t+1) to 1.5e-9 relative for t <= 2
 
@@ -164,15 +165,14 @@ def burgers_direct_solve(
     problem: BurgersProblem,
     grid_n: int = 2048,
     t_end: float = 2.0,
-    cfl: float = 0.5,
 ) -> BurgersHistory:
     """Conservative MUSCL/SSP-RK2 solve with Strang-split damping source from
     t = -1 to t_end, or to the last step before a non-finite field (status
     "NonFinite"; numpy's overflow warnings on the way are silenced).  The
     defaults are the sweep's and the CLI's.  Each an InvalidParameter:
     grid_n outside [64, MAX_VALUES], a t_end that is not finite or not
-    above -1, cfl outside (0, 0.9], and a step too small to reach t_end in
-    errors.MAX_VALUES steps, once it is taken and has left a finite field
+    above -1, and a step too small to reach t_end in errors.MAX_VALUES
+    steps, once it is taken and has left a finite field
     (errors.check_steps).  A step allocates nothing: the field and its two
     stages swap between three ghosted rows, and the returned phi is a copy
     of the last finite field."""
@@ -181,8 +181,6 @@ def burgers_direct_solve(
     check_size("the Burgers grid", grid_n)
     if not (math.isfinite(t_end) and t_end > -1.0):
         raise InvalidParameter(f"t_end must be finite and above -1, got {t_end}")
-    if not (0.0 < cfl <= 0.9):
-        raise InvalidParameter(f"cfl must lie in (0, 0.9], got {cfl}")
     a = problem.a
     x_lo, x_hi = DOMAIN
     dx = (x_hi - x_lo) / grid_n
@@ -199,7 +197,7 @@ def burgers_direct_solve(
     status = "Completed"
     with np.errstate(over="ignore", invalid="ignore"):     # the finiteness check names it
         while t < t_end - 1e-14:
-            step = min(cfl * dx / max(speed, 1e-12), _DT_MAX)
+            step = min(_CFL * dx / max(speed, 1e-12), _DT_MAX)
             dt = min(step, t_end - t)
             try:
                 decay = math.exp(-a * dt / 2.0)

@@ -90,7 +90,7 @@ def cmd_euler_radial(args):
             f" and --r-stride {args.r_stride}")
     eos = make_chaplygin() if args.chaplygin else make_polytropic(args.gamma)
     data = build_annulus_data(bump_seeds(c=args.c, delta=args.delta))
-    hist = run_until(data, a=args.a, eos=eos, t_end=args.t_end, cfl=args.cfl,
+    hist = run_until(data, a=args.a, eos=eos, t_end=args.t_end,
                      points_per_delta=args.points_per_delta,
                      r_min=args.r_min, sample_dt=args.sample_dt)
     if args.history:
@@ -181,7 +181,6 @@ def build_parser():
     e.add_argument("--gamma", type=float, default=2.0)
     e.add_argument("--chaplygin", action="store_true")
     e.add_argument("--t-end", type=float, default=-1.5)
-    e.add_argument("--cfl", type=float, default=0.4)
     e.add_argument("--points-per-delta", type=int, default=64)
     e.add_argument("--r-min", type=float, default=0.05)
     e.add_argument("--sample-dt", type=float, default=None)

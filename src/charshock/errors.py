@@ -13,7 +13,7 @@ class OutOfDomain(CharshockError):
 
 
 class InvalidParameter(CharshockError):
-    """An input outside its admissible range: a CFL number, a width, a time, a count."""
+    """An input outside its admissible range: a width, a time, a count, a step."""
 
 
 class PastShock(CharshockError):
@@ -57,7 +57,7 @@ def check_size(what, n):
 def check_steps(t, step, t_end):
     """InvalidParameter unless at most MAX_VALUES steps of step reach t_end from
     t and half a step moves t.  A solver's step is at least half its CFL step,
-    or its last one to t_end; a zero, subnormal or NaN step fails here."""
+    or its last one to t_end; a fast field's tiny step, or a NaN one, fails here."""
     if not (t_end - t <= MAX_VALUES * step and t + 0.5 * step > t):
         raise InvalidParameter(f"time steps of {step:.3g} from t = {t!r} would not "
                                f"reach t_end = {t_end!r} in {MAX_VALUES:.0e} steps")

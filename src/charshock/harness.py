@@ -39,10 +39,10 @@ _NUMBER = (int, float)
 # library function that takes it, so an unset one keeps that default (euler:
 # ray_count to trace_rays, the rest to run_until, whose t_end is sigma)
 _SOLVER_ENTRIES = {
-    "burgers": {"simulate": bool, "grid_n": int, "t_end": _NUMBER, "cfl": _NUMBER},
+    "burgers": {"simulate": bool, "grid_n": int, "t_end": _NUMBER},
     "predict": {},
-    "euler": {"ray_count": int, "points_per_delta": _NUMBER, "cfl": _NUMBER,
-              "r_min": _NUMBER, "sample_dt": (*_NUMBER, type(None))},
+    "euler": {"ray_count": int, "points_per_delta": _NUMBER, "r_min": _NUMBER,
+              "sample_dt": (*_NUMBER, type(None))},
 }
 
 
@@ -60,7 +60,7 @@ class SweepConfig:
         """ConfigInvalid unless every field is well formed: numeric axis values,
         known solver entries of the right JSON type, EOS records of known
         families with fields of the right type, and every number convertible
-        to a finite float.  A value out of range (gamma <= 1, cfl = 0) fails
+        to a finite float.  A value out of range (gamma <= 1, r_min = 0) fails
         its own cells only."""
         if self.mode not in _MODES:
             raise ConfigInvalid(f"mode must be one of {_MODES}, got {self.mode!r}")

@@ -65,6 +65,7 @@ __all__ = [
 _N_PIN = 3  # inner grid points held at zero (deep inside the trivial region)
 _MARGIN = 64  # grid points evolved ahead of the incoming front
 _TRAIL = 256  # grid points evolved behind the trailing characteristic
+_CFL = 0.4  # advance's step is _CFL dr / max(eta + |v_r|)
 
 
 def _edge_rows(edge, width):
@@ -210,22 +211,20 @@ def _stage(t, r, y, a, eos):
     return rhs, eta_sq, dphi
 
 
-def advance(t, r, y, a: float, eos: EquationOfState, t_end: float, cfl: float):
+def advance(t, r, y, a: float, eos: EquationOfState, t_end: float):
     """One classical RK4 step of the stacked state y = (phi, dtphi) on the grid
     r from t toward t_end under the CFL limit; returns (t', y').
 
     The first stage k1 also gives the CFL speed max(eta + |v_r|).  The step is
-    dt = (t_end - t) / ceil((t_end - t) / (cfl dr / speed)), so none exceeds
+    dt = (t_end - t) / ceil((t_end - t) / (_CFL dr / speed)), so none exceeds
     the CFL step and no tiny last step occurs; a step that reaches t_end
     returns t' = t_end exactly.  y is not modified; y' is a new array.
 
-    InvalidParameter for cfl outside (0, 0.9], for a t_end that is not
-    finite or not after t, for a grid of fewer than the stencils' 8 points,
-    and for a CFL step that would take more than errors.MAX_VALUES steps to
-    reach t_end or that does not move t (errors.check_steps).
+    InvalidParameter for a t_end that is not finite or not after t, for a
+    grid of fewer than the stencils' 8 points, and for a CFL step that would
+    take more than errors.MAX_VALUES steps to reach t_end or that does not
+    move t (errors.check_steps).
     """
-    if not 0.0 < cfl <= 0.9:
-        raise InvalidParameter(f"cfl must lie in (0, 0.9], got {cfl}")
     if not t < t_end < math.inf:
         raise InvalidParameter(f"t_end must be finite and after t={t}, got {t_end}")
     if len(r) < 8:
@@ -233,7 +232,7 @@ def advance(t, r, y, a: float, eos: EquationOfState, t_end: float, cfl: float):
             f"field of {len(r)} grid points; the stencils need at least 8")
     k1, eta_sq, dphi = _stage(t, r, y, a, eos)
     speed = float(np.max(np.sqrt(eta_sq) + np.abs(dphi)))
-    limit = cfl * (r[1] - r[0]) / speed              # the CFL step
+    limit = _CFL * (r[1] - r[0]) / speed             # the CFL step
     check_steps(t, limit, t_end)                     # before ceil: a finite count
     steps = math.ceil((t_end - t) / limit)
     dt = (t_end - t) / steps
@@ -300,8 +299,8 @@ def energy_functional(r, y, eos: EquationOfState, a: float):
     return float(np.trapezoid(integrand, r))
 
 
-def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
-              r_min=0.05, pad=1.0, sample_dt=None):
+def run_until(data, a, eos, t_end, points_per_delta=64, r_min=0.05, pad=1.0,
+              sample_dt=None):
     """Evolve short-pulse data from t = -2 to t_end, storing snapshots.
 
     data: ShortPulseData providing phi_at / dtphi_at evaluators and delta.
@@ -316,15 +315,13 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
     the one inside the annulus' outer edge (module docstring); a snapshot
     stores the window's W points, from start[k], or the grid's last W.
 
-    Inputs are checked on entry, each an InvalidParameter: cfl outside
-    (0, 0.9], a non-finite a, t_end outside (-2, 0), points_per_delta,
-    sample_dt or r_min <= 0, fewer than the stencils' 8 grid points, and
-    points_per_delta, a grid or a snapshot store above errors.MAX_VALUES
-    values (checked before dr and either array are made).
+    Inputs are checked on entry, each an InvalidParameter: a non-finite a,
+    t_end outside (-2, 0), points_per_delta, sample_dt or r_min <= 0, fewer
+    than the stencils' 8 grid points, and points_per_delta, a grid or a
+    snapshot store above errors.MAX_VALUES values (checked before dr and
+    either array are made).
     """
     delta = data.delta
-    if not 0.0 < cfl <= 0.9:
-        raise InvalidParameter(f"cfl must lie in (0, 0.9], got {cfl}")
     if not math.isfinite(a):
         raise InvalidParameter(f"a must be finite, got {a}")
     if not -2.0 < t_end < 0.0:
@@ -373,7 +370,7 @@ def run_until(data, a, eos, t_end, cfl=0.4, points_per_delta=64,
         c0 = float(np.sqrt(eos.eta_sq(0.0)))
         with np.errstate(over="ignore", invalid="ignore"):     # the breakdowns below name it
             while t < t_end:
-                t, y[:, j0:j1] = advance(t, r[j0:j1], y[:, j0:j1], a, eos, t_end, cfl)
+                t, y[:, j0:j1] = advance(t, r[j0:j1], y[:, j0:j1], a, eos, t_end)
                 j0 = max(0, int(front - c0 * (t + 2.0) / dr) - _MARGIN)
                 j1 = min(j0 + width, r.size)
                 if t >= sample_times[due]:

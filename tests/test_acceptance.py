@@ -96,15 +96,14 @@ def test_acceptance_2_burgers_oracle_agreement():
         f, df = sine_profile(1.0)
         problem = BurgersProblem(profile=f, a=a, slope=df)
         exact = burgers_shock_time(a, problem.c).t_star
-        hist = burgers_direct_solve(problem, grid_n=4096,
-                                    t_end=exact + 0.3, cfl=0.5)
+        hist = burgers_direct_solve(problem, grid_n=4096, t_end=exact + 0.3)
         est = estimate_blowup_time(hist.times, hist.max_neg_slope, a)
         err = abs(est.t_star_estimate - exact)
         details.append(f"a={a}: |err|={err:.4f}")
         ok &= err <= 0.02
     f, df = sine_profile(1.0)
     problem = BurgersProblem(profile=f, a=1.0, slope=df)
-    hist = burgers_direct_solve(problem, grid_n=1024, t_end=10.0, cfl=0.5)
+    hist = burgers_direct_solve(problem, grid_n=1024, t_end=10.0)
     peak = float(np.max(hist.max_neg_slope))
     details.append(f"a=c=1 peak slope {peak:.3f}")
     ok &= peak <= 2.0 * problem.c

@@ -58,11 +58,10 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _NUMBER = st.one_of(st.integers(), _FINITE)
 # each mode's solver entries, drawn from the JSON types validate accepts
 _SOLVER = {
-    "burgers": {"simulate": st.booleans(), "grid_n": st.integers(), "t_end": _NUMBER,
-                "cfl": _NUMBER},
+    "burgers": {"simulate": st.booleans(), "grid_n": st.integers(), "t_end": _NUMBER},
     "predict": {},
-    "euler": {"ray_count": st.integers(), "points_per_delta": _NUMBER, "cfl": _NUMBER,
-              "r_min": _NUMBER, "sample_dt": st.one_of(st.none(), _NUMBER)},
+    "euler": {"ray_count": st.integers(), "points_per_delta": _NUMBER, "r_min": _NUMBER,
+              "sample_dt": st.one_of(st.none(), _NUMBER)},
 }
 _EOS_RECORD = st.one_of(
     st.builds(lambda g: {"family": "polytropic", "gamma": g}, st.floats(1.01, 6.0)),
@@ -162,33 +161,26 @@ def test_crash_isolation_records_failed_cell():
     assert bad["error"] != ""
 
 
-def test_euler_cell_rejects_zero_cfl():
-    """A solver input that would never finish fails its cell instead of hanging."""
-    cfg = SweepConfig(
-        a_values=(0.0,), c_values=(1.0,), mode="euler", delta_values=(0.1,),
-        sigma=-1.8, solver={"cfl": 0, "points_per_delta": 16, "r_min": 1.6,
-                            "ray_count": 33})
-    row = run_sweep(cfg).rows[0]
-    assert row["status"] == "InvalidParameter"
-
-
 _EULER_SOLVER = {"points_per_delta": 16, "r_min": 1.6, "ray_count": 33}
-_NEVER_ENDING = {
-    "euler-cfl-1e-300": ("euler", {**_EULER_SOLVER, "cfl": 1e-300}),
-    "euler-cfl-1e-320": ("euler", {**_EULER_SOLVER, "cfl": 1e-320}),
-    "euler-r-min-negative": ("euler", {**_EULER_SOLVER, "r_min": -0.5}),
-    "burgers-cfl-1e-300": ("burgers", {"simulate": True, "grid_n": 64, "cfl": 1e-300}),
-    "burgers-t-end-1e300": ("burgers", {"simulate": True, "grid_n": 64, "t_end": 1e300}),
+_NEVER_ENDING = {       # each row's config fields other than a = 0, delta and sigma
+    "euler-chaplygin-c-1e20": {"mode": "euler", "c_values": (1e20,), "solver": _EULER_SOLVER,
+                               "eos_values": ({"family": "chaplygin"},)},
+    "euler-r-min-negative": {"mode": "euler", "solver": {**_EULER_SOLVER, "r_min": -0.5}},
+    "burgers-c-1e100": {"mode": "burgers", "c_values": (1e100,),
+                        "solver": {"simulate": True, "grid_n": 64}},
+    "burgers-t-end-1e300": {"mode": "burgers",
+                            "solver": {"simulate": True, "grid_n": 64, "t_end": 1e300}},
 }
 
 
-@pytest.mark.parametrize("mode, solver", _NEVER_ENDING.values(), ids=_NEVER_ENDING.keys())
-def test_cell_that_would_never_end_reads_invalid_parameter(mode, solver):
-    """A time step too small to reach t_end in errors.MAX_VALUES steps, or a
-    grid reaching r = 0, fails its cell with status InvalidParameter instead of
+@pytest.mark.parametrize("fields", _NEVER_ENDING.values(), ids=_NEVER_ENDING.keys())
+def test_cell_that_would_never_end_reads_invalid_parameter(fields):
+    """A time step too small to reach t_end in errors.MAX_VALUES steps (a
+    steep Chaplygin seed, a huge Burgers compression or t_end), or a grid
+    reaching r = 0, fails its cell with status InvalidParameter instead of
     hanging, ending in Error or breaking down where the 2/r term is infinite."""
-    cfg = SweepConfig(a_values=(0.0,), c_values=(1.0,), mode=mode, delta_values=(0.1,),
-                      sigma=-1.8, solver=solver)
+    cfg = SweepConfig(**{"a_values": (0.0,), "c_values": (1.0,), "delta_values": (0.1,),
+                         "sigma": -1.8, **fields})
     row = run_sweep(cfg).rows[0]
     assert row["status"] == "InvalidParameter" and row["error"] != ""
 

@@ -18,6 +18,7 @@ from charshock.radial import (
     _MARGIN,
     _N_PIN,
     _TRAIL,
+    _CFL,
     _fields,
     _stage,
     RunHistory,
@@ -141,14 +142,6 @@ def test_eos_domain_breakdown():
         _rhs(r, y, 0.0, make_chaplygin())   # h = 0.6 >= 1/2
 
 
-def test_cfl_violation():
-    """advance takes cfl in (0, 0.9], as run_until does."""
-    r = np.linspace(1.0, 3.0, 200)
-    for cfl in (0.0, -1.0, 0.95, float("nan")):
-        with pytest.raises(InvalidParameter):
-            advance(-2.0, r, np.zeros((2, r.size)), a=0.0, eos=EOS, t_end=-1.9, cfl=cfl)
-
-
 @pytest.mark.parametrize("t_end, n", [(-2.001, 200), (-2.0, 200), (float("nan"), 200),
                                       (float("inf"), 200), (-1.9, 7), (-1.9, 6)],
                          ids=["negative", "zero", "nan", "inf", "7-points", "6-points"])
@@ -157,7 +150,17 @@ def test_advance_rejects_bad_inputs(t_end, n):
     the stencils' 8 grid points, as run_until."""
     r = np.linspace(1.0, 3.0, n)
     with pytest.raises(InvalidParameter):
-        advance(-2.0, r, np.zeros((2, n)), a=0.0, eos=EOS, t_end=t_end, cfl=0.4)
+        advance(-2.0, r, np.zeros((2, n)), a=0.0, eos=EOS, t_end=t_end)
+
+
+def test_advance_rejects_a_step_that_would_never_reach_t_end():
+    """A steep Chaplygin state, phi = 1e7 r, has a CFL step so small that more
+    than errors.MAX_VALUES steps would be needed: InvalidParameter at its
+    first step (errors.check_steps) instead of a loop that never ends."""
+    r = 1.0 + 0.01 * np.arange(40)
+    y = np.stack((1e7 * r, np.zeros_like(r)))
+    with pytest.raises(InvalidParameter, match="would not reach t_end"):
+        advance(-2.0, r, y, a=0.0, eos=make_chaplygin(), t_end=-1.9)
 
 
 def test_advance_lands_on_t_end():
@@ -167,17 +170,13 @@ def test_advance_lands_on_t_end():
     t, y = -2.0, np.zeros((2, r.size))
     t_end, steps = -1.9, 0
     while t < t_end:
-        t, y = advance(t, r, y, a=0.0, eos=EOS, t_end=t_end, cfl=0.4)
+        t, y = advance(t, r, y, a=0.0, eos=EOS, t_end=t_end)
         steps += 1
     assert t == t_end
-    assert steps == math.ceil(0.1 / (0.4 * (r[1] - r[0])))
+    assert steps == math.ceil(0.1 / (_CFL * (r[1] - r[0])))
 
 
 _BAD_INPUTS = [
-    ({"cfl": 0.0}, InvalidParameter),
-    ({"cfl": -1.0}, InvalidParameter),
-    ({"cfl": 0.95}, InvalidParameter),
-    ({"cfl": float("nan")}, InvalidParameter),
     ({"t_end": 0.0}, InvalidParameter),
     ({"t_end": -2.0}, InvalidParameter),
     ({"t_end": -3.0}, InvalidParameter),
@@ -191,11 +190,6 @@ _BAD_INPUTS = [
     ({"sample_dt": 1e-300}, InvalidParameter),
     ({"r_min": 0.0}, InvalidParameter),
     ({"r_min": -0.5}, InvalidParameter),
-    ({"cfl": 1e-20}, InvalidParameter),
-    ({"cfl": 1e-320}, InvalidParameter),
-    ({"cfl": 5e-324}, InvalidParameter),
-    # about 1e7 CFL steps to t_end, none of which moves t = -2
-    ({"t_end": -2.0 + 1e-10, "cfl": 1.6e-15}, InvalidParameter),
 ]
 
 
@@ -471,10 +465,10 @@ def _step_outcome(step, *args):
 @given(eos=st.sampled_from(_STAGE_EOS), a=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
        n=st.integers(8, 160), r0=st.floats(0.05, 2.0), width=st.floats(0.1, 3.0),
        amp=st.lists(st.floats(-0.2, 0.2), min_size=2, max_size=2),
-       centre=st.floats(0.0, 1.0), cut=st.floats(0.0, 1.0), cfl=st.floats(0.05, 0.9),
-       span=st.floats(0.05, 20.0), view=st.booleans())
-def test_advance_matches_reference_step_bytes(eos, a, n, r0, width, amp, centre, cut, cfl,
-                                              span, view):
+       centre=st.floats(0.0, 1.0), cut=st.floats(0.0, 1.0), span=st.floats(0.05, 20.0),
+       view=st.booleans())
+def test_advance_matches_reference_step_bytes(eos, a, n, r0, width, amp, centre, cut, span,
+                                              view):
     """advance gives the bytes of an RK4 step built from the reference stage and
     the plain stage combination, sign of zero included, or raises the same
     breakdown, on cut states as above, also when the state is a window view
@@ -491,13 +485,13 @@ def test_advance_matches_reference_step_bytes(eos, a, n, r0, width, amp, centre,
         speed = float(np.max(np.sqrt(eta_sq) + np.abs(dphi)))
     except OutOfDomain:
         speed = 1.0     # the first stage breaks down on both sides
-    t, t_end = -1.5, -1.5 + span * cfl * (r[1] - r[0]) / speed
-    steps = math.ceil((t_end - t) / (cfl * (r[1] - r[0]) / speed))
+    t, t_end = -1.5, -1.5 + span * _CFL * (r[1] - r[0]) / speed
+    steps = math.ceil((t_end - t) / (_CFL * (r[1] - r[0]) / speed))
     state = np.zeros((2, n + 5))[:, 2:n + 2] if view else np.empty_like(y)
     state[...] = y
 
     def step(*_):
-        t_new, y_new = advance(t, r, state, a, eos, t_end, cfl)
+        t_new, y_new = advance(t, r, state, a, eos, t_end)
         return t_new, y_new[0], y_new[1]
 
     def ref_step(*_):
@@ -508,7 +502,7 @@ def test_advance_matches_reference_step_bytes(eos, a, n, r0, width, amp, centre,
     assert np.array_equal(state, y)
 
 
-def _reference_run(data, a, eos, r, t_end, sample_dt, cfl=0.4):
+def _reference_run(data, a, eos, r, t_end, sample_dt):
     """Full-grid solve through the public advance: a step is stored when a
     multiple of sample_dt after -2 lies in it, or ends the run."""
     t, y = -2.0, np.stack((data.phi_at(r), data.dtphi_at(r)))
@@ -516,7 +510,7 @@ def _reference_run(data, a, eos, r, t_end, sample_dt, cfl=0.4):
     times, ys = [t], [y]
     while t < t_end:
         t_prev = t
-        t, y = advance(t, r, y, a, eos, t_end, cfl)
+        t, y = advance(t, r, y, a, eos, t_end)
         if t == t_end or np.any((multiples > t_prev) & (multiples <= t)):
             times.append(t)
             ys.append(y)
@@ -551,21 +545,20 @@ def test_run_until_step_rule(window_data, monkeypatch, sample_dt, t_end):
     """No step is longer than the CFL step, none shorter than half of it unless
     the run is shorter than one step; a snapshot is the first step at or after
     each multiple of sample_dt after -2, at most one per step, and the last
-    one is at t_end exactly.  The CFL step is cfl dr / max(eta + |v_r|), from
+    one is at t_end exactly.  The CFL step is _CFL dr / max(eta + |v_r|), from
     the pointwise fields of the state each step starts from."""
-    cfl, recorded = 0.4, []
-    step = radial.advance
+    recorded, step = [], radial.advance
 
-    def recording(t, r, y, a, eos, t_end, cfl):
+    def recording(t, r, y, a, eos, t_end):
         dphi, _, _, _, eta_sq, _ = _fields(r, y, a, eos)
-        out = step(t, r, y, a, eos, t_end, cfl)
-        recorded.append((t, out[0], cfl * (r[1] - r[0]) / np.max(np.sqrt(eta_sq)
-                                                                 + np.abs(dphi))))
+        out = step(t, r, y, a, eos, t_end)
+        recorded.append((t, out[0], _CFL * (r[1] - r[0]) / np.max(np.sqrt(eta_sq)
+                                                                  + np.abs(dphi))))
         return out
 
     monkeypatch.setattr(radial, "advance", recording)
-    hist = run_until(window_data, a=0.3, eos=EOS, t_end=t_end, cfl=cfl,
-                     points_per_delta=16, r_min=1.2, sample_dt=sample_dt)
+    hist = run_until(window_data, a=0.3, eos=EOS, t_end=t_end, points_per_delta=16,
+                     r_min=1.2, sample_dt=sample_dt)
     start, end, limit = map(np.array, zip(*recorded))
     # dt read back as end - start carries the rounding of end, half an ulp
     dt, ulp = end - start, np.abs(np.spacing(end))
