@@ -84,7 +84,9 @@ def damping_kernel(t, a):
 
 
 def burgers_shock_time(a: float, c: float) -> ShockReport:
-    """Shock/global dichotomy in terms of the damping a and max compression c."""
+    """Shock/global dichotomy in terms of the damping a and max compression c;
+    a root beyond the float range (a about 0 and c below about 5.6e-309)
+    reads Global."""
     if not (np.isfinite(a) and np.isfinite(c)):
         raise InvalidParameter("a and c must be finite")
     if c <= 0.0:
@@ -94,8 +96,12 @@ def burgers_shock_time(a: float, c: float) -> ShockReport:
         return ShockReport(classification="Global")
     if abs(a) <= 1e-8 * c:      # -log1p(-x)/x = 1 + x/2 to 3e-17, where x = a/c may be subnormal
         t_star = (1.0 + 0.5 * (a / c)) / c - 1.0
+    elif -a / c == math.inf:    # log1p(x) = log(x) to 1e-308 relative beyond the float range
+        t_star = (math.log(c) - math.log(-a)) / a - 1.0
     else:
         t_star = -math.log1p(-a / c) / a - 1.0
+    if t_star == math.inf:
+        return ShockReport(classification="Global")
     return ShockReport(classification="Shock", t_star=t_star)
 
 

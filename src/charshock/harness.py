@@ -131,30 +131,35 @@ class SweepResult:
         return sum(1 for r in self.rows if r["status"] != "ok")
 
 
-def _cell_burgers(cell):
+# A cell function fills the columns of row, the cell's row, as it computes
+# them, so that a cell that fails keeps the ones it filled.
+
+def _cell_burgers(cell, row):
     """The sine profile's cell, classified by its measured compression as cmd_burgers does."""
     a = cell["a"]
     f, df = sine_profile(cell["c"])
     problem = BurgersProblem(profile=f, a=a, slope=df)
     report = burgers_shock_time(a, problem.c)
-    t_star = report.t_star if report.t_star is not None else float("nan")
-    row = {"t_star_predicted": t_star, "classification": report.classification}
+    row["classification"] = report.classification
+    if report.t_star is not None:
+        row["t_star_predicted"] = report.t_star
     entries = dict(cell["solver"])
     if entries.pop("simulate", False):
         hist = burgers_direct_solve(problem, **entries)
         row["run_status"] = hist.status
         est = estimate_blowup_time(hist.times, hist.max_neg_slope, a)
         row["t_star_simulated"] = est.t_star_estimate
-    return row
 
 
-def _cell_predict(cell):
+def _cell_predict(cell, row):
     pred = classify_largeness(cell["c"], cell["a"], sigma=cell["sigma"])
-    return {"t_star_predicted": pred.t_star, "classification": pred.classification}
+    row["t_star_predicted"], row["classification"] = pred.t_star, pred.classification
 
 
-def _cell_euler(cell):
-    row = _cell_predict(cell)
+def _cell_euler(cell, row):
+    """The bump seed's run and ray trace, classified by the seed's max phi1',
+    which is |c| (bump_seeds)."""
+    _cell_predict({**cell, "c": abs(cell["c"])}, row)
     entries = dict(cell["solver"])
     rays = {"ray_count": entries.pop("ray_count")} if "ray_count" in entries else {}
     eos = eos_from_config(cell["eos"])
@@ -162,7 +167,7 @@ def _cell_euler(cell):
     hist = run_until(data, a=cell["a"], eos=eos, t_end=cell["sigma"], **entries)
     row["run_status"], row["error"] = hist.status, hist.message  # why the run stopped
     if len(hist.times) < 2:     # broke down at its first step: no ray to trace
-        return row
+        return
     bundle = trace_rays(hist, **rays)
     min_mu = np.min(bundle.mu_spacing, axis=1)
     if bundle.times[-1] >= cell["sigma"] - 1e-12:    # else the bundle stopped short of sigma
@@ -176,7 +181,6 @@ def _cell_euler(cell):
             row["t_star_simulated"] = float(t0 + (m0 - 0.1) / (m0 - m1) * (t1 - t0))
         else:
             row["t_star_simulated"] = float(bundle.times[i])
-    return row
 
 
 _CELL_FUNCS = {"burgers": _cell_burgers, "predict": _cell_predict,
@@ -185,9 +189,10 @@ _MODES = tuple(_CELL_FUNCS)
 
 
 def _run_cell(cell):
-    """Evaluate one sweep cell; never raises (crash isolation)."""
+    """Evaluate one sweep cell; never raises (crash isolation).  A cell that
+    fails keeps the columns its cell function filled before the failure."""
     t0 = time.perf_counter()
-    base = {
+    row = {
         "a": cell["a"], "c": cell["c"], "delta": cell["delta"],
         "eos": json.dumps(cell["eos"], sort_keys=True),
         "t_star_predicted": float("nan"), "t_star_simulated": float("nan"),
@@ -195,15 +200,15 @@ def _run_cell(cell):
         "run_status": "", "status": "ok", "error": "",
     }
     try:
-        base.update(_CELL_FUNCS[cell["mode"]](cell))
+        _CELL_FUNCS[cell["mode"]](cell, row)
     except CharshockError as exc:
-        base["status"] = type(exc).__name__
-        base["error"] = str(exc)
+        row["status"] = type(exc).__name__
+        row["error"] = str(exc)
     except Exception as exc:  # noqa: BLE001 - sweep must never abort
-        base["status"] = "Error"
-        base["error"] = f"{type(exc).__name__}: {exc}"
-    base["runtime"] = time.perf_counter() - t0
-    return base
+        row["status"] = "Error"
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    row["runtime"] = time.perf_counter() - t0
+    return row
 
 
 def run_sweep(config: SweepConfig, workers=1) -> SweepResult:

@@ -19,6 +19,7 @@ from charshock.burgers import (
     _CFL,
     _muscl_rhs,
     BurgersProblem,
+    ShockReport,
     burgers_characteristic_solve,
     burgers_direct_solve,
     burgers_mu,
@@ -78,6 +79,29 @@ def test_shock_time_continuity_at_zero_damping():
     for a in (1e-6, -1e-6):
         taylor = t0 + a / 2.0 + a**2 / 3.0
         assert burgers_shock_time(a, 1.0).t_star == pytest.approx(taylor, abs=1e-12)
+
+
+def test_shock_time_at_subnormal_compression():
+    """At a < 0 the root ln(1 - a/c)/-a - 1 stays finite where -a/c overflows:
+    ln(1e310) - 1 at a = -1, c = 1e-310.  At a = 0 the root 1/c - 1 is beyond
+    the float range below c of about 5.6e-309, and reads Global."""
+    rep = burgers_shock_time(-1.0, 1e-310)
+    assert rep.classification == "Shock"
+    assert rep.t_star == pytest.approx(310.0 * math.log(10.0) - 1.0, rel=1e-15)
+    assert burgers_shock_time(0.0, 1e-310) == ShockReport(classification="Global")
+    assert burgers_shock_time(0.0, 5.6e-309).t_star == pytest.approx(1.0 / 5.6e-309)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_burgers_command_at_subnormal_compression_prints_strict_json(capsys):
+    """The report line parses as strict JSON: no Infinity for a root beyond
+    the float range."""
+    assert main(["burgers", "--c", "1e-310", "--grid", "64", "--t-end", "0.5"]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1], parse_constant=_no_constant)
+    assert report["classification"] == "Global" and report["t_star"] is None
 
 
 def test_shock_time_invalid_inputs():

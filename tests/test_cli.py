@@ -6,6 +6,8 @@ import functools
 import io
 import json
 import math
+import re
+import shlex
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from charshock.cli import main
+from charshock.cli import build_parser, main
 from charshock.eos import make_polytropic
 from charshock.foliation import trace_rays
 from charshock.radial import RunHistory
@@ -439,6 +441,17 @@ def test_the_cfl_number_is_not_a_flag(capsys):
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments: --cfl" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    """Every charshock command of README's sh blocks parses; nothing runs.  A
+    flag that the parser drops cannot stay in an example."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    commands = [line for line in blocks.splitlines() if line.startswith("charshock ")]
+    assert len(commands) >= 6
+    for line in commands:
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_stdout_stays_open_across_calls(capsys):

@@ -127,6 +127,17 @@ def test_burgers_cell_classifies_as_the_command(capsys):
     assert row["status"] == "ok" and row["run_status"] == report["status"] == "Completed"
 
 
+def test_failed_burgers_cell_keeps_what_it_computed():
+    """a = c = 0.5 is Global, and its completed solve shows no blow-up trend:
+    the cell fails in the fit, and keeps the classification and run status
+    it had before."""
+    cfg = SweepConfig(a_values=(0.5,), c_values=(0.5,), mode="burgers",
+                      solver={"simulate": True, "grid_n": 256})
+    row = run_sweep(cfg).rows[0]
+    assert row["status"] == "NoBlowupTrend" and row["error"] != ""
+    assert row["classification"] == "Global" and row["run_status"] == "Completed"
+
+
 def test_damping_sweep_monotone_shock_delay():
     cfg = SweepConfig(a_values=(-0.25, 0.0, 0.25, 0.5, 0.75),
                       c_values=(1.0,), mode="burgers")
@@ -244,6 +255,17 @@ def test_pool_is_capped_at_the_cell_count(monkeypatch):
     assert len(run_sweep(two, workers=3).rows) == 2
     assert len(run_sweep(PREDICT_CFG, workers=8).rows) == 1
     assert _InProcessPool.sizes == [2, 2]
+
+
+def test_euler_cell_classifies_by_the_seed_slope():
+    """bump_seeds(c) scales a symmetric bump, so the seed's max phi1' is |c|:
+    the cells c = -30 and c = 30 classify alike."""
+    cfg = SweepConfig(
+        a_values=(0.25,), c_values=(-30.0, 30.0), mode="euler", delta_values=(0.1,),
+        sigma=-1.8, solver={"points_per_delta": 16, "r_min": 1.6, "ray_count": 33})
+    neg, pos = run_sweep(cfg).rows
+    assert neg["classification"] == pos["classification"] == "ShockBefore"
+    assert neg["t_star_predicted"] == pos["t_star_predicted"]
 
 
 def test_euler_mode_cell():
