@@ -84,9 +84,8 @@ def damping_kernel(t, a):
 
 
 def burgers_shock_time(a: float, c: float) -> ShockReport:
-    """Shock/global dichotomy in terms of the damping a and max compression c;
-    a root beyond the float range (a about 0 and c below about 5.6e-309)
-    reads Global."""
+    """Shock/global dichotomy in terms of the damping a and max compression c; a
+    root beyond the float range (a near 0, c below about 5.6e-309) reads Global."""
     if not (np.isfinite(a) and np.isfinite(c)):
         raise InvalidParameter("a and c must be finite")
     if c <= 0.0:

@@ -131,18 +131,14 @@ class SweepResult:
         return sum(1 for r in self.rows if r["status"] != "ok")
 
 
-# A cell function fills the columns of row, the cell's row, as it computes
-# them, so that a cell that fails keeps the ones it filled.
-
 def _cell_burgers(cell, row):
     """The sine profile's cell, classified by its measured compression as cmd_burgers does."""
     a = cell["a"]
     f, df = sine_profile(cell["c"])
     problem = BurgersProblem(profile=f, a=a, slope=df)
     report = burgers_shock_time(a, problem.c)
-    row["classification"] = report.classification
-    if report.t_star is not None:
-        row["t_star_predicted"] = report.t_star
+    t_star = report.t_star if report.t_star is not None else float("nan")
+    row["t_star_predicted"], row["classification"] = t_star, report.classification
     entries = dict(cell["solver"])
     if entries.pop("simulate", False):
         hist = burgers_direct_solve(problem, **entries)
@@ -157,9 +153,7 @@ def _cell_predict(cell, row):
 
 
 def _cell_euler(cell, row):
-    """The bump seed's run and ray trace, classified by the seed's max phi1',
-    which is |c| (bump_seeds)."""
-    _cell_predict({**cell, "c": abs(cell["c"])}, row)
+    _cell_predict({**cell, "c": abs(cell["c"])}, row)   # |c| is the seed's max phi1' (bump_seeds)
     entries = dict(cell["solver"])
     rays = {"ray_count": entries.pop("ray_count")} if "ray_count" in entries else {}
     eos = eos_from_config(cell["eos"])
@@ -189,8 +183,8 @@ _MODES = tuple(_CELL_FUNCS)
 
 
 def _run_cell(cell):
-    """Evaluate one sweep cell; never raises (crash isolation).  A cell that
-    fails keeps the columns its cell function filled before the failure."""
+    """Evaluate one sweep cell; never raises (crash isolation).  Its cell
+    function fills the row as it goes, so a failed cell keeps what it filled."""
     t0 = time.perf_counter()
     row = {
         "a": cell["a"], "c": cell["c"], "delta": cell["delta"],

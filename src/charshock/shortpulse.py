@@ -219,10 +219,9 @@ def _bump_slope_norm(lo=0.1, hi=0.9):
 
 
 def bump_seeds(c, delta):
-    """Seed profiles phi1 = c bump / max bump' and no phi2 forcing.  The bump is
-    symmetric, so max_s phi1'(s) is |c| for either sign of c.  c must be
-    finite, and so must the bump's scale (|c| up to about 2.1e306),
-    InvalidParameter otherwise."""
+    """Seed profiles phi1 = c bump / max bump', whose max_s phi1'(s) is |c| (the
+    bump is symmetric), and no phi2 forcing; c must be finite, and so must the
+    bump's scale (|c| up to about 2.1e306), InvalidParameter otherwise."""
     scale = c / _bump_slope_norm()
     if not math.isfinite(scale):
         raise InvalidParameter(f"c must be finite and at most "
