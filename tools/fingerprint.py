@@ -28,7 +28,11 @@ The artefacts:
     777 cells up to t = 2, past its shock at t = -1 + ln 2, where dx = 2/777
     is not a power of two;
   * predict.t_star: classify_largeness's t* over a 41 x 60 (a, c) grid;
-  * cli.*: the stdout of small burgers, predict and euler-radial runs;
+  * shortpulse.null_ratio: null_derivative_ratio's two numbers, as JSON, for
+    the four delta of acceptance 6 at r_grid_n = 1024;
+  * cli.*: the stdout of small burgers, predict, seed-data and euler-radial
+    runs; in both seed-data runs the outer edge r = 2 + delta has
+    s = (r - 2)/delta one ulp past 1, the seed grid's last node;
   * sweep.*: the sweep.csv and series.csv that the sweep command writes for
     a small burgers sweep with the finite-volume oracle (its a = 0.5,
     c = 0.5 cell is Global, and its blow-up fit fails with NoBlowupTrend
@@ -73,6 +77,8 @@ CLI_RUNS = {
     "burgers": ["burgers", "--a", "0.25", "--grid", "512", "--t-end", "0.5"],
     "predict": ["predict", "--c", "0.5", "--a", "0.25"],
     "predict_below": ["predict", "--c", "0.1"],
+    "seed_data": ["seed-data", "--c", "1.0", "--delta", "0.1", "--grid", "64"],
+    "seed_data_wide": ["seed-data", "--c", "-0.7", "--delta", "0.78", "--grid", "64"],
     "euler_radial": ["euler-radial", "--delta", "0.1", "--c", "1.0", "--t-end", "-1.8",
                      "--r-min", "1.6", "--points-per-delta", "16", "--r-stride", "4"],
 }
@@ -180,6 +186,11 @@ def artefacts():
     t_star = [[foliation.classify_largeness(c, a).t_star for c in np.geomspace(0.05, 1e4, 60)]
               for a in np.linspace(-0.5, 0.5, 41)]
     yield "predict.t_star", _blob(np.array(t_star))
+
+    ratios = [shortpulse.null_derivative_ratio(shortpulse.build_annulus_data(
+        shortpulse.bump_seeds(c=1.0, delta=delta), r_grid_n=1024))
+        for delta in (0.2, 0.1, 0.05, 0.025)]
+    yield "shortpulse.null_ratio", json.dumps(ratios).encode()
 
     for name, argv in CLI_RUNS.items():
         out = io.StringIO()
