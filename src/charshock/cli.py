@@ -71,11 +71,11 @@ def cmd_burgers(args):
 
 def cmd_seed_data(args):
     seeds = bump_seeds(c=args.c, delta=args.delta)
-    data = build_annulus_data(seeds, r_grid_n=args.grid,
-                              width_mode=args.width_mode)
+    data = build_annulus_data(seeds, r_grid_n=args.grid)
+    r_grid = data.r_grid
     with _out(args) as fh:
         fh.write("r,phi,dtphi\n")
-        for r, p, q in zip(data.r_grid, data.phi_at_minus2, data.dtphi_at_minus2):
+        for r, p, q in zip(r_grid, data.phi_at(r_grid), data.dtphi_at(r_grid)):
             fh.write(f"{_f(r)},{_f(p)},{_f(q)}\n")
         fh.write("s,phi0\n")
         for s, p0 in zip(data.s_grid, data.phi0_profile):
@@ -169,8 +169,6 @@ def build_parser():
     s.add_argument("--c", type=float, default=1.0)
     s.add_argument("--delta", type=float, default=0.1)
     s.add_argument("--grid", type=int, default=512)
-    s.add_argument("--width-mode", choices=("delta", "delta_squared"),
-                   default="delta")
     s.add_argument("--out")
     s.set_defaults(func=cmd_seed_data)
 

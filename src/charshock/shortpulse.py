@@ -1,4 +1,4 @@
-"""Short-pulse initial data on the annulus [2, 2+w] at t = -2.
+"""Short-pulse initial data on the annulus [2, 2+delta] at t = -2.
 
 The potential and its time derivative are prescribed as
 
@@ -92,12 +92,10 @@ def _hermite(s, s_grid, f, df):
 
 @dataclass(frozen=True)
 class ShortPulseData:
-    """Fields at t = -2 on r_grid, and phi0 with its exact slope on s_grid;
+    """The annulus points r_grid, and phi0 with its exact slope on s_grid;
     phi_at is the cubic Hermite interpolant on (phi0_profile, dphi0_profile)."""
 
     r_grid: np.ndarray
-    phi_at_minus2: np.ndarray
-    dtphi_at_minus2: np.ndarray
     delta: float
     s_grid: np.ndarray
     phi0_profile: np.ndarray
@@ -119,8 +117,7 @@ class ShortPulseData:
         return out
 
     def dtphi_at(self, r):
-        """dtphi(-2, r), extended by zero outside the annulus r_grid[0] <= r <= r_grid[-1];
-        its edges are inside, so on r_grid it gives dtphi_at_minus2 bit for bit."""
+        """dtphi(-2, r), extended by zero outside the annulus r_grid[0] <= r <= r_grid[-1]."""
         r = np.asarray(r, dtype=float)
         inside = (r >= self.r_grid[0]) & (r <= self.r_grid[-1])
         out = np.zeros_like(r)
@@ -128,18 +125,13 @@ class ShortPulseData:
         return out
 
 
-def build_annulus_data(seeds: SeedProfiles, r_grid_n=512,
-                       width_mode="delta") -> ShortPulseData:
-    """Sample the short-pulse fields on the annulus [2, 2+w].
+def build_annulus_data(seeds: SeedProfiles, r_grid_n=512) -> ShortPulseData:
+    """The short-pulse data on the annulus [2, 2+delta], the full support of
+    the data, with r_grid_n + 1 points.
 
-    width_mode 'delta' takes w = delta (the full support of the data);
-    'delta_squared' takes w = delta^2 (the inner restriction), which only
-    makes sense for delta < 1.  InvalidParameter for r_grid_n outside
-    [1, MAX_VALUES), delta outside (0, 1) and any other width_mode.  The
-    seed ODE is solved on the nodes of _SEED_CELLS cells of [0, 1] up to the
-    annulus' edge s = w / delta, and on the edge itself, whatever r_grid_n;
-    the samples are phi_at on r_grid, the cubic Hermite interpolant of phi0
-    on its exact slope dphi0.
+    InvalidParameter for r_grid_n outside [1, MAX_VALUES) and delta outside
+    (0, 1).  The seed ODE is solved on the nodes of _SEED_CELLS cells of
+    [0, 1], whatever r_grid_n.
     """
     if r_grid_n < 1:
         raise InvalidParameter(f"r_grid_n must be >= 1, got {r_grid_n}")
@@ -147,28 +139,12 @@ def build_annulus_data(seeds: SeedProfiles, r_grid_n=512,
     delta = seeds.delta
     if not 0.0 < delta < 1.0:
         raise InvalidParameter(f"pulse amplitude must lie in (0, 1), got {delta}")
-    if width_mode == "delta":
-        s_max = 1.0
-    elif width_mode == "delta_squared":
-        s_max = delta
-    else:
-        raise InvalidParameter(f"unknown width_mode {width_mode!r}")
-
-    s_fine = np.linspace(0.0, 1.0, _SEED_CELLS + 1)
-    s_fine = s_fine[s_fine <= s_max + 1e-14]
-    if s_fine[-1] < s_max:          # the window's edge, a node of its own
-        s_fine = np.append(s_fine, s_max)
-    phi0, dphi0 = _seed_profile(seeds, s_fine)
-
-    r_grid = 2.0 + delta * np.linspace(0.0, s_max, r_grid_n + 1)
-    s = (r_grid - 2.0) / delta
-    s_in = np.minimum(s, s_fine[-1])    # the edge's s can round past the last node
+    s_grid = np.linspace(0.0, 1.0, _SEED_CELLS + 1)
+    phi0, dphi0 = _seed_profile(seeds, s_grid)
     return ShortPulseData(
-        r_grid=r_grid,
-        phi_at_minus2=delta**2 * _hermite(s_in, s_fine, phi0, dphi0),
-        dtphi_at_minus2=delta * np.asarray(seeds.phi1(s)),
+        r_grid=2.0 + delta * np.linspace(0.0, 1.0, r_grid_n + 1),
         delta=delta,
-        s_grid=s_fine,
+        s_grid=s_grid,
         phi0_profile=phi0,
         dphi0_profile=dphi0,
         seeds=seeds,
@@ -191,7 +167,8 @@ def null_derivative_ratio(data: ShortPulseData):
     GridTooCoarse where the Richardson estimate of the stencil's error
     exceeds the sup.
     """
-    r, phi, dtphi = data.r_grid, data.phi_at_minus2, data.dtphi_at_minus2
+    r = data.r_grid
+    phi, dtphi = data.phi_at(r), data.dtphi_at(r)
     sup = _second_null_sup(r, phi, dtphi)
     coarse = _second_null_sup(r[::2], phi[::2], dtphi[::2])
     fd_err = abs(sup - coarse) / 15.0 * 16.0   # Richardson estimate, 4th order
@@ -202,8 +179,12 @@ def null_derivative_ratio(data: ShortPulseData):
     return {"sup_second_null": sup, "ratio": sup / data.delta}
 
 
-def bump(s, lo=0.1, hi=0.9):
-    """Smooth compactly supported bump on (lo, hi), zero elsewhere."""
+_BUMP_SUPPORT = (0.1, 0.9)
+
+
+def bump(s):
+    """Smooth bump supported on _BUMP_SUPPORT, zero elsewhere."""
+    lo, hi = _BUMP_SUPPORT
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
     inside = (s > lo) & (s < hi)
@@ -213,9 +194,9 @@ def bump(s, lo=0.1, hi=0.9):
 
 
 @cache
-def _bump_slope_norm(lo=0.1, hi=0.9):
-    s = np.linspace(lo, hi, 200_001)
-    return float(np.max(d1(bump(s, lo, hi), s[1] - s[0])))
+def _bump_slope_norm():
+    s = np.linspace(*_BUMP_SUPPORT, 200_001)
+    return float(np.max(d1(bump(s), s[1] - s[0])))
 
 
 def bump_seeds(c, delta):

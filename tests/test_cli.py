@@ -161,13 +161,12 @@ def test_burgers_answers_or_names_its_error(a, c, t_end, grid):
 
 
 @settings(deadline=None, max_examples=100)
-@example(c="1e308", delta="0.1", grid="8", width_mode="delta")   # the bump's scale is inf
+@example(c="1e308", delta="0.1", grid="8")   # the bump's scale is inf
 @given(c=_flag(st.floats(-2.0, 2.0)), delta=_flag(st.floats(0.0, 1.0)),
-       grid=_count(st.integers(1, 64)),
-       width_mode=st.sampled_from(["delta", "delta_squared", "x"]))
-def test_seed_data_answers_or_names_its_error(c, delta, grid, width_mode):
+       grid=_count(st.integers(1, 64)))
+def test_seed_data_answers_or_names_its_error(c, delta, grid):
     _answers_or_names_its_error(["seed-data", f"--c={c}", f"--delta={delta}",
-                                 f"--grid={grid}", f"--width-mode={width_mode}"])
+                                 f"--grid={grid}"])
 
 
 @settings(deadline=None, max_examples=100)

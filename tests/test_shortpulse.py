@@ -45,8 +45,8 @@ def test_ode_sine_seed_vs_antiderivative():
 
 def test_zero_seeds_give_zero_data():
     data = build_annulus_data(SeedProfiles(phi1=zero, phi2=zero, delta=0.1))
-    assert np.all(data.phi_at_minus2 == 0.0)
-    assert np.all(data.dtphi_at_minus2 == 0.0)
+    assert np.all(data.phi_at(data.r_grid) == 0.0)
+    assert np.all(data.dtphi_at(data.r_grid) == 0.0)
     res = null_derivative_ratio(data)
     assert res["sup_second_null"] == 0.0
 
@@ -55,47 +55,25 @@ def test_amplitude_scaling():
     seeds = bump_seeds(c=1.0, delta=0.1)
     data = build_annulus_data(seeds, r_grid_n=512)
     s = np.linspace(0, 1, 2001)
-    assert np.max(np.abs(data.dtphi_at_minus2)) == pytest.approx(
+    assert np.max(np.abs(data.dtphi_at(data.r_grid))) == pytest.approx(
         0.1 * np.max(seeds.phi1(s)), rel=1e-3)
-    assert np.max(np.abs(data.phi_at_minus2)) <= 0.01 * np.max(np.abs(data.phi0_profile)) * (1 + 1e-12)
+    assert (np.max(np.abs(data.phi_at(data.r_grid)))
+            <= 0.01 * np.max(np.abs(data.phi0_profile)) * (1 + 1e-12))
 
 
 def test_delta_halving_scaling_law():
     sup = {}
     for delta in (0.1, 0.05):
         data = build_annulus_data(bump_seeds(c=1.0, delta=delta), r_grid_n=512)
-        sup[delta] = (np.max(np.abs(data.phi_at_minus2)),
-                      np.max(np.abs(data.dtphi_at_minus2)))
+        sup[delta] = (np.max(np.abs(data.phi_at(data.r_grid))),
+                      np.max(np.abs(data.dtphi_at(data.r_grid))))
     assert sup[0.05][0] / sup[0.1][0] == pytest.approx(0.25, rel=1e-6)
     assert sup[0.05][1] / sup[0.1][1] == pytest.approx(0.5, rel=1e-6)
-
-
-def test_data_vanish_beyond_a_delta_squared_annulus():
-    """Both fields stop at the annulus's outer edge 2 + delta^2, not at 2 + delta;
-    the edge itself is on the annulus, where dtphi is the last sample."""
-    data = build_annulus_data(bump_seeds(c=1.0, delta=0.5), width_mode="delta_squared")
-    assert data.r_grid[-1] == 2.25
-    beyond = np.array([np.nextafter(2.25, 3.0), 2.3, 2.35, 2.5])
-    assert np.all(data.dtphi_at(beyond) == 0.0)
-    assert np.all(data.phi_at(beyond) == data.phi_at(2.25))
-    assert data.dtphi_at(2.25) == data.dtphi_at_minus2[-1] > 0.0
-    assert data.dtphi_at(2.2) > 0.0
 
 
 def test_invalid_width():
     with pytest.raises(InvalidParameter):
         build_annulus_data(SeedProfiles(phi1=zero, phi2=zero, delta=1.0))
-    with pytest.raises(InvalidParameter):
-        build_annulus_data(SeedProfiles(phi1=zero, phi2=zero, delta=0.1),
-                           width_mode="banana")
-
-
-def test_width_modes():
-    seeds = bump_seeds(c=1.0, delta=0.2)
-    full = build_annulus_data(seeds, width_mode="delta")
-    thin = build_annulus_data(seeds, width_mode="delta_squared")
-    assert full.r_grid[-1] == pytest.approx(2.2)
-    assert thin.r_grid[-1] == pytest.approx(2.04)
 
 
 def test_null_derivative_ratio_bounded_across_delta():
@@ -115,7 +93,7 @@ def test_round_trip_radial_derivative():
     """d/dr of the built phi, rescaled, recovers dphi0."""
     data = build_annulus_data(bump_seeds(c=1.0, delta=0.1), r_grid_n=2048)
     dr = data.r_grid[1] - data.r_grid[0]
-    dphi_dr = np.gradient(data.phi_at_minus2, dr)
+    dphi_dr = np.gradient(data.phi_at(data.r_grid), dr)
     s = (data.r_grid - 2.0) / data.delta
     expect = data.delta * np.interp(s, data.s_grid, data.dphi0_profile)
     assert np.max(np.abs(dphi_dr - expect)[2:-2]) <= 1e-5
@@ -150,65 +128,40 @@ _POWER_OF_TWO_DELTAS = st.sampled_from([2.0**-k for k in range(1, 7)])
 
 
 @settings(deadline=None, max_examples=25)
-@given(c=_SLOPES, delta=st.floats(0.011, 0.89),
-       width_mode=st.sampled_from(["delta", "delta_squared"]))
-@example(c=58.5, delta=0.1136121899959893, width_mode="delta_squared")
-def test_hermite_phi_at_matches_a_cubic_spline(c, delta, width_mode):
-    """On the full support phi_at agrees with a spline of phi0 to round-off.
-    The Hermite interpolant is local, so a delta^2 window is that same data
-    cut at its edge bit for bit, up to its last full seed cell (the partial
-    one ends at the edge); a spline fitted to the cut profile is not (its end
-    condition sits on the bump's exp(-1/s) foot for delta up to about 0.45,
-    where the two differ by their discretization error)."""
-    full = build_annulus_data(bump_seeds(c, delta))
+@given(c=_SLOPES, delta=st.floats(0.011, 0.89))
+@example(c=58.5, delta=0.1136121899959893)
+def test_hermite_phi_at_matches_a_cubic_spline(c, delta):
+    """On the annulus and past it phi_at agrees with a spline of phi0 to round-off."""
+    data = build_annulus_data(bump_seeds(c, delta))
     r = 2.0 + delta * np.linspace(-0.1, 1.2, 4001)
-    assert (np.max(np.abs(full.phi_at(r) - _spline_phi(full, r)))
-            <= 2e-15 * np.max(np.abs(full.phi_at_minus2)))
-    if width_mode == "delta_squared":
-        data = build_annulus_data(bump_seeds(c, delta), width_mode=width_mode)
-        inside = r < 2.0 + delta * data.s_grid[-2]
-        assert data.phi_at(r[inside]).tobytes() == full.phi_at(r[inside]).tobytes()
+    assert (np.max(np.abs(data.phi_at(r) - _spline_phi(data, r)))
+            <= 2e-15 * np.max(np.abs(data.phi_at(data.r_grid))))
 
 
 @settings(deadline=None, max_examples=20)
-@given(c=_SLOPES, delta=_POWER_OF_TWO_DELTAS,
-       width_mode=st.sampled_from(["delta", "delta_squared"]))
-def test_hermite_phi_at_is_the_profile_at_the_nodes(c, delta, width_mode):
+@given(c=_SLOPES, delta=_POWER_OF_TWO_DELTAS)
+def test_hermite_phi_at_is_the_profile_at_the_nodes(c, delta):
     """At r = 2 + delta s_k (exact for a power-of-two delta) phi_at returns
-    delta^2 phi0_profile[k] bit for bit, and so do the built samples where
-    the sample grid meets the seed grid."""
-    data = build_annulus_data(bump_seeds(c, delta), r_grid_n=512, width_mode=width_mode)
+    delta^2 phi0_profile[k] bit for bit."""
+    data = build_annulus_data(bump_seeds(c, delta), r_grid_n=512)
     expect = delta**2 * data.phi0_profile
     assert data.phi_at(2.0 + delta * data.s_grid).tobytes() == expect.tobytes()
-    if width_mode == "delta":
-        step = (len(data.s_grid) - 1) // 512
-        assert data.phi_at_minus2.tobytes() == expect[::step].tobytes()
 
 
 @pytest.mark.parametrize("c", [1.0, -1.0])
-@pytest.mark.parametrize("delta", [0.3, 0.5, 0.77])
-@pytest.mark.parametrize("width_mode", ["delta", "delta_squared"])
-def test_samples_are_dtphi_at_on_the_annulus(c, delta, width_mode):
-    """dtphi_at on r_grid gives the built samples bit for bit, both edges
-    included: in a delta^2 window the outer edge sits inside the bump (at
-    delta = 0.5 it holds the field's maximum), and at delta = 0.77 its s
-    rounds past the seed grid's last node."""
-    data = build_annulus_data(bump_seeds(c, delta), r_grid_n=512, width_mode=width_mode)
-    assert data.dtphi_at(data.r_grid).tobytes() == data.dtphi_at_minus2.tobytes()
-    if width_mode == "delta_squared" and delta == 0.5:
-        assert data.dtphi_at(data.r_grid[-1:])[0] == data.dtphi_at_minus2[-1] != 0.0
-    outside = data.r_grid[[0, -1]] + np.array([-1e-12, 1e-12])
+@pytest.mark.parametrize("delta", [0.3, 0.5, 0.77], ids="delta-{}".format)
+def test_samples_are_dtphi_at_on_the_annulus(c, delta):
+    """The annulus is [2, 2 + delta] and dtphi_at keeps both its edges: with a
+    seed phi1 = c (1 + s), nonzero at s = 0 and 1, it is delta phi1 there and
+    zero just outside."""
+    seeds = SeedProfiles(phi1=lambda s: c * (1.0 + s), phi2=zero, delta=delta)
+    data = build_annulus_data(seeds, r_grid_n=512)
+    edges = data.r_grid[[0, -1]]
+    assert edges[0] == 2.0 and edges[1] == 2.0 + delta
+    assert np.array_equal(data.dtphi_at(edges), delta * seeds.phi1((edges - 2.0) / delta))
+    assert np.all(data.dtphi_at(edges) != 0.0)
+    outside = edges + np.array([-1e-12, 1e-12])
     assert np.all(data.dtphi_at(outside) == 0.0)
-
-
-@settings(deadline=None, max_examples=20)
-@given(c=_SLOPES, delta=st.floats(0.011, 0.89),
-       width_mode=st.sampled_from(["delta", "delta_squared"]))
-def test_samples_are_phi_at_on_the_annulus(c, delta, width_mode):
-    """The built samples are phi_at on the annulus, its outer edge included:
-    the seed grid ends at the edge in both width modes."""
-    data = build_annulus_data(bump_seeds(c, delta), r_grid_n=512, width_mode=width_mode)
-    assert np.array_equal(data.phi_at(data.r_grid), data.phi_at_minus2)
 
 
 def test_hermite_phi_at_reproduces_a_cubic_profile():
@@ -224,11 +177,10 @@ def test_hermite_phi_at_reproduces_a_cubic_profile():
 
 
 @settings(deadline=None, max_examples=20)
-@given(c=_SLOPES, delta=st.floats(0.011, 0.89),
-       width_mode=st.sampled_from(["delta", "delta_squared"]))
-def test_phi_at_is_zero_inside_and_constant_past_the_support(c, delta, width_mode):
+@given(c=_SLOPES, delta=st.floats(0.011, 0.89))
+def test_phi_at_is_zero_inside_and_constant_past_the_support(c, delta):
     """phi(-2, r) vanishes for r <= 2 and keeps its edge value past the support."""
-    data = build_annulus_data(bump_seeds(c, delta), r_grid_n=64, width_mode=width_mode)
+    data = build_annulus_data(bump_seeds(c, delta), r_grid_n=64)
     assert np.all(data.phi_at(np.array([0.0, 1.0, 1.9, 2.0 - 1e-12, 2.0])) == 0.0)
     edge = 2.0 + delta * data.s_grid[-1]
     beyond = edge + np.array([1e-12, delta, 3.0])
