@@ -242,7 +242,7 @@ class BlowupEstimate:
     confidence_window: tuple[float, float]
 
 
-@np.errstate(divide="ignore", over="ignore")    # inf r: NoBlowupTrend; a flat fit: root inf
+@np.errstate(divide="ignore", over="ignore")    # inf r or a fit without a root: NoBlowupTrend
 def estimate_blowup_time(times, slopes, a: float) -> BlowupEstimate:
     """Extrapolate the max-negative-slope series to its blow-up time.
 
@@ -253,6 +253,8 @@ def estimate_blowup_time(times, slopes, a: float) -> BlowupEstimate:
     e^{-a(t+1)} / slope, are excluded.  Below |a| = _A_LINEAR the fit takes
     a = 0: its exp column would fall under lstsq's rank cutoff from about
     |a| = 1e-13, and the shapes differ by less than the fit resolves.
+    NoBlowupTrend where the fit has no root; a half-window refit without
+    one is left out of the confidence window.
     """
     if abs(a) < _A_LINEAR:
         a = 0.0
@@ -285,6 +287,7 @@ def estimate_blowup_time(times, slopes, a: float) -> BlowupEstimate:
     (alpha, beta), *_ = np.linalg.lstsq(A, rr, rcond=None)
 
     def _root(al, be):
+        """The fit's root, not finite where it has none."""
         if a == 0.0:
             return -1.0 - al / be
         arg = 1.0 - al / be
@@ -293,14 +296,18 @@ def estimate_blowup_time(times, slopes, a: float) -> BlowupEstimate:
         return -1.0 - math.log(arg) / a
 
     t_star = _root(alpha, beta)
-    # spread between half-window refits as a crude confidence band
+    if not math.isfinite(t_star):
+        raise NoBlowupTrend("the fitted e^{-a(t+1)} / slope has no root")
+    # spread between half-window refits as a crude confidence band; a refit
+    # without a root is left out
     half = len(tt) // 2
-    windows = []
+    windows = [t_star]
     for sl in (slice(None, half), slice(half, None)):
         if np.count_nonzero(sel) >= 6 and len(tt[sl]) >= 3:
             coef, *_ = np.linalg.lstsq(A[sl], rr[sl], rcond=None)
             windows.append(_root(*coef))
-    lo, hi = min(windows + [t_star]), max(windows + [t_star])
+    windows = [t for t in windows if math.isfinite(t)]
+    lo, hi = min(windows), max(windows)
     return BlowupEstimate(t_star_estimate=float(t_star), confidence_window=(float(lo), float(hi)))
 
 

@@ -33,7 +33,7 @@ from .eos import make_chaplygin, make_polytropic
 from .errors import CharshockError, InvalidParameter, NoBlowupTrend
 from .foliation import classify_largeness, lmu_initial, predict_mu, trace_rays
 from .harness import SweepConfig, emit_outputs, run_sweep
-from .radial import RunHistory, run_until
+from .radial import RunHistory, d1, run_until
 from .shortpulse import build_annulus_data, bump_seeds
 
 
@@ -96,7 +96,7 @@ def cmd_euler_radial(args):
     if args.history:
         hist.save(args.history)
     dr = hist.r_grid[1] - hist.r_grid[0]
-    max_grad = float(np.max(np.abs(np.gradient(hist.phi[-1], dr))))
+    max_grad = float(np.max(np.abs(d1(hist.phi[-1], dr))))
     summary = {
         "status": hist.status,
         "message": hist.message,

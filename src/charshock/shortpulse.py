@@ -164,10 +164,14 @@ def null_derivative_ratio(data: ShortPulseData):
     Returns {'sup_second_null': sup over the annulus of |(dt-dr)^2 phi|,
     'ratio': sup / delta}.  dt^2 phi is reconstructed from the radial wave
     equation of the polytropic gas gamma = 2 without damping (a = 0).
-    GridTooCoarse where the Richardson estimate of the stencil's error
-    exceeds the sup.
+    GridTooCoarse where the Richardson check's half grid r[::2] holds fewer
+    than the stencils' 8 points (r_grid_n below 14), and where the Richardson
+    estimate of the stencil's error exceeds the sup.
     """
     r = data.r_grid
+    if len(r[::2]) < 8:
+        raise GridTooCoarse(f"r_grid_n = {len(r) - 1} leaves the Richardson check "
+                            f"{len(r[::2])} points; the stencils need 8 (r_grid_n >= 14)")
     phi, dtphi = data.phi_at(r), data.dtphi_at(r)
     sup = _second_null_sup(r, phi, dtphi)
     coarse = _second_null_sup(r[::2], phi[::2], dtphi[::2])

@@ -104,6 +104,25 @@ def test_burgers_command_at_subnormal_compression_prints_strict_json(capsys):
     assert report["classification"] == "Global" and report["t_star"] is None
 
 
+@pytest.mark.parametrize("argv, direct, window", [
+    # a half-window refit without a root, left out of the window
+    (["--a=1.228924469238259", "--c=1.9333184129176029", "--t-end=0.1"],
+     0.5958467759302881, [0.18233543552267895, 0.5958467759302881]),
+    # a whole fit without a root: NoBlowupTrend
+    (["--a=-1.3212938256759614", "--c=6.97874101668442e-37", "--t-end=0.5"], None, None),
+])
+def test_burgers_fit_without_a_root_prints_strict_json(argv, direct, window, capsys):
+    """A fit without a root reads t_star_direct null and no window; a refit
+    without one is left out of the window; the report is strict JSON."""
+    assert main(["burgers", *argv, "--grid=64"]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1], parse_constant=_no_constant)
+    if direct is None:
+        assert report["t_star_direct"] is None and "confidence_window" not in report
+    else:
+        assert report["t_star_direct"] == pytest.approx(direct, rel=1e-9)
+        assert report["confidence_window"] == pytest.approx(window, rel=1e-9)
+
+
 def test_shock_time_invalid_inputs():
     with pytest.raises(InvalidParameter):
         burgers_shock_time(float("nan"), 1.0)

@@ -127,10 +127,15 @@ def _count(small):
                      (1, st.sampled_from(["x", "1.5", "nan"])))
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def _answers_or_names_its_error(argv):
     """Run the command with numpy's warnings recorded, not raised: exit 0, 1
-    or 2, no exception, no RuntimeWarning, and exit 1 with exactly one
-    error: line."""
+    or 2, no exception, no RuntimeWarning, exit 1 with exactly one error:
+    line, and no flag that the parser does not know (a dropped flag would
+    turn the property into a parser test).  Returns the exit code and stdout."""
     out, err = io.StringIO(), io.StringIO()
     with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
           warnings.catch_warnings(record=True) as caught):
@@ -142,9 +147,11 @@ def _answers_or_names_its_error(argv):
     err = err.getvalue()
     event(f"exit {code}")
     assert code in (0, 1, 2) and "Traceback" not in err
+    assert "unrecognized arguments" not in err
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1
+    return code, out.getvalue()
 
 
 @settings(deadline=None, max_examples=100)
@@ -153,11 +160,19 @@ def _answers_or_names_its_error(argv):
 @example(a="0.0", c="1.0", t_end="1e300", grid="64")      # 2e301 steps
 @example(a="0.0", c="1e300", t_end="0.5", grid="64")      # the flux overflows
 @example(a="0.0", c="1e-310", t_end="0.5", grid="64")     # 1/slope overflows
+# blow-up fits without a root: a half-window refit's, twice, and the whole fit's
+@example(a="-1.375", c="5.8250068056827925e-37", t_end="0.0", grid="64")
+@example(a="1.228924469238259", c="1.9333184129176029", t_end="0.1", grid="64")
+@example(a="-1.3212938256759614", c="6.97874101668442e-37", t_end="0.5", grid="64")
 @given(a=_flag(st.floats(-2.0, 2.0)), c=_flag(st.floats(-2.0, 2.0)),
        t_end=_flag(st.floats(-1.5, 0.5)), grid=_count(st.integers(64, 128)))
 def test_burgers_answers_or_names_its_error(a, c, t_end, grid):
-    _answers_or_names_its_error(["burgers", f"--a={a}", f"--c={c}", f"--t-end={t_end}",
-                                 f"--grid={grid}"])
+    """As the helper says, and on exit 0 the report line is strict JSON: no
+    NaN or Infinity."""
+    code, out = _answers_or_names_its_error(["burgers", f"--a={a}", f"--c={c}",
+                                             f"--t-end={t_end}", f"--grid={grid}"])
+    if code == 0:
+        json.loads(out.splitlines()[-1], parse_constant=_no_constant)
 
 
 @settings(deadline=None, max_examples=100)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from charshock.errors import InvalidParameter
+from charshock.errors import GridTooCoarse, InvalidParameter
 from charshock.shortpulse import (
     _seed_profile,
     SeedProfiles,
@@ -87,6 +87,16 @@ def test_null_derivative_ratio_bounded_across_delta():
     # consecutive ratios stay within a factor of two of each other
     assert np.all(ratios[1:] / ratios[:-1] >= 0.4)
     assert np.all(ratios[1:] / ratios[:-1] <= 2.0)
+
+
+def test_null_derivative_ratio_names_a_coarse_grid():
+    """Below r_grid_n = 14 the Richardson check's half grid holds fewer than
+    the stencils' 8 points; at 16 its error estimate exceeds the sup."""
+    seeds = bump_seeds(c=1.0, delta=0.1)
+    for n in (1, 13, 16):
+        with pytest.raises(GridTooCoarse):
+            null_derivative_ratio(build_annulus_data(seeds, r_grid_n=n))
+    assert null_derivative_ratio(build_annulus_data(seeds, r_grid_n=64))["ratio"] > 0.0
 
 
 def test_round_trip_radial_derivative():
