@@ -28,6 +28,9 @@ The artefacts:
     777 cells up to t = 2, past its shock at t = -1 + ln 2, where dx = 2/777
     is not a power of two;
   * predict.t_star: classify_largeness's t* over a 41 x 60 (a, c) grid;
+  * predict.a1_fallbacks: a1_integral at t in {-1.9, -1.5, -0.1} and
+    |a| > 354, where the closed form overflows and quadrature answers, and
+    classify_largeness(1, a) at a = 400 and -360;
   * shortpulse.null_ratio: null_derivative_ratio's two numbers, as JSON, for
     the four delta of acceptance 6 at r_grid_n = 1024;
   * cli.*: the stdout of small burgers, predict, seed-data and euler-radial
@@ -186,6 +189,11 @@ def artefacts():
     t_star = [[foliation.classify_largeness(c, a).t_star for c in np.geomspace(0.05, 1e4, 60)]
               for a in np.linspace(-0.5, 0.5, 41)]
     yield "predict.t_star", _blob(np.array(t_star))
+    a1 = [[foliation.a1_integral(t, a) for a in (400.0, 1e5, 1e300, -360.0)]
+          for t in (-1.9, -1.5, -0.1)]
+    preds = [foliation.classify_largeness(1.0, a) for a in (400.0, -360.0)]
+    yield "predict.a1_fallbacks", _blob(np.array(a1), np.array(
+        [(p.a_star, p.c_shock, p.c_global, p.t_star) for p in preds]))
 
     ratios = [shortpulse.null_derivative_ratio(shortpulse.build_annulus_data(
         shortpulse.bump_seeds(c=1.0, delta=delta), r_grid_n=1024))
