@@ -123,6 +123,8 @@ def cmd_euler_radial(args):
 
 def cmd_predict(args):
     pred = asdict(classify_largeness(args.c, args.a, sigma=args.sigma))
+    if pred["classification"] != "ShockBefore":
+        pred["t_star"] = None           # no shock time: null, as burgers writes it
     with _out(args) as fh:
         fh.write(json.dumps(pred, indent=2) + "\n")
     return 0

@@ -31,6 +31,7 @@ shock-forming and global-to-sigma branches.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,21 +65,95 @@ _SHOCK_COEFFICIENT = 4.0        # -2 Lmu(-2) / c, the coefficient of c A1 in the
 _EI_A_MAX = 354.0               # beyond this |a|, e^{-2a} or Ei(2a) overflow
 _TINY = np.finfo(float).tiny    # smallest normal double
 _EI_NEAR = 1e-3                 # below this t + 2, Ei(2a) - Ei(-a t) cancels to > 1e-12 of A1
+_EULER_GAMMA = 0.5772156649015329
+_EIN_COEFFS = tuple(1.0 / (k * math.factorial(k)) for k in range(18, 0, -1))  # Horner's order
+_GAUSS_NODES = 20               # Gauss-Legendre nodes per panel of _laplace
+_LAPLACE_CUT = 50.0             # _laplace stops at lam u = 50, where e^{-lam u} < 2e-22
+
+
+def _ei(x):
+    """The exponential integral Ei(x) for real x != 0, to a few ulp of
+    max(|Ei(x)|, 1) for 0 < x <= 1 and of |Ei(x)| elsewhere.
+
+    |x| <= 1: gamma + ln|x| + Ein(x), Ein(x) = sum_k x^k/(k k!) by Horner's
+    rule in degree 18 (the first term left out is below 1e-17).  x < -1:
+    -E1(-x), E1(y) = e^{-y}/(y + 1 - 1/(y + 3 - 4/(y + 5 - ...))) evaluated
+    from a tail of 20 + 80/y terms.  1 < x <= 40: the same series as for
+    |x| <= 1, summed until a term falls below 1e-17 of the sum.  x > 40: the
+    asymptotic series e^x/x sum_k k!/x^k, cut at its smallest term or below
+    1e-17 of the sum.
+    """
+    if -1.0 <= x <= 1.0:
+        ein = 0.0
+        for coeff in _EIN_COEFFS:
+            ein = ein * x + coeff
+        return _EULER_GAMMA + math.log(abs(x)) + ein * x
+    if x < -1.0:
+        y, tail = -x, 0.0
+        for k in range(20 + int(80.0 / y), 0, -1):
+            tail = k * k / (y + 2 * k + 1 - tail)
+        return -math.exp(-y) / (y + 1.0 - tail)
+    k = 1
+    if x <= 40.0:
+        term = total = x
+        while term > 1e-17 * total:
+            k += 1
+            term *= x * (k - 1) / (k * k)
+            total += term
+        return _EULER_GAMMA + math.log(x) + total
+    term = total = 1.0
+    while term > 1e-17 * total and k < x:
+        term *= k / x
+        total += term
+        k += 1
+    return math.exp(x) / x * total
+
+
+def _laplace(lam, p, q, length):
+    """int_0^length e^{-lam u} / (p + q u) du, for p + q u > 0 on [0, length]
+    and either lam > 0 or |lam| length <= 1.
+
+    The mass sits at u = 0, so the panels double in width away from it:
+    [0, w], [w, 2w], [2w, 4w], ... with w = min(1/lam, p/|q|), up to length or
+    to lam u = _LAPLACE_CUT, whichever comes first (w = length where lam
+    length <= 1); each panel takes a _GAUSS_NODES-point Gauss-Legendre rule,
+    and math.fsum sums the products.
+    """
+    end = length if lam * length <= _LAPLACE_CUT else _LAPLACE_CUT / lam
+    width = min(p / abs(q), end if lam * end <= 1.0 else 1.0 / lam)
+    edges = np.minimum(end, width * 2.0 ** np.arange(math.ceil(math.log2(end / width)) + 1))
+    edges[-1] = end                 # should log2 round down
+    lo = np.concatenate(([0.0], edges[:-1]))[:, None]
+    span = edges[:, None] - lo
+    nodes, weights = _gauss_legendre()
+    u = lo + span * nodes
+    return math.fsum((span * weights * np.exp(-lam * u) / (p + q * u)).ravel())
+
+
+@functools.cache        # one rule; numpy.polynomial loads on first use only
+def _gauss_legendre():
+    """Nodes and weights of the _GAUSS_NODES-point Gauss-Legendre rule on [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def a1_integral(t, a):
     """A1(t) = int_{-2}^t d tau / (e^{a(tau+2)} (-tau)) = e^{-2a} (Ei(2a) - Ei(-a t)).
 
-    The closed form (s = -tau) holds to round-off, log(2/-t) at a = 0.  Where
-    -a t is subnormal, Ei(-a t) = gamma + ln|a| + ln(-t) to round-off (and
-    log 2 - log(-t) at a = 0, where 2/-t would overflow).  Where e^{-2a} or
-    Ei(2a) overflows, quadrature answers: above a = 354 in s = a (tau + 2),
-    as int_0^{a(t+2)} e^{-s} / (2a - s) ds (relative tol 1e-12), so that the
-    1/a-wide spike at tau = -2 is not missed; below a = -354 in tau (absolute
-    tol 1e-12), with InvalidParameter where the integrand overflows a double.
-    Within 1e-3 of -2, where the two Ei values (or 2/-t at a = 0) would lose
-    about 1e-15/(t + 2) of A1, quadrature answers in s = tau + 2 (relative
-    tol 1e-12).
+    The closed form (s = -tau) holds to round-off, log(2/-t) at a = 0, with
+    Ei from _ei.  Where -a t is subnormal, Ei(-a t) = gamma + ln|a| + ln(-t)
+    to round-off (and log 2 - log(-t) at a = 0, where 2/-t would overflow).
+    A1(-2) = 0.  Elsewhere the integral is int_0^L e^{-lam u}/(p + q u) du
+    after a change of variable, and _laplace's Gauss-Legendre panels answer:
+      * a > 354, where e^{-2a} or Ei(2a) overflows: s = a (tau + 2) gives
+        (1/a) int_0^{a(t+2)} e^{-s}/(2 - s/a) ds, whose panels resolve the
+        1/a-wide spike of the integrand at tau = -2;
+      * a < -354: v = t - tau gives e^{-a(t+2)} int_0^{t+2} e^{a v}/(-t + v) dv,
+        the mass sitting at tau = t; InvalidParameter where the integrand's
+        largest value e^{-a(t+2)}/(-t) overflows a double;
+      * within 1e-3 of -2, where the two Ei values (or 2/-t at a = 0) would
+        lose about 1e-15/(t + 2) of A1: s = tau + 2 gives
+        int_0^{t+2} e^{-a s}/(2 - s) ds.
     InvalidParameter for a non-finite t or a, and for t outside [-2, 0), where
     the integrand is singular at tau = 0 or the lower limit -2 is passed.
     """
@@ -88,30 +163,25 @@ def a1_integral(t, a):
         raise InvalidParameter(f"integrand singular at tau=0; got t={t}")
     if t < -2.0:
         raise InvalidParameter(f"lower limit is -2; got t={t}")
+    if t == -2.0:
+        return 0.0
     if a == 0.0 and t + 2.0 >= _EI_NEAR:
         return float(np.log(2.0 / -t)) if -t >= _TINY else math.log(2.0) - math.log(-t)
-    from scipy.integrate import quad    # loaded here so most a = 0 runs never load scipy
-    from scipy.special import expi
     if a > _EI_A_MAX:
-        # e^{-s} is below round-off past s = 700, and 700 < 2a keeps 2 - s/a > 0
-        val, _ = quad(lambda s: math.exp(-s) / (2.0 - s / a), 0.0, min(a * (t + 2.0), 700.0),
-                      epsabs=0.0, epsrel=1e-12, limit=200)
-        return val / a
+        return _laplace(1.0, 2.0, -1.0 / a, a * (t + 2.0)) / a
     if a < -_EI_A_MAX:
         try:
-            with np.errstate(over="raise"):
-                val, _ = quad(lambda tau: np.exp(-a * (tau + 2.0)) / (-tau), -2.0, t,
-                              epsabs=1e-12, epsrel=1e-12, limit=200)
-        except FloatingPointError:
-            raise InvalidParameter(f"A1 overflows a double at t={t}, a={a}") from None
-        return float(val)
+            scale = math.exp(-a * (t + 2.0))
+        except OverflowError:
+            scale = math.inf
+        if scale / -t == math.inf:
+            raise InvalidParameter(f"A1 overflows a double at t={t}, a={a}")
+        return scale * _laplace(-a, -t, 1.0, t + 2.0)
     if t + 2.0 < _EI_NEAR:
-        val, _ = quad(lambda s: math.exp(-a * s) / (2.0 - s), 0.0, t + 2.0,
-                      epsabs=0.0, epsrel=1e-12)
-        return val
-    ei_at = expi(-a * t) if abs(a * t) >= _TINY else (
-        np.euler_gamma + math.log(abs(a)) + math.log(-t))
-    return math.exp(-2.0 * a) * float(expi(2.0 * a) - ei_at)
+        return _laplace(a, 2.0, -1.0, t + 2.0)
+    ei_at = _ei(-a * t) if abs(a * t) >= _TINY else (
+        _EULER_GAMMA + math.log(abs(a)) + math.log(-t))
+    return math.exp(-2.0 * a) * (_ei(2.0 * a) - ei_at)
 
 
 def predict_mu(t, lmu_init, a):
@@ -119,8 +189,50 @@ def predict_mu(t, lmu_init, a):
     return 1.0 + 2.0 * a1_integral(t, a) * lmu_init
 
 
+def _brentq(f, xa, xb, fa, fb, xtol, rtol):
+    """A root of f in [xa, xb], where f(xa) = fa and f(xb) = fb differ in sign:
+    Brent's method (Brent 1973, ch. 4) step for step as scipy.optimize.brentq
+    takes it, so that the same f, bracket and tolerances give the same bits,
+    but with f's values at the ends passed in rather than evaluated."""
+    xpre, xcur, fpre, fcur = xa, xb, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    for _ in range(100):            # scipy's default maxiter
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("Brent's method took more than 100 steps")
+
+
 def shock_time_3d(c, a, sigma=-0.1):
-    """Root t* of 4 c A1(t*) = 1 in [-2, sigma].
+    """Root t* of 4 c A1(t*) = 1 in [-2, sigma], by _brentq (xtol 1e-13,
+    rtol 8.9e-16).
 
     The coefficient 4 (_SHOCK_COEFFICIENT) comes from integrating the mu
     transport equation with mu(-2) = 1 and Lmu(-2) = -2c.  The bracket starts
@@ -132,14 +244,16 @@ def shock_time_3d(c, a, sigma=-0.1):
         raise InvalidParameter(f"c must be finite, got {c}")
     if c <= 0.0:
         raise NoRootBeforeSigma(f"no shock for non-positive slope c={c}")
+    return _shock_time(c, a, sigma, a1_integral(sigma, a))
 
-    def f(t):
-        return c * (_SHOCK_COEFFICIENT * a1_integral(t, a)) - 1.0
 
-    if (f_sigma := f(sigma)) < 0.0:
+def _shock_time(c, a, sigma, a1_sigma):
+    """shock_time_3d for a finite c > 0, given a1_sigma = A1(sigma)."""
+    if (f_sigma := c * (_SHOCK_COEFFICIENT * a1_sigma) - 1.0) < 0.0:
         raise NoRootBeforeSigma(f"4 c A1(sigma) = {f_sigma + 1.0:.6f} < 1")
-    from scipy.optimize import brentq
-    return float(brentq(f, -2.0, sigma, xtol=1e-13, rtol=8.9e-16))
+    # f(-2) = c * 0 - 1 exactly
+    return _brentq(lambda t: c * (_SHOCK_COEFFICIENT * a1_integral(t, a)) - 1.0,
+                   -2.0, sigma, -1.0, f_sigma, xtol=1e-13, rtol=8.9e-16)
 
 
 @dataclass(frozen=True)
@@ -160,17 +274,21 @@ def classify_largeness(c, a, sigma=-0.1):
     a* = -4 A1(sigma) < 0.  The seed slope c = max phi1' is compared with
     c_shock = -2/a* (shock forms before sigma) and c_global = -1/a* (the
     solution persists to sigma); the gap in between is Indeterminate.
-    InvalidParameter for a non-finite c or a sigma outside (-2, 0).
+    InvalidParameter for a non-finite c, a sigma outside (-2, 0), and an a
+    so close to the largest double that c_shock overflows.
     """
     if not math.isfinite(c):
         raise InvalidParameter(f"c must be finite, got {c}")
     if not -2.0 < sigma < 0.0:
         raise InvalidParameter(f"sigma must lie in (-2, 0), got {sigma}")
-    a_star = -_SHOCK_COEFFICIENT * a1_integral(sigma, a)
+    a1_sigma = a1_integral(sigma, a)
+    a_star = -_SHOCK_COEFFICIENT * a1_sigma
     c_shock = -2.0 / a_star
     c_global = -1.0 / a_star
+    if c_shock == math.inf:
+        raise InvalidParameter(f"c_shock = -2/a* overflows a double at a={a}")
     if c >= c_shock:
-        cls, t_star = "ShockBefore", shock_time_3d(c, a, sigma)
+        cls, t_star = "ShockBefore", _shock_time(c, a, sigma, a1_sigma)
     elif c <= c_global:
         cls, t_star = "GlobalToSigma", float("nan")
     else:

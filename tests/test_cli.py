@@ -81,10 +81,13 @@ _ODD_FLOATS = (st.floats() | st.floats(-2.0, 0.0)
 @settings(deadline=None, max_examples=150)
 @example(c=0.1, a=-1e6, sigma=-1.9999)
 @example(c=1.0, a=0.0, sigma=-2.0)
+@example(c=0.1, a=0.0, sigma=-0.1)          # Indeterminate: no shock time
+@example(c=1.0, a=1.7976931348623157e308, sigma=-0.1)     # c_shock = -2/a* overflows
 @given(c=_ODD_FLOATS, a=_ODD_FLOATS, sigma=_ODD_FLOATS)
 def test_predict_answers_or_names_its_error(c, a, sigma):
-    """For any c, a and sigma, finite or not, predict prints its JSON and exits
-    0, or exits 1 with one error: line; no traceback and no warning."""
+    """For any c, a and sigma, finite or not, predict prints strict JSON (no
+    NaN or Infinity) and exits 0, or exits 1 with one error: line; no
+    traceback and no warning."""
     out, err = io.StringIO(), io.StringIO()
     with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
           warnings.catch_warnings(record=True) as caught):
@@ -92,7 +95,8 @@ def test_predict_answers_or_names_its_error(c, a, sigma):
         code = main(["predict", f"--c={c!r}", f"--a={a!r}", f"--sigma={sigma!r}"])
     assert caught == []
     if code == 0:
-        assert json.loads(out.getvalue())["sigma"] == sigma and err.getvalue() == ""
+        assert json.loads(out.getvalue(), parse_constant=_no_constant)["sigma"] == sigma
+        assert err.getvalue() == ""
     else:
         assert code == 1 and err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1

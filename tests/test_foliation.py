@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import expi
 
 from charshock.eos import make_chaplygin, make_custom, make_polytropic
@@ -19,6 +20,8 @@ from charshock.errors import (
 from charshock.foliation import (
     _GROWTH,
     _block,
+    _brentq,
+    _ei,
     _sample,
     a1_integral,
     classify_largeness,
@@ -129,6 +132,46 @@ def test_a1_integral_near_the_singular_endpoint(t, a, expected):
     assert a1_integral(t, a) == pytest.approx(expected, rel=1e-12)
 
 
+@settings(deadline=None, max_examples=300)
+@given(x=st.floats(-700.0, 708.0).filter(lambda x: x != 0.0)
+       | st.floats(-1.0, 1.0).filter(lambda x: x != 0.0)
+       | st.floats(0.3, 0.45) | st.floats(40.0, 42.0)
+       | st.sampled_from([1.0, -1.0, 40.0, math.nextafter(40.0, 41.0), 5e-324, -5e-324]))
+@example(x=0.37250741078136663)     # Ei's root
+def test_ei_matches_scipy_expi(x):
+    """_ei agrees with scipy's expi to 1e-14 relative, and to 1e-14 absolute
+    for 0 < x where |Ei| < 1, around Ei's root at 0.3725 where
+    gamma + ln x + Ein(x) cancels.  Above x = 40 expi's 20-term asymptotic
+    series leaves out the terms from 21!/x^21 on, which sum to less than
+    three times the first, so that much more is allowed there."""
+    ref = float(expi(x))
+    tol = 1e-14 * (max(abs(ref), 1.0) if x > 0.0 else abs(ref))
+    if x > 40.0:
+        tol += abs(ref) * 3.0 * math.factorial(21) / x**21
+    assert abs(_ei(x) - ref) <= tol
+
+
+@settings(deadline=None, max_examples=200)
+@given(log_c=st.floats(math.log(0.05), math.log(50.0)), a=st.floats(-3.0, 3.0),
+       sigma=st.floats(-1.99, -0.01))
+def test_brentq_matches_scipy_bit_for_bit(log_c, a, sigma):
+    """_brentq takes scipy's brentq steps: the same root bits for the same f,
+    bracket and tolerances, and shock_time_3d returns them."""
+    c = math.exp(log_c)
+
+    def f(t):
+        return c * (4.0 * a1_integral(t, a)) - 1.0
+
+    f_sigma = f(sigma)
+    if f_sigma < 0.0:
+        with pytest.raises(NoRootBeforeSigma):
+            shock_time_3d(c, a, sigma)
+        return
+    ref = brentq(f, -2.0, sigma, xtol=1e-13, rtol=8.9e-16)
+    assert _brentq(f, -2.0, sigma, f(-2.0), f_sigma, xtol=1e-13, rtol=8.9e-16) == ref
+    assert shock_time_3d(c, a, sigma) == ref
+
+
 def test_predict_mu_trivial():
     assert predict_mu(-2.0, -1.3, 0.5) == 1.0
     assert predict_mu(-0.5, 0.0, 0.5) == 1.0
@@ -179,6 +222,14 @@ def test_classify_largeness_branches():
     assert classify_largeness(0.05, 0.0).classification == "GlobalToSigma"
     assert classify_largeness(0.12, 0.0).classification == "Indeterminate"
     assert classify_largeness(0.0834, 0.0).classification == "GlobalToSigma"
+
+
+def test_classify_largeness_rejects_an_overflowing_threshold():
+    """At the largest double a, A1(sigma) is about 1/(2a), so c_shock = -2/a*
+    = 1/(2 A1) overflows: InvalidParameter, not an infinite threshold."""
+    with pytest.raises(InvalidParameter):
+        classify_largeness(1.0, sys.float_info.max)
+    assert math.isfinite(classify_largeness(1.0, 1e308).c_shock)
 
 
 # ---------------------------------------------------------------------------
