@@ -65,7 +65,6 @@ _SHOCK_COEFFICIENT = 4.0        # -2 Lmu(-2) / c, the coefficient of c A1 in the
 _EI_A_MAX = 354.0               # beyond this |a|, e^{-2a} or Ei(2a) overflow
 _TINY = np.finfo(float).tiny    # smallest normal double
 _EI_NEAR = 1e-3                 # below this t + 2, Ei(2a) - Ei(-a t) cancels to > 1e-12 of A1
-_EULER_GAMMA = 0.5772156649015329
 _EIN_COEFFS = tuple(1.0 / (k * math.factorial(k)) for k in range(18, 0, -1))  # Horner's order
 _GAUSS_NODES = 20               # Gauss-Legendre nodes per panel of _laplace
 _LAPLACE_CUT = 50.0             # _laplace stops at lam u = 50, where e^{-lam u} < 2e-22
@@ -87,7 +86,7 @@ def _ei(x):
         ein = 0.0
         for coeff in _EIN_COEFFS:
             ein = ein * x + coeff
-        return _EULER_GAMMA + math.log(abs(x)) + ein * x
+        return np.euler_gamma + math.log(abs(x)) + ein * x
     if x < -1.0:
         y, tail = -x, 0.0
         for k in range(20 + int(80.0 / y), 0, -1):
@@ -100,7 +99,7 @@ def _ei(x):
             k += 1
             term *= x * (k - 1) / (k * k)
             total += term
-        return _EULER_GAMMA + math.log(x) + total
+        return np.euler_gamma + math.log(x) + total
     term = total = 1.0
     while term > 1e-17 * total and k < x:
         term *= k / x
@@ -180,7 +179,7 @@ def a1_integral(t, a):
     if t + 2.0 < _EI_NEAR:
         return _laplace(a, 2.0, -1.0, t + 2.0)
     ei_at = _ei(-a * t) if abs(a * t) >= _TINY else (
-        _EULER_GAMMA + math.log(abs(a)) + math.log(-t))
+        np.euler_gamma + math.log(abs(a)) + math.log(-t))
     return math.exp(-2.0 * a) * (_ei(2.0 * a) - ei_at)
 
 
