@@ -23,6 +23,8 @@ The artefacts:
   * damped_table.*: the same on a damped pulse (a = 0.5) through the
     custom table eta^2 = 1 + 0.8 h + 0.3 h^2, the one run whose mu
     transport reads the damping term a dphi/dr and a table's d eta^2/dh;
+  * trace.stops: the trace_rays bundles (gamma = 2, 33 rays) of the three
+    histories of _stop_histories, one for each rule that drops a step's row;
   * burgers.a*_c*: the six Burgers cells of the calibrate workload, their
     solve and fitted blow-up time, and burgers.a-1_c1_grid777, a solve on
     777 cells up to t = 2, past its shock at t = -1 + ln 2, where dx = 2/777
@@ -94,6 +96,31 @@ SWEEPS = {
               "delta_values": [0.1], "sigma": -1.8,
               "solver": {"points_per_delta": 16, "r_min": 1.6, "ray_count": 33}},
 }
+
+
+def _stop_histories(radial, law):
+    """Three histories whose rays stop by a rule that drops the step's row: on
+    a zero field over r = linspace(1, 3.5, 501), where the rays sit at
+    2 + u - (t + 2), one leaves the window of 200 points stored from index 150
+    (25 of 51 rows kept) and one passes r_grid[0] + 2 dr (199 of 221 rows);
+    on dphi = 0.45 (1 + tanh((r - 1.1)/0.02)) with dtphi = dphi^2/2, so that
+    eta = 1, the rays slow from speed 1.9 to 1 as they pass r = 1.1 and cross
+    at the first step (1 of 2 rows)."""
+    def zero(times, width, start):
+        z = np.zeros((len(times), width))
+        return radial.RunHistory(r_grid=np.linspace(1.0, 3.5, 501), times=times, phi=z,
+                                 dtphi=z, a=0.0, delta=0.1, status="Completed", eos=law,
+                                 start=np.full(len(times), start))
+
+    r = np.linspace(0.5, 3.5, 3001)
+    x = (r - 1.1) / 0.02
+    phi = 0.45 * (r + 0.02 * (np.logaddexp(x, -x) - np.log(2.0)))     # int dphi dr
+    dtphi = 0.5 * (0.45 * (1.0 + np.tanh(x))) ** 2
+    crossing = radial.RunHistory(r_grid=r, times=np.array([-2.0, -1.5]),
+                                 phi=np.stack((phi, phi)), dtphi=np.stack((dtphi, dtphi)),
+                                 a=0.0, delta=0.1, status="Completed", eos=law)
+    return [zero(np.linspace(-2.0, -1.5, 51), 200, 150),
+            zero(np.linspace(-2.0, -0.9, 221), 501, 0), crossing]
 
 
 def _blob(*arrays):
@@ -171,6 +198,11 @@ def artefacts():
         yield f"{name}.reloaded", _blob(again.u, again.times, again.r, again.mu_spacing,
                                         again.mu_transport,
                                         foliation.lmu_initial(loaded, again.u))
+
+    stops = [foliation.trace_rays(hist, ray_count=33)
+             for hist in _stop_histories(radial, eos.make_polytropic(2.0))]
+    yield "trace.stops", _blob(*(getattr(b, f) for b in stops
+                                 for f in ("times", "r", "mu_spacing", "mu_transport")))
 
     for a in (0.0, 0.25, 0.5):
         for c in (1.0, 1.5):
