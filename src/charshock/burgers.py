@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidParameter, NoBlowupTrend, PastShock, check_size, check_steps
+from .errors import InvalidParameter, NoBlowupTrend, check_size, check_steps
 
 __all__ = [
     "BurgersProblem",
@@ -110,13 +110,14 @@ def burgers_mu(x, t, problem: BurgersProblem):
 
 
 def burgers_characteristic_solve(x0, t, problem: BurgersProblem):
-    """Exact solution record along the characteristic from (x0, -1)."""
+    """Exact solution record along the characteristic from (x0, -1);
+    InvalidParameter for a t past the first crossing (mu <= 0)."""
     x0 = np.asarray(x0, dtype=float)
     f0 = problem.profile(x0)
     E = damping_kernel(t, problem.a)
     mu = 1.0 + problem.slope(x0) * E
     if np.any(mu <= 0.0):
-        raise PastShock(f"characteristics crossed before t = {t}")
+        raise InvalidParameter(f"characteristics crossed before t = {t}")
     decay = np.exp(-problem.a * (np.asarray(t, dtype=float) + 1.0))
     return {
         "x": x0 + f0 * E,

@@ -16,10 +16,6 @@ class InvalidParameter(CharshockError):
     """An input outside its admissible range: a width, a time, a count, a step."""
 
 
-class PastShock(CharshockError):
-    """Characteristic evaluation requested after neighbouring characteristics crossed."""
-
-
 class NonFiniteField(CharshockError):
     """NaN/Inf appeared in a field array; expected when running past blow-up."""
 
@@ -30,14 +26,6 @@ class NoBlowupTrend(CharshockError):
 
 class GridTooCoarse(CharshockError):
     pass
-
-
-class InterpolationOutOfRange(CharshockError):
-    pass
-
-
-class ShockDetected(CharshockError):
-    """Ray spacing collapsed (crossing characteristics)."""
 
 
 class NoRootBeforeSigma(CharshockError):

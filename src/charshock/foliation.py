@@ -18,9 +18,9 @@ The fields come from the stored snapshots alone: _block derives snapshot k's
 rows (eta, dr/dt, growth) once on its stored window, and _sample interpolates
 them at the ray positions by a cubic in r.  trace_rays steps the rays once
 per snapshot interval by the trapezoidal rule, so it never interpolates in
-t; lmu_initial is eta * growth on block 0.  trace_rays returns the rows up to
-the last time at which the whole bundle was traced; why it stopped there is
-not recorded.
+t; lmu_initial is eta * growth on block 0.  trace_rays keeps the rows up to
+the last time at which the whole bundle was traced, by plain checks (a None
+sample or spacing, mu at _MU_STOP); which rule stopped it is not recorded.
 
 The semi-analytic predictor is mu_hat(t) = 1 + 2 A1(t) Lmu(-2, u) with
 A1(t) = int_{-2}^t d tau / (e^{a(tau+2)} (-tau)) = e^{-2a} (Ei(2a) - Ei(-a t))
@@ -38,8 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eos import EquationOfState
-from .errors import (InterpolationOutOfRange, InvalidParameter, NoRootBeforeSigma,
-                     ShockDetected, check_size)
+from .errors import InvalidParameter, NoRootBeforeSigma, check_size
 from .radial import RunHistory, _fields
 
 __all__ = [
@@ -325,20 +324,18 @@ def _block(history: RunHistory, k, eos: EquationOfState):
 
 
 def _sample(history: RunHistory, k, blk, r_pos):
-    """Snapshot k's block blk at positions r_pos, by a 4-point cubic in r.
-
-    InterpolationOutOfRange when a position lies outside the grid or a
-    cubic tap outside the snapshot's stored window.
-    """
-    r, t = history.r_grid, float(history.times[k])
+    """Snapshot k's block blk at positions r_pos, by a 4-point cubic in r;
+    None when a position is NaN or lies outside the grid, or a cubic tap
+    outside the snapshot's stored window."""
+    r = history.r_grid
     dr = r[1] - r[0]
     r_pos = np.asarray(r_pos, dtype=float)
-    if r_pos.min() < r[0] or r_pos.max() > r[-1]:
-        raise InterpolationOutOfRange(f"ray position outside stored grid at t={t:.6f}")
+    if not r[0] <= r_pos.min() <= r_pos.max() <= r[-1]:     # False for a NaN
+        return None
     i = np.minimum(np.maximum(((r_pos - r[0]) / dr).astype(int), 1), len(r) - 3)
     cell = i - int(history.start[k])     # i's index in the stored window
     if cell.min() < 1 or cell.max() + 3 > blk.shape[1]:
-        raise InterpolationOutOfRange(f"ray band outside the window stored at t={t:.6f}")
+        return None
     f = ((r_pos - r[i]) / dr - _TAPS).take(_TAP_FACTORS, axis=0)
     w = f[0] * f[1] * f[2] / _TAP_DENOMS
     g = blk[:, cell + _TAPS]     # g[row, tap, ray]
@@ -347,23 +344,30 @@ def _sample(history: RunHistory, k, blk, r_pos):
 
 def mu_from_spacing(eta, r_pos, du):
     """mu = eta * dr/du on labels du apart, dr/du being np.gradient(r_pos, du)
-    bit for bit; ShockDetected where rays have crossed (dr/du <= 0)."""
+    bit for bit; None where rays have crossed (dr/du <= 0)."""
     dr_du = np.empty_like(r_pos)
     dr_du[1:-1] = (r_pos[2:] - r_pos[:-2]) / (2.0 * du)
     dr_du[0], dr_du[-1] = (r_pos[1] - r_pos[0]) / du, (r_pos[-1] - r_pos[-2]) / du
     if np.any(dr_du <= 0.0):
-        raise ShockDetected("ray crossing detected: dr/du <= 0")
+        return None
     return eta * dr_du
 
 
 @np.errstate(over="ignore", invalid="ignore")    # as trace_rays, which derives the same block
 def lmu_initial(history: RunHistory, u, eos: EquationOfState = None):
     """Lmu(-2, u) = eta * growth on the first slice, where mu = eta; eos=None
-    takes the history's own EOS."""
-    eos = eos if eos is not None else history.eos
-    r_pos = 2.0 + np.asarray(u, dtype=float)
-    eta, _, growth = _sample(history, 0, _block(history, 0, eos), r_pos)
+    takes the history's own EOS.  InvalidParameter for a label u whose ray
+    2 + u is not finite or has a cubic tap off the first snapshot's window."""
+    eta, _, growth = _first_sample(history, 2.0 + np.asarray(u, dtype=float), eos)
     return eta * growth
+
+
+def _first_sample(history: RunHistory, r_pos, eos):
+    """_sample on the first snapshot; InvalidParameter where it gives None."""
+    eos = eos if eos is not None else history.eos
+    if (smp := _sample(history, 0, _block(history, 0, eos), r_pos)) is None:
+        raise InvalidParameter("a ray 2 + u lies off the grid or the first stored window")
+    return smp
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +399,12 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
     eos=None takes the history's own EOS.  Each step derives the block of
     t_i+1 once and samples it twice, at y* and at y'; the sample at y' gives
     both the spacing mu at t_i+1 and the next step's k(t_i+1, y').
-    The whole bundle stops at the first row in which any ray reaches
-    mu <= _MU_STOP (that row is kept), or at the first step in which rays
-    cross or a ray leaves the grid or the stored window (that step's row is
-    dropped).  ray_count must be at least 33 and the bundle's 3 x times x rays
-    at most errors.MAX_VALUES (InvalidParameter otherwise).
+    The whole bundle stops at the first step in which a ray leaves the grid
+    or the stored window at y* or y', or passes r_grid[0] + 2 dr, or rays
+    cross (that step's row is dropped), or at the first row in which any ray
+    reaches mu <= _MU_STOP (that row is kept).  ray_count must be at least
+    33, the bundle's 3 x times x rays at most errors.MAX_VALUES and the first
+    row on the first stored window (InvalidParameter otherwise).
     """
     if ray_count < 33:
         raise InvalidParameter(f"ray_count must be >= 33, got {ray_count}")
@@ -409,7 +414,7 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
     u = np.linspace(0.0, history.delta, ray_count)
     du = history.delta / (ray_count - 1)
     r_pos = 2.0 + u
-    smp = _sample(history, 0, _block(history, 0, eos), r_pos)
+    smp = _first_sample(history, r_pos, eos)
     mu_tr = smp[_ETA]                            # mu = eta initially
     y = np.stack((r_pos, mu_tr))
 
@@ -426,21 +431,16 @@ def trace_rays(history: RunHistory, ray_count=65, eos: EquationOfState = None):
         rate_a = rate(smp, y)
         y_pred = y + dt * rate_a                 # y*
         blk = _block(history, k, eos)
-        try:
-            y = y + 0.5 * dt * (rate_a + rate(_sample(history, k, blk, y_pred[0]), y_pred))
-            smp = _sample(history, k, blk, y[0])
-        except InterpolationOutOfRange:
+        if (smp := _sample(history, k, blk, y_pred[0])) is None:
             break
-        r_pos, mu_tr = y
-        if np.min(r_pos) < r_lo:
+        y = y + 0.5 * dt * (rate_a + rate(smp, y_pred))
+        if (smp := _sample(history, k, blk, y[0])) is None or np.min(y[0]) < r_lo:
             break
-        try:
-            mu_sp = mu_from_spacing(smp[_ETA], r_pos, du)
-        except ShockDetected:
+        if (mu_sp := mu_from_spacing(smp[_ETA], y[0], du)) is None:
             break
-        rows[:, n] = r_pos, mu_sp, mu_tr
+        rows[:, n] = y[0], mu_sp, y[1]
         n += 1
-        if np.min(mu_sp) <= _MU_STOP or np.min(mu_tr) <= _MU_STOP:
+        if np.min(mu_sp) <= _MU_STOP or np.min(y[1]) <= _MU_STOP:
             break
 
     return RayBundle(u=u, times=times[:n], r=rows[0, :n], mu_spacing=rows[1, :n],

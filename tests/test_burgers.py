@@ -31,7 +31,6 @@ from charshock.burgers import (
 from charshock.errors import (
     InvalidParameter,
     NoBlowupTrend,
-    PastShock,
 )
 
 
@@ -188,7 +187,7 @@ def test_characteristic_decay_damped():
 
 def test_characteristic_past_shock_raises():
     p = make_problem(c=2.0, a=0.0)   # shock at t = -0.5
-    with pytest.raises(PastShock):
+    with pytest.raises(InvalidParameter):
         burgers_characteristic_solve(np.linspace(-0.2, 0.2, 9), 0.0, p)
 
 

@@ -11,12 +11,7 @@ from scipy.optimize import brentq
 from scipy.special import expi
 
 from charshock.eos import make_chaplygin, make_custom, make_polytropic
-from charshock.errors import (
-    InterpolationOutOfRange,
-    InvalidParameter,
-    NoRootBeforeSigma,
-    ShockDetected,
-)
+from charshock.errors import InvalidParameter, NoRootBeforeSigma
 from charshock.foliation import (
     _GROWTH,
     _block,
@@ -263,8 +258,7 @@ def test_trace_rays_requires_enough_rays():
 def test_mu_from_spacing_detects_crossing():
     u = np.linspace(0.0, 1.0, 11)
     r = 2.0 - u                     # decreasing: crossed rays
-    with pytest.raises(ShockDetected):
-        mu_from_spacing(np.ones_like(u), r, 0.1)
+    assert mu_from_spacing(np.ones_like(u), r, 0.1) is None
 
 
 @settings(deadline=None)
@@ -369,7 +363,7 @@ class _FullGridSampler:
         r, dr = self.r, self.dr
         r_pos = np.asarray(r_pos, dtype=float)
         if np.min(r_pos) < r[0] or np.max(r_pos) > r[-1]:
-            raise InterpolationOutOfRange(f"outside the grid at snapshot {k}")
+            return None
         i = np.clip(((r_pos - r[0]) / dr).astype(int), 1, len(r) - 3)
         x = (r_pos - r[i]) / dr
         w0 = -x * (x - 1.0) * (x - 2.0) / 6.0
@@ -428,7 +422,7 @@ def test_field_sampler_matches_full_grid_reference(case, eos):
 def test_field_sampler_reads_only_the_stored_window():
     """On a windowed history _sample gives the stored windows' block bit for
     bit (the reference holds NaN off the windows), and a ray whose taps leave
-    a window raises InterpolationOutOfRange instead of reading off it."""
+    a window gives None instead of reading off it."""
     rng = np.random.default_rng(3)
     r, times = 1.0 + 0.01 * np.arange(200), -1.9 + 0.01 * np.arange(5)
     phi, dtphi = 1e-4 * rng.standard_normal((2, 5, 60))
@@ -441,8 +435,7 @@ def test_field_sampler_reads_only_the_stored_window():
         assert np.array_equal(_sample(hist, k, _block(hist, k, EOS), pos),
                               reference.at(k, pos))
     for pos in (r[96] - 0.004, r[156] + 0.004):
-        with pytest.raises(InterpolationOutOfRange):
-            _sample(hist, 4, _block(hist, 4, EOS), np.array([r[120], pos]))
+        assert _sample(hist, 4, _block(hist, 4, EOS), np.array([r[120], pos])) is None
 
 
 def test_trace_rays_is_a_trapezoidal_loop_over_the_reference(pulse_bundle):
