@@ -1,5 +1,5 @@
-"""Exception types shared across the package, one per kind of failure, and
-the caps on sizes and step counts."""
+"""Exception types shared across the package, one per failure a caller can
+meet (the ray trace stops by checks), and the caps on sizes and step counts."""
 
 MAX_VALUES = 10**8      # values an array sized by a caller's count may hold (800 MB of doubles)
 

@@ -284,10 +284,21 @@ class RunHistory:
                 f = {k: z[k] for k in z.files}
             eos = eos_from_config({k[4:]: v.tolist() for k, v in f.items()
                                    if k.startswith("eos_")})
-            return cls(r_grid=f["r_grid"], times=f["times"], phi=f["phi"], dtphi=f["dtphi"],
+            hist = cls(r_grid=f["r_grid"], times=f["times"], phi=f["phi"], dtphi=f["dtphi"],
                        a=float(f["a"]), delta=float(f["delta"]), status=str(f["status"]),
                        eos=eos, message=str(f.get("message", "")), start=f.get("start"))
-        except (InvalidParameter, ValueError, TypeError, KeyError, EOFError,
+            t, s, n_r, w = hist.times, hist.start, len(hist.r_grid), hist.phi.shape[-1]
+            if not (t.ndim == 1 and w >= 8 and hist.phi.shape == hist.dtphi.shape == (len(t), w)):
+                raise ValueError("phi and dtphi are not (len(times), W) with W >= 8")
+            if not (t.size and np.all(np.isfinite(t)) and np.all(np.diff(t) > 0.0)):
+                raise ValueError("times are empty, not finite or not strictly increasing")
+            if not (s.shape == t.shape and s.dtype.kind in "iu"
+                    and 0 <= s.min() <= s.max() <= n_r - w):  # so W <= len(r_grid) too
+                raise ValueError(f"start does not hold ints in [0, len(r_grid) - W = {n_r - w}]")
+            if not (math.isfinite(hist.a) and 0.0 < hist.delta < 1.0):
+                raise ValueError(f"a is not finite or delta = {hist.delta} is not in (0, 1)")
+            return hist
+        except (InvalidParameter, ValueError, TypeError, KeyError, IndexError, EOFError,
                 zipfile.BadZipFile) as exc:
             raise ConfigInvalid(f"{path} is not a run history .npz: {exc}") from None
 

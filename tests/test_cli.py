@@ -217,20 +217,45 @@ def _history_bytes(file):
         return path.read_bytes()
 
 
+# the "history" file with the fields f of its .npz changed, into files that no
+# run writes: the fields of all but "short_window" disagree, and that one's
+# 64 points r_grid[:64] stop short of the rays at 2 <= r <= 2 + delta
+_INCONSISTENT = {
+    "no_snapshots": lambda f: dict(times=f["times"][:0], phi=f["phi"][:0],
+                                   dtphi=f["dtphi"][:0], start=f["start"][:0]),
+    "start_past_grid": lambda f: dict(start=f["start"] + len(f["r_grid"])),
+    "phi_1d": lambda f: dict(phi=f["phi"][0], dtphi=f["dtphi"][0]),
+    "two_point_grid": lambda f: dict(r_grid=f["r_grid"][:2]),
+    "short_times": lambda f: dict(times=f["times"][:-1], start=f["start"][:-1]),
+    "descending_times": lambda f: dict(times=f["times"][::-1]),
+    "negative_delta": lambda f: dict(delta=-0.1),
+    "nan_a": lambda f: dict(a=np.nan),
+    "short_window": lambda f: dict(phi=f["phi"][:, :64], dtphi=f["dtphi"][:, :64]),
+}
+
+
 @settings(deadline=None, max_examples=30)
-@given(file=st.sampled_from([*_HISTORIES, "missing", "json"]),
+@given(file=st.sampled_from([*_HISTORIES, *_INCONSISTENT, "missing", "json"]),
        rays=_count(st.integers(33, 65)))
 def test_foliate_answers_or_names_its_error(file, rays):
-    """foliate on the histories of _HISTORIES, a missing file or a JSON file,
-    with any --rays."""
+    """foliate on the histories of _HISTORIES, the inconsistent files of
+    _INCONSISTENT (each an error, never exit 0), a missing file or a JSON
+    file, with any --rays."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.npz"
         if file in _HISTORIES:
             path.write_bytes(_history_bytes(file))
+        elif file in _INCONSISTENT:
+            path.write_bytes(_history_bytes("history"))
+            with np.load(path) as z:
+                fields = {k: z[k] for k in z.files}
+            np.savez(path, **{**fields, **_INCONSISTENT[file](fields)})
         elif file == "json":
             path.write_text(json.dumps({"grid_n": "x"}))
-        _answers_or_names_its_error(["foliate", f"--history={path}", f"--rays={rays}",
-                                     f"--out={Path(tmp) / 'fol.csv'}"])
+        code, _ = _answers_or_names_its_error(["foliate", f"--history={path}",
+                                               f"--rays={rays}",
+                                               f"--out={Path(tmp) / 'fol.csv'}"])
+        assert code != 0 or file not in _INCONSISTENT
 
 
 def _values(finite, size=2):

@@ -13,7 +13,10 @@ from scipy.special import expi
 from charshock.eos import make_chaplygin, make_custom, make_polytropic
 from charshock.errors import InvalidParameter, NoRootBeforeSigma
 from charshock.foliation import (
+    _ETA,
     _GROWTH,
+    _MU_STOP,
+    _RDOT,
     _block,
     _brentq,
     _ei,
@@ -231,12 +234,22 @@ def test_classify_largeness_rejects_an_overflowing_threshold():
 # ray tracing
 
 
-def trivial_history(delta=0.1):
+def trivial_history(delta=0.1, times=np.linspace(-2.0, -1.2, 41), width=501, start=0):
+    """A zero field on r = linspace(1, 3.5, 501), each snapshot storing width
+    points from start: eta = 1 and the rays sit at 2 + u - (t + 2)."""
     r = np.linspace(1.0, 3.5, 501)
-    times = np.linspace(-2.0, -1.2, 41)
-    z = np.zeros((len(times), len(r)))
+    z = np.zeros((len(times), width))
     return RunHistory(r_grid=r, times=times, phi=z, dtphi=z.copy(), a=0.0,
-                      delta=delta, status="Completed", eos=EOS)
+                      delta=delta, status="Completed", eos=EOS,
+                      start=np.full(len(times), start))
+
+
+def _steady_history(dphi, phi, r, times):
+    """The field with this dphi and its integral phi on r at every time, and
+    dtphi = dphi^2/2, so that h = 0 and eta = 1."""
+    return RunHistory(r_grid=r, times=times, phi=np.tile(phi, (len(times), 1)),
+                      dtphi=np.tile(0.5 * dphi**2, (len(times), 1)), a=0.0, delta=0.1,
+                      status="Completed", eos=EOS)
 
 
 def test_trace_rays_trivial_fields():
@@ -248,6 +261,69 @@ def test_trace_rays_trivial_fields():
         assert np.max(np.abs(bundle.r[i] - expected)) <= 1e-12
     assert np.max(np.abs(bundle.mu_spacing - 1.0)) <= 1e-12
     assert np.max(np.abs(bundle.mu_transport - 1.0)) <= 1e-12
+
+
+def _dropped_row_bundle(hist, first_failing):
+    """The bundle of hist, checked as stopped by a rule that drops its row:
+    the rows up to the step first_failing, none at mu <= _MU_STOP."""
+    bundle = trace_rays(hist, ray_count=33)
+    assert len(bundle.times) == first_failing < len(hist.times)
+    assert min(bundle.mu_spacing.min(), bundle.mu_transport.min()) > _MU_STOP
+    return bundle
+
+
+def test_trace_rays_stops_before_a_ray_leaves_the_window():
+    """On the zero field whose snapshots store r_grid[150:350], the first step
+    whose rays 2 + u - (t + 2) reach below r_grid[151], where the cubic's first
+    tap leaves the window, is dropped: 25 of 51 rows."""
+    hist = trivial_history(times=np.linspace(-2.0, -1.5, 51), width=200, start=150)
+    first_failing = np.argmax(2.0 - (hist.times + 2.0) < hist.r_grid[151])
+    bundle = _dropped_row_bundle(hist, first_failing)
+    assert first_failing == 25
+    assert np.allclose(bundle.r, 2.0 + bundle.u - (bundle.times[:, None] + 2.0), atol=1e-12)
+
+
+def test_trace_rays_stops_before_a_ray_passes_the_inner_edge():
+    """On the zero field over the whole grid, the first step whose rays pass
+    r_lo = r_grid[0] + 2 dr is dropped: 199 of 221 rows, the last one's min r
+    at r_lo."""
+    hist = trivial_history(times=np.linspace(-2.0, -0.9, 221))
+    r_lo = hist.r_grid[0] + 2.0 * (hist.r_grid[1] - hist.r_grid[0])
+    bundle = _dropped_row_bundle(hist, np.argmax(2.0 - (hist.times + 2.0) < r_lo))
+    assert len(bundle.times) == 199
+    assert abs(bundle.r[-1].min() - r_lo) <= 1e-12
+
+
+def test_trace_rays_stops_before_rays_cross():
+    """The rays move at speed 1 + dphi with dphi = 0.45 (1 + tanh((r - 1.1)/0.02)):
+    over one step of 0.5 the inner ones reach r = 1.1 and slow to 1 first, so
+    the step's corrector crosses them.  Its samples lie on the window, and
+    only mu_from_spacing stops the bundle: 1 of 2 rows."""
+    r = np.linspace(0.5, 3.5, 3001)
+    x = (r - 1.1) / 0.02
+    hist = _steady_history(0.45 * (1.0 + np.tanh(x)),
+                           0.45 * (r + 0.02 * (np.logaddexp(x, -x) - np.log(2.0))), r,
+                           np.array([-2.0, -1.5]))
+    _dropped_row_bundle(hist, 1)
+    r0 = 2.0 + np.linspace(0.0, 0.1, 33)
+    rdot0 = _sample(hist, 0, _block(hist, 0, EOS), r0)[_RDOT]
+    r_pred = r0 + 0.5 * rdot0
+    r1 = r0 + 0.25 * (rdot0 + _sample(hist, 1, _block(hist, 1, EOS), r_pred)[_RDOT])
+    eta1 = _sample(hist, 1, _block(hist, 1, EOS), r1)[_ETA]
+    assert r1.min() > r[2] and mu_from_spacing(eta1, r1, 0.1 / 32) is None
+
+
+def test_trace_rays_keeps_the_row_that_reaches_the_mu_floor():
+    """dphi = 10 (r - 1.5) with h = 0 draws the rays to r = 1.4 at the rate
+    e^{-10 (t + 2)}, and the spacing mu with them: the bundle keeps the first
+    row at which mu <= _MU_STOP, near t = -2 + ln(50)/10, and stops there."""
+    r = np.linspace(0.5, 3.5, 3001)
+    hist = _steady_history(10.0 * (r - 1.5), 5.0 * (r - 1.5) ** 2, r,
+                           np.linspace(-2.0, -1.5, 101))
+    bundle = trace_rays(hist, ray_count=33)
+    mu_min = np.minimum(bundle.mu_spacing.min(axis=1), bundle.mu_transport.min(axis=1))
+    assert mu_min[-1] <= _MU_STOP < mu_min[:-1].min()
+    assert abs(bundle.times[-1] - (-2.0 + np.log(50.0) / 10.0)) <= 0.01
 
 
 def test_trace_rays_requires_enough_rays():
@@ -322,6 +398,21 @@ def test_lmu_initial_matches_seed_slope(pulse_bundle):
     hist, bundle = pulse_bundle
     lmu = lmu_initial(hist, bundle.u)
     assert lmu.min() == pytest.approx(-1.5, abs=0.1)    # gamma=2, c=1
+
+
+@pytest.mark.parametrize("u", [np.nan, np.inf, -np.inf, 0.8])
+def test_lmu_initial_names_a_label_off_the_stored_data(u):
+    """A NaN or infinite label, or one whose cubic leaves the first window
+    (r_grid[150:350], so r = 2.8 does), is InvalidParameter, where the whole
+    grid once sampled a NaN at a clamped index; so is a ray bundle whose
+    first row leaves the window."""
+    windowed = trivial_history(width=200, start=150)
+    assert np.array_equal(lmu_initial(windowed, [0.05, 0.1]), [0.0, 0.0])
+    for hist in [windowed] if np.isfinite(u) else [trivial_history(), windowed]:
+        with pytest.raises(InvalidParameter):
+            lmu_initial(hist, [0.05, u])
+    with pytest.raises(InvalidParameter):
+        trace_rays(trivial_history(delta=0.8, width=200, start=150), ray_count=33)
 
 
 def test_chaplygin_mu_stays_near_one():

@@ -225,23 +225,53 @@ def test_run_until_records_breakdown(tmp_path):
     assert again.message == "" and again.last_good_time == -2.0
 
 
-def _history_file(path, **eos_keys):
-    """A two-snapshot zero history file holding the given eos_* keys."""
+def _history_file(path, **keys):
+    """A two-snapshot zero history file holding the given eos_* keys, its
+    other fields replaced by any others given."""
     r = np.linspace(1.0, 3.0, 64)
     z = np.zeros((2, r.size))
-    np.savez_compressed(path, r_grid=r, times=np.array([-2.0, -1.9]), phi=z, dtphi=z,
-                        start=np.zeros(2, dtype=int), a=0.0, delta=0.1,
-                        status="Completed", message="", **eos_keys)
+    fields = dict(r_grid=r, times=np.array([-2.0, -1.9]), phi=z, dtphi=z,
+                  start=np.zeros(2, dtype=int), a=0.0, delta=0.1, status="Completed",
+                  message="")
+    np.savez_compressed(path, **{**fields, **keys})
+
+
+_POLYTROPIC = dict(eos_family="polytropic", eos_gamma=2.0)
+# history files whose fields disagree, by the field and the check that fails
+_INCONSISTENT = {
+    "short_phi": dict(phi=np.zeros((1, 64))),
+    "one_d_dtphi": dict(dtphi=np.zeros(64)),
+    "seven_points": dict(phi=np.zeros((2, 7)), dtphi=np.zeros((2, 7))),
+    "no_snapshots": dict(times=np.zeros(0), phi=np.zeros((0, 64)), dtphi=np.zeros((0, 64)),
+                         start=np.zeros(0, dtype=int)),
+    "nan_time": dict(times=np.array([-2.0, np.nan])),
+    "descending_times": dict(times=np.array([-1.9, -2.0])),
+    "repeated_time": dict(times=np.array([-2.0, -2.0])),
+    "float_start": dict(start=np.zeros(2)),
+    "short_start": dict(start=np.zeros(1, dtype=int)),
+    "negative_start": dict(start=np.array([0, -1])),
+    "start_past_grid": dict(start=np.array([0, 1])),
+    "wider_than_grid": dict(r_grid=np.linspace(1.0, 3.0, 32)),
+    "nan_a": dict(a=np.nan),
+    "zero_delta": dict(delta=0.0),
+    "delta_one": dict(delta=1.0),
+}
 
 
 def test_history_load_rejects_other_files(tmp_path):
-    """Other files, and history files whose EOS record is invalid (a polytropic
-    run without a finite gamma, an unknown family), are ConfigInvalid."""
+    """Other files, history files whose EOS record is invalid (a polytropic
+    run without a finite gamma, an unknown family) and history files whose
+    fields disagree (_INCONSISTENT) are ConfigInvalid."""
     np.savez(tmp_path / "partial.npz", r_grid=np.linspace(1.0, 2.0, 8))
     (tmp_path / "run.json").write_text("{}")
     _history_file(tmp_path / "no_gamma.npz", eos_family="polytropic", eos_gamma=np.nan)
     _history_file(tmp_path / "no_family.npz", eos_family="ideal", eos_gamma=2.0)
-    for name in ("partial.npz", "run.json", "no_gamma.npz", "no_family.npz"):
+    for name, keys in _INCONSISTENT.items():
+        _history_file(tmp_path / f"{name}.npz", **_POLYTROPIC, **keys)
+    _history_file(tmp_path / "consistent.npz", **_POLYTROPIC)
+    assert RunHistory.load(tmp_path / "consistent.npz").phi.shape == (2, 64)
+    for name in ("partial.npz", "run.json", "no_gamma.npz", "no_family.npz",
+                 *(f"{name}.npz" for name in _INCONSISTENT)):
         with pytest.raises(ConfigInvalid, match=name):
             RunHistory.load(tmp_path / name)
 
