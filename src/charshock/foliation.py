@@ -366,7 +366,7 @@ def _first_sample(history: RunHistory, r_pos, eos):
     """_sample on the first snapshot; InvalidParameter where it gives None."""
     eos = eos if eos is not None else history.eos
     if (smp := _sample(history, 0, _block(history, 0, eos), r_pos)) is None:
-        raise InvalidParameter("a ray 2 + u lies off the grid or the first stored window")
+        raise InvalidParameter("a ray 2 + u is NaN or lies off the grid or the first stored window")
     return smp
 
 

@@ -246,7 +246,8 @@ def advance(t, r, y, a: float, eos: EquationOfState, t_end: float):
 class RunHistory:
     """The snapshots of a run_until solve, the EOS it ran with and how it
     ended; the last snapshot is the last time reached (last_good_time).
-    Snapshot k holds r_grid[start[k]:start[k] + W], W = phi.shape[1]."""
+    Snapshot k holds r_grid[start[k]:start[k] + W], W = phi.shape[1];
+    InvalidParameter for fields that disagree (__post_init__'s checks)."""
 
     r_grid: np.ndarray
     times: np.ndarray                 # snapshot times, ascending
@@ -262,6 +263,16 @@ class RunHistory:
     def __post_init__(self):
         if self.start is None:
             self.start = np.zeros(len(self.times), dtype=int)
+        t, s, n_r, w = self.times, self.start, len(self.r_grid), self.phi.shape[-1]
+        if not (t.ndim == 1 and w >= 8 and self.phi.shape == self.dtphi.shape == (len(t), w)):
+            raise InvalidParameter("phi and dtphi are not (len(times), W) with W >= 8")
+        if not (t.size and np.all(np.isfinite(t)) and np.all(np.diff(t) > 0.0)):
+            raise InvalidParameter("times are empty, not finite or not strictly increasing")
+        if not (s.shape == t.shape and s.dtype.kind in "iu"
+                and 0 <= s.min() <= s.max() <= n_r - w):     # so W <= len(r_grid) too
+            raise InvalidParameter(f"start is not ints in [0, len(r_grid) - W = {n_r - w}]")
+        if not (math.isfinite(self.a) and 0.0 < self.delta < 1.0):
+            raise InvalidParameter(f"a is not finite or delta = {self.delta} is not in (0, 1)")
 
     @property
     def last_good_time(self):
@@ -284,20 +295,9 @@ class RunHistory:
                 f = {k: z[k] for k in z.files}
             eos = eos_from_config({k[4:]: v.tolist() for k, v in f.items()
                                    if k.startswith("eos_")})
-            hist = cls(r_grid=f["r_grid"], times=f["times"], phi=f["phi"], dtphi=f["dtphi"],
+            return cls(r_grid=f["r_grid"], times=f["times"], phi=f["phi"], dtphi=f["dtphi"],
                        a=float(f["a"]), delta=float(f["delta"]), status=str(f["status"]),
                        eos=eos, message=str(f.get("message", "")), start=f.get("start"))
-            t, s, n_r, w = hist.times, hist.start, len(hist.r_grid), hist.phi.shape[-1]
-            if not (t.ndim == 1 and w >= 8 and hist.phi.shape == hist.dtphi.shape == (len(t), w)):
-                raise ValueError("phi and dtphi are not (len(times), W) with W >= 8")
-            if not (t.size and np.all(np.isfinite(t)) and np.all(np.diff(t) > 0.0)):
-                raise ValueError("times are empty, not finite or not strictly increasing")
-            if not (s.shape == t.shape and s.dtype.kind in "iu"
-                    and 0 <= s.min() <= s.max() <= n_r - w):  # so W <= len(r_grid) too
-                raise ValueError(f"start does not hold ints in [0, len(r_grid) - W = {n_r - w}]")
-            if not (math.isfinite(hist.a) and 0.0 < hist.delta < 1.0):
-                raise ValueError(f"a is not finite or delta = {hist.delta} is not in (0, 1)")
-            return hist
         except (InvalidParameter, ValueError, TypeError, KeyError, IndexError, EOFError,
                 zipfile.BadZipFile) as exc:
             raise ConfigInvalid(f"{path} is not a run history .npz: {exc}") from None

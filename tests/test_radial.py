@@ -276,6 +276,18 @@ def test_history_load_rejects_other_files(tmp_path):
             RunHistory.load(tmp_path / name)
 
 
+def test_history_rejects_fields_that_disagree():
+    """A RunHistory built from the fields of _INCONSISTENT is InvalidParameter,
+    on construction, not at its first trace."""
+    fields = dict(r_grid=np.linspace(1.0, 3.0, 64), times=np.array([-2.0, -1.9]),
+                  phi=np.zeros((2, 64)), dtphi=np.zeros((2, 64)), a=0.0, delta=0.1,
+                  status="Completed", eos=EOS)
+    RunHistory(**fields)
+    for keys in [*_INCONSISTENT.values(), dict(delta=-0.1)]:
+        with pytest.raises(InvalidParameter):
+            RunHistory(**{**fields, "start": np.zeros(2, dtype=int), **keys})
+
+
 def test_run_until_keeps_snapshots_up_to_breakdown():
     data = build_annulus_data(bump_seeds(c=-20.0, delta=0.2), r_grid_n=256)
     hist = run_until(data, a=0.0, eos=EOS, t_end=-1.5, points_per_delta=16,
