@@ -403,9 +403,9 @@ def test_lmu_initial_matches_seed_slope(pulse_bundle):
 @pytest.mark.parametrize("u", [np.nan, np.inf, -np.inf, 0.8])
 def test_lmu_initial_names_a_label_off_the_stored_data(u):
     """A NaN or infinite label, or one whose cubic leaves the first window
-    (r_grid[150:350], so r = 2.8 does), is InvalidParameter, where the whole
-    grid once sampled a NaN at a clamped index; so is a ray bundle whose
-    first row leaves the window."""
+    (r_grid[150:350], so r = 2.8 does), is InvalidParameter, on the whole grid
+    too, where a NaN fails no comparison with the grid's ends and its index
+    clamps to 1; so is a ray bundle whose first row leaves the window."""
     windowed = trivial_history(width=200, start=150)
     assert np.array_equal(lmu_initial(windowed, [0.05, 0.1]), [0.0, 0.0])
     for hist in [windowed] if np.isfinite(u) else [trivial_history(), windowed]:
