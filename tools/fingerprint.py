@@ -23,12 +23,18 @@ The artefacts:
   * damped_table.*: the same on a damped pulse (a = 0.5) through the
     custom table eta^2 = 1 + 0.8 h + 0.3 h^2, the one run whose mu
     transport reads the damping term a dphi/dr and a table's d eta^2/dh;
+  * radial.nonfinite: run_until's arrays, status and message of a Chaplygin
+    run of bump_seeds(c=1e150, delta=0.1) on r_grid_n = 256 at 16 points
+    per delta from r_min = 1.6 to t_end = -1.9, whose first right-hand side
+    is not finite, so it ends NonFinite at t = -2 with one snapshot;
   * trace.stops: the trace_rays bundles (gamma = 2, 33 rays) of the three
     histories of _stop_histories, one for each rule that drops a step's row;
   * burgers.a*_c*: the six Burgers cells of the calibrate workload, their
     solve and fitted blow-up time, and burgers.a-1_c1_grid777, a solve on
     777 cells up to t = 2, past its shock at t = -1 + ln 2, where dx = 2/777
-    is not a power of two;
+    is not a power of two, and burgers.small_a, the fitted blow-up time and
+    window of the c = 1 sine run on 512 cells up to t = 0.5 at
+    a in {-1e-8, 1e-9, 2e-9, 5e-324}, where the shift from a = 0 is tiny;
   * predict.t_star: classify_largeness's t* over a 41 x 60 (a, c) grid;
   * predict.a1_fallbacks: a1_integral at t in {-1.9, -1.5, -0.1} and
     |a| > 354, where the closed form overflows and quadrature answers, and
@@ -199,6 +205,13 @@ def artefacts():
                                         again.mu_transport,
                                         foliation.lmu_initial(loaded, again.u))
 
+    law = eos.eos_from_config({"family": "chaplygin"})
+    data = shortpulse.build_annulus_data(shortpulse.bump_seeds(c=1e150, delta=0.1),
+                                         r_grid_n=256)
+    hist = radial.run_until(data, a=0.0, eos=law, t_end=-1.9, points_per_delta=16, r_min=1.6)
+    yield "radial.nonfinite", _blob(hist.r_grid, hist.times, hist.phi, hist.dtphi,
+                                    hist.start) + f"{hist.status}:{hist.message}".encode()
+
     stops = [foliation.trace_rays(hist, ray_count=33)
              for hist in _stop_histories(radial, eos.make_polytropic(2.0))]
     yield "trace.stops", _blob(*(getattr(b, f) for b in stops
@@ -217,6 +230,13 @@ def artefacts():
         burgers.BurgersProblem(profile=f, a=-1.0, slope=df), grid_n=777, t_end=2.0)
     yield "burgers.a-1_c1_grid777", _blob(hist.times, hist.max_neg_slope, hist.phi) \
         + hist.status.encode()
+    fits = []
+    for a in (-1e-8, 1e-9, 2e-9, 5e-324):
+        hist = burgers.burgers_direct_solve(
+            burgers.BurgersProblem(profile=f, a=a, slope=df), grid_n=512, t_end=0.5)
+        est = burgers.estimate_blowup_time(hist.times, hist.max_neg_slope, a)
+        fits.append((est.t_star_estimate, *est.confidence_window))
+    yield "burgers.small_a", _blob(np.array(fits))
 
     t_star = [[foliation.classify_largeness(c, a).t_star for c in np.geomspace(0.05, 1e4, 60)]
               for a in np.linspace(-0.5, 0.5, 41)]
