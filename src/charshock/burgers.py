@@ -51,7 +51,7 @@ DOMAIN = (-1.0, 1.0)    # the interval every BurgersProblem lives on, with outfl
 _DT_MAX = 0.05      # largest burgers_direct_solve step, whatever the CFL allows
 _CFL = 0.5          # burgers_direct_solve's step is _CFL dx / max|phi|, at most _DT_MAX
 _FIT_FLOOR = 0.3    # estimate_blowup_time fits only r <= (1 - this) * r(start)
-_A_LINEAR = 1e-9    # below this |a|, e^{-a(t+1)} - 1 = -a(t+1) to 1.5e-9 relative for t <= 2
+_TINY = np.finfo(float).tiny     # the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,13 @@ class BurgersProblem:
 
 
 def damping_kernel(t, a):
-    """E(t) = integral_{-1}^{t} exp(-a (tau+1)) d tau = (1 - e^{-a(t+1)}) / a."""
-    t = np.asarray(t, dtype=float)
-    s = t + 1.0
+    """E(t) = integral_{-1}^{t} exp(-a (tau+1)) d tau = (1 - e^{-a(t+1)}) / a, and
+    t + 1 where |a (t+1)| is below the smallest normal double (a = 0 too), where
+    the quotient would lose its digits."""
+    s = np.asarray(t, dtype=float) + 1.0
     if a == 0.0:
         return s
-    return -np.expm1(-a * s) / a
+    return np.where(np.abs(a * s) < _TINY, s, -np.expm1(-a * s) / a)
 
 
 def burgers_shock_time(a: float, c: float) -> ShockReport:
@@ -113,9 +114,8 @@ def burgers_characteristic_solve(x0, t, problem: BurgersProblem):
     """Exact solution record along the characteristic from (x0, -1);
     InvalidParameter for a t past the first crossing (mu <= 0)."""
     x0 = np.asarray(x0, dtype=float)
-    f0 = problem.profile(x0)
-    E = damping_kernel(t, problem.a)
-    mu = 1.0 + problem.slope(x0) * E
+    f0, E = problem.profile(x0), damping_kernel(t, problem.a)
+    mu = burgers_mu(x0, t, problem)
     if np.any(mu <= 0.0):
         raise InvalidParameter(f"characteristics crossed before t = {t}")
     decay = np.exp(-problem.a * (np.asarray(t, dtype=float) + 1.0))
@@ -248,17 +248,14 @@ def estimate_blowup_time(times, slopes, a: float) -> BlowupEstimate:
     """Extrapolate the max-negative-slope series to its blow-up time.
 
     Along the steepest characteristic the slope is c e^{-a(t+1)} / mu(t), so
-    e^{-a(t+1)} / slope is proportional to mu and follows the exact shape
-    alpha + beta * (exp(-a (t+1)) - 1); the fit finds its root.  The initial
-    transient and the post-shock samples, those after the least
-    e^{-a(t+1)} / slope, are excluded.  Below |a| = _A_LINEAR the fit takes
-    a = 0: its exp column would fall under lstsq's rank cutoff from about
-    |a| = 1e-13, and the shapes differ by less than the fit resolves.
-    NoBlowupTrend where the fit has no root; a half-window refit without
-    one is left out of the confidence window.
+    e^{-a(t+1)} / slope is proportional to mu = 1 - c E(t), E = damping_kernel.
+    A fit of alpha + beta E gives the compression c = -beta / alpha, and the
+    blow-up time is burgers_shock_time(a, c)'s t*.  The initial transient and
+    the post-shock samples, those after the least e^{-a(t+1)} / slope, are
+    excluded.  NoBlowupTrend where the fit has no root: c is not finite, or
+    burgers_shock_time reads Global, as for an increasing fit; a half-window
+    refit without one is left out of the confidence window.
     """
-    if abs(a) < _A_LINEAR:
-        a = 0.0
     times = np.asarray(times, dtype=float)
     slopes = np.asarray(slopes, dtype=float)
     pos = slopes > 0
@@ -283,21 +280,15 @@ def estimate_blowup_time(times, slopes, a: float) -> BlowupEstimate:
         sel = np.argsort(r)[:10]
     tt, rr = times[sel], r[sel]
 
-    basis = tt + 1.0 if a == 0.0 else np.expm1(-a * (tt + 1.0))
-    A = np.column_stack([np.ones_like(tt), basis])
+    A = np.column_stack([np.ones_like(tt), damping_kernel(tt, a)])
+
+    def _root(alpha, beta):     # the fit's t*, None where it has none
+        c = float(-beta / alpha)
+        return burgers_shock_time(a, c).t_star if math.isfinite(c) else None
+
     (alpha, beta), *_ = np.linalg.lstsq(A, rr, rcond=None)
-
-    def _root(al, be):
-        """The fit's root, not finite where it has none."""
-        if a == 0.0:
-            return -1.0 - al / be
-        arg = 1.0 - al / be
-        if arg <= 0.0:
-            return math.inf
-        return -1.0 - math.log(arg) / a
-
     t_star = _root(alpha, beta)
-    if not math.isfinite(t_star):
+    if t_star is None:
         raise NoBlowupTrend("the fitted e^{-a(t+1)} / slope has no root")
     # spread between half-window refits as a crude confidence band; a refit
     # without a root is left out
@@ -307,7 +298,7 @@ def estimate_blowup_time(times, slopes, a: float) -> BlowupEstimate:
         if np.count_nonzero(sel) >= 6 and len(tt[sl]) >= 3:
             coef, *_ = np.linalg.lstsq(A[sl], rr[sl], rcond=None)
             windows.append(_root(*coef))
-    windows = [t for t in windows if math.isfinite(t)]
+    windows = [t for t in windows if t is not None]
     lo, hi = min(windows), max(windows)
     return BlowupEstimate(t_star_estimate=float(t_star), confidence_window=(float(lo), float(hi)))
 

@@ -162,6 +162,17 @@ def test_damping_kernel_limit():
     assert damping_kernel(-1.0, 0.7) == 0.0
 
 
+@pytest.mark.parametrize("a", [5e-324, 1e-320, 1e-310, -5e-324, -1e-310])
+def test_damping_kernel_at_subnormal_damping_is_t_plus_one(a):
+    """Where a (t+1) is below the smallest normal double, (1 - e^{-a(t+1)}) / a
+    has lost its digits (0.0 at a = 5e-324, 0.29990 for t = -0.7 at
+    a = 1e-320); E is t + 1 there, as at a = 0."""
+    t = np.array([-1.0, -0.7, 0.0, 0.5, 2.0])
+    assert np.array_equal(damping_kernel(t, a), t + 1.0)
+    assert np.array_equal(burgers_mu(t, 0.0, make_problem(a=a)),
+                          burgers_mu(t, 0.0, make_problem(a=0.0)))
+
+
 def test_characteristic_stationary():
     p = make_problem()
     rec = burgers_characteristic_solve(0.0, -0.5, p)  # f(0) = 0
@@ -421,6 +432,36 @@ def test_blowup_estimate_rejects_flat_series():
     t = np.linspace(-1.0, 0.0, 50)
     with pytest.raises(NoBlowupTrend):
         estimate_blowup_time(t, np.ones_like(t), 0.0)
+
+
+def test_blowup_estimate_without_a_decreasing_fit_has_no_root():
+    """An r = 1/slope that falls to 0.3, rises to 0.65 and then drops to its
+    least value in one sample fits an increasing line: the compression
+    -beta/alpha is negative, burgers_shock_time reads Global and the fit has
+    no root (the line's own zero lies before t = -1)."""
+    t = np.linspace(-1.0, 0.0, 100)
+    r = np.concatenate((np.linspace(1.0, 0.3, 10), np.linspace(0.3, 0.65, 89), [0.01]))
+    with pytest.raises(NoBlowupTrend, match="no root"):
+        estimate_blowup_time(t, 1.0 / r, 0.0)
+
+
+def _sine_fit(a):
+    hist = burgers_direct_solve(make_problem(c=1.0, a=a), grid_n=512, t_end=0.5)
+    return estimate_blowup_time(hist.times, hist.max_neg_slope, a)
+
+
+def test_blowup_estimate_follows_the_closed_form_shift_at_small_damping():
+    """The fitted t*(a) - t*(0) is the closed form's shift, which is about a/2
+    here, to 1 %, down to |a| = 1e-9: the fit's column is damping_kernel and
+    its root burgers_shock_time's at every a, so no small-|a| switch cuts in."""
+    t0, fit0 = burgers_shock_time(0.0, 1.0).t_star, _sine_fit(0.0).t_star_estimate
+    for a in (-1e-8, 1e-9, 2e-9, 1e-8, 1e-7):
+        shift = burgers_shock_time(a, 1.0).t_star - t0
+        assert (_sine_fit(a).t_star_estimate - fit0) / shift == pytest.approx(1.0, abs=1e-2)
+
+
+def test_blowup_estimate_at_subnormal_damping_is_the_undamped_fit():
+    assert _sine_fit(5e-324) == _sine_fit(0.0)
 
 
 def test_direct_solver_blowup_estimates():
