@@ -179,9 +179,10 @@ def burgers_direct_solve(
     grid_n outside [64, MAX_VALUES], a t_end that is not finite or not
     above -1, and a step too small to reach t_end in errors.MAX_VALUES
     steps, once it is taken and has left a finite field
-    (errors.check_steps).  A step allocates nothing: the field and its two
-    stages swap between three ghosted rows, and the returned phi is a copy
-    of the last finite field."""
+    (errors.check_steps); where a < 0 shrinks the steps, before the first
+    one too.  A step allocates nothing: the field and its two stages swap
+    between three ghosted rows, and the returned phi is a copy of the last
+    finite field."""
     if grid_n < 64:
         raise InvalidParameter("grid_n must be >= 64")
     check_size("the Burgers grid", grid_n)
@@ -202,6 +203,9 @@ def burgers_direct_solve(
     speed = float(np.abs(phi, out=scratch).max())
     status = "Completed"
     with np.errstate(over="ignore", invalid="ignore"):     # the finiteness check names it
+        if a < 0.0 and speed > 0.0 and math.isfinite(speed * np.exp(-a * (t_end + 1.0))):
+            # phi = f(x0) e^{-a(t+1)}: about speed E(t_end) / (_CFL dx) steps reach t_end
+            check_steps(t, _CFL * dx * (t_end - t) / (speed * damping_kernel(t_end, a)), t_end)
         while t < t_end - 1e-14:
             step = min(_CFL * dx / max(speed, 1e-12), _DT_MAX)
             dt = min(step, t_end - t)

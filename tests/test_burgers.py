@@ -419,6 +419,15 @@ def test_direct_solver_rejects_steps_that_never_reach_t_end(c, t_end):
         burgers_direct_solve(make_problem(c=c), grid_n=64, t_end=t_end)
 
 
+@pytest.mark.parametrize("a", [-20.0, -40.0])
+def test_antidamped_run_that_would_never_end_raises_before_its_first_step(a):
+    """For a < 0 the CFL step shrinks like e^{a(t+1)}: reaching t_end = 0.5 on
+    64 cells takes about 1.1e13 steps at a = -20 and 5.8e25 at a = -40, so the
+    run raises at once instead of stepping for ever."""
+    with pytest.raises(InvalidParameter, match="would not reach t_end"):
+        burgers_direct_solve(make_problem(a=a), grid_n=64, t_end=0.5)
+
+
 def test_blowup_estimate_synthetic_round_trip():
     a, c = 0.5, 1.0
     t = np.linspace(-1.0, -0.2, 400)

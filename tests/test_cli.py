@@ -394,6 +394,7 @@ _OVERSIZED = {
     "euler-chaplygin-c": [*_EULER_SMALL, "--chaplygin", "--c", "1e20"],
     "burgers-c": ["burgers", "--grid", "64", "--c", "1e100", "--t-end", "0.5"],
     "burgers-t-end": ["burgers", "--grid", "64", "--t-end", "1e300"],
+    "burgers-antidamped": ["burgers", "--grid", "64", "--a=-20", "--t-end", "0.5"],
 }
 
 

@@ -173,7 +173,7 @@ def test_crash_isolation_records_failed_cell():
 
 
 _EULER_SOLVER = {"points_per_delta": 16, "r_min": 1.6, "ray_count": 33}
-_NEVER_ENDING = {       # each row's config fields other than a = 0, delta and sigma
+_NEVER_ENDING = {       # each row's config fields other than delta and sigma (a = 0 if not given)
     "euler-chaplygin-c-1e20": {"mode": "euler", "c_values": (1e20,), "solver": _EULER_SOLVER,
                                "eos_values": ({"family": "chaplygin"},)},
     "euler-r-min-negative": {"mode": "euler", "solver": {**_EULER_SOLVER, "r_min": -0.5}},
@@ -181,13 +181,16 @@ _NEVER_ENDING = {       # each row's config fields other than a = 0, delta and s
                         "solver": {"simulate": True, "grid_n": 64}},
     "burgers-t-end-1e300": {"mode": "burgers",
                             "solver": {"simulate": True, "grid_n": 64, "t_end": 1e300}},
+    "burgers-a-minus-20": {"mode": "burgers", "a_values": (-20.0,),
+                           "solver": {"simulate": True, "grid_n": 64, "t_end": 0.5}},
 }
 
 
 @pytest.mark.parametrize("fields", _NEVER_ENDING.values(), ids=_NEVER_ENDING.keys())
 def test_cell_that_would_never_end_reads_invalid_parameter(fields):
     """A time step too small to reach t_end in errors.MAX_VALUES steps (a
-    steep Chaplygin seed, a huge Burgers compression or t_end), or a grid
+    steep Chaplygin seed, a huge Burgers compression or t_end, or Burgers
+    steps that a = -20 shrinks like e^{a(t+1)}), or a grid
     reaching r = 0, fails its cell with status InvalidParameter instead of
     hanging, ending in Error or breaking down where the 2/r term is infinite."""
     cfg = SweepConfig(**{"a_values": (0.0,), "c_values": (1.0,), "delta_values": (0.1,),
