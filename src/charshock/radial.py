@@ -271,6 +271,10 @@ class RunHistory:
         if not (s.shape == t.shape and s.dtype.kind in "iu"
                 and 0 <= s.min() <= s.max() <= n_r - w):     # so W <= len(r_grid) too
             raise InvalidParameter(f"start is not ints in [0, len(r_grid) - W = {n_r - w}]")
+        r, dr = self.r_grid, np.diff(self.r_grid)   # _block, _sample and trace_rays read dr[0]
+        if not (r.ndim == 1 and np.isfinite(r).all() and (dr > 0.0).all()
+                and np.abs(dr - dr[0]).max() <= 4.0 * np.spacing(np.abs(r).max())):
+            raise InvalidParameter("r_grid is not 1-D, finite, increasing and even to 4 ulp")
         if not (math.isfinite(self.a) and 0.0 < self.delta < 1.0):
             raise InvalidParameter(f"a is not finite or delta = {self.delta} is not in (0, 1)")
 

@@ -231,6 +231,12 @@ _INCONSISTENT = {
     "negative_delta": lambda f: dict(delta=-0.1),
     "nan_a": lambda f: dict(a=np.nan),
     "short_window": lambda f: dict(phi=f["phi"][:, :64], dtphi=f["dtphi"][:, :64]),
+    # half a cell's shift from index 3 on: foliate exited 0 with a wrong mu
+    "uneven_grid": lambda f: dict(r_grid=f["r_grid"] + np.where(
+        np.arange(len(f["r_grid"])) >= 3, 0.5 * (f["r_grid"][1] - f["r_grid"][0]), 0.0)),
+    "nan_grid": lambda f: dict(r_grid=np.where(np.arange(len(f["r_grid"])) == 5, np.nan,
+                                               f["r_grid"])),
+    "descending_grid": lambda f: dict(r_grid=f["r_grid"][::-1]),
 }
 
 

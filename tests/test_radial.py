@@ -252,6 +252,10 @@ _INCONSISTENT = {
     "negative_start": dict(start=np.array([0, -1])),
     "start_past_grid": dict(start=np.array([0, 1])),
     "wider_than_grid": dict(r_grid=np.linspace(1.0, 3.0, 32)),
+    "uneven_grid": dict(r_grid=np.linspace(1.0, 3.0, 64) + np.where(np.arange(64) < 3, 0.0, 1e-3)),
+    "nan_grid": dict(r_grid=np.where(np.arange(64) == 5, np.nan, np.linspace(1.0, 3.0, 64))),
+    "descending_grid": dict(r_grid=np.linspace(3.0, 1.0, 64)),
+    "two_d_grid": dict(r_grid=np.linspace(1.0, 3.0, 128).reshape(2, 64)),
     "nan_a": dict(a=np.nan),
     "zero_delta": dict(delta=0.0),
     "delta_one": dict(delta=1.0),
