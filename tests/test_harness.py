@@ -172,6 +172,17 @@ def test_crash_isolation_records_failed_cell():
     assert bad["error"] != ""
 
 
+def test_euler_cell_that_ends_non_finite_reads_ok_with_its_run_status():
+    """A run that ends NonFinite is a result, not a failed cell: the row reads
+    ok, with run_status NonFinite and the run's message."""
+    cfg = SweepConfig(a_values=(0.0,), c_values=(1e150,), mode="euler", delta_values=(0.1,),
+                      eos_values=({"family": "chaplygin"},), sigma=-1.9,
+                      solver={"points_per_delta": 16, "r_min": 1.6})
+    row = run_sweep(cfg).rows[0]
+    assert (row["status"], row["run_status"]) == ("ok", "NonFinite")
+    assert row["error"] == "non-finite right-hand side at t=-2.000000"
+
+
 _EULER_SOLVER = {"points_per_delta": 16, "r_min": 1.6, "ray_count": 33}
 _NEVER_ENDING = {       # each row's config fields other than delta and sigma (a = 0 if not given)
     "euler-chaplygin-c-1e20": {"mode": "euler", "c_values": (1e20,), "solver": _EULER_SOLVER,

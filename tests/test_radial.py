@@ -357,6 +357,33 @@ def test_energy_functional_nearly_nonincreasing(pulse_run):
     assert e1 <= e0 * (1.0 + 1e-3)
 
 
+def test_damped_energy_decays_at_rate_a():
+    """Under damping a the energy decays like e^{-a(t+2)}, so a pulse's
+    amplitude decays at rate a/2: along a delta = 0.05 pulse, the energy of
+    each stored window over its value at t = -2 follows e^{-a(t+2)} to 2e-3
+    (8.6e-4 at most), while rate a/2 misses it by at least 2e-2."""
+    data = build_annulus_data(bump_seeds(c=1.0, delta=0.05))
+    for a in (0.25, 0.5, 1.0):
+        hist = run_until(data, a=a, eos=EOS, t_end=-1.6, points_per_delta=32, r_min=1.4)
+        energy = np.array([energy_functional(*_snapshot(hist, k), EOS, a)
+                           for k in range(len(hist.times))])
+        decay = energy / energy[0]
+        assert np.max(np.abs(decay * np.exp(a * (hist.times + 2.0)) - 1.0)) <= 2e-3
+        assert np.max(np.abs(decay * np.exp(0.5 * a * (hist.times + 2.0)) - 1.0)) >= 2e-2
+
+
+def test_run_until_ends_non_finite_when_its_first_right_hand_side_overflows():
+    """A Chaplygin pulse of c = 1e150 overflows the first right-hand side:
+    _stage raises NonFiniteField, and run_until ends NonFinite with its
+    message and the one snapshot at t = -2."""
+    data = build_annulus_data(bump_seeds(c=1e150, delta=0.1), r_grid_n=256)
+    hist = run_until(data, a=0.0, eos=make_chaplygin(), t_end=-1.9, points_per_delta=16,
+                     r_min=1.6)
+    assert hist.status == "NonFinite"
+    assert hist.message == "non-finite right-hand side at t=-2.000000"
+    assert len(hist.times) == 1 and hist.last_good_time == -2.0
+
+
 def test_second_derivative_growth(pulse_run):
     """max |d2phi/dr2| increases monotonically while the pulse steepens."""
     hist = pulse_run
