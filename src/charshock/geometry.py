@@ -23,9 +23,7 @@ __all__ = [
     "FluidPointState",
     "FrameSet",
     "assemble_metric",
-    "metric_dot",
     "build_frames",
-    "jacobian_factor",
     "random_subsonic_states",
 ]
 
@@ -76,10 +74,6 @@ def assemble_metric(state):
     return g, g_inv
 
 
-def metric_dot(g, X, Y):
-    return float(X @ g @ Y)
-
-
 def build_frames(state: FluidPointState) -> FrameSet:
     """Null/adapted frame from (v, eta, mu, That)."""
     v, eta, mu, that = state.v, state.eta, state.mu, state.that
@@ -89,11 +83,6 @@ def build_frames(state: FluidPointState) -> FrameSet:
     L = np.concatenate(([1.0], v - eta * that))      # N - eta That
     Lbar = (kappa / eta) * L + 2.0 * T
     return FrameSet(L=L, N=N, T=T, Lbar=Lbar, kappa=kappa)
-
-
-def jacobian_factor(state, sqrt_det_angular):
-    """Volume factor of the acoustical-to-rectangular coordinate map."""
-    return state.mu * sqrt_det_angular / state.eta
 
 
 def random_subsonic_states(n, rng=None):
