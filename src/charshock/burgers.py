@@ -51,7 +51,6 @@ DOMAIN = (-1.0, 1.0)    # the interval every BurgersProblem lives on, with outfl
 _DT_MAX = 0.05      # largest burgers_direct_solve step, whatever the CFL allows
 _CFL = 0.5          # burgers_direct_solve's step is _CFL dx / max|phi|, at most _DT_MAX
 _FIT_FLOOR = 0.3    # estimate_blowup_time fits only r <= (1 - this) * r(start)
-_TINY = np.finfo(float).tiny     # the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ def damping_kernel(t, a):
     s = np.asarray(t, dtype=float) + 1.0
     if a == 0.0:
         return s
-    return np.where(np.abs(a * s) < _TINY, s, -np.expm1(-a * s) / a)
+    return np.where(np.abs(a * s) < np.finfo(float).tiny, s, -np.expm1(-a * s) / a)
 
 
 def burgers_shock_time(a: float, c: float) -> ShockReport:
